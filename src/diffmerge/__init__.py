@@ -11,7 +11,6 @@ from .core import (
     RangeError,
     apply_script,
     flags_to_script,
-    intern_files,
     parse_unified,
     render_unified,
     script_to_flags,

@@ -73,11 +73,6 @@ class InternTable:
         return InternedSequence(tokens, records)
 
 
-def intern_files(*files: bytes) -> tuple[InternedSequence, ...]:
-    table = InternTable()
-    return tuple(table.intern(f) for f in files)
-
-
 @dataclass
 class ChangedLines:
     """Per-line change flags for the two files of a diff."""

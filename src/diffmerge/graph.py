@@ -5,10 +5,19 @@ timestamp used to order merge bases by descending creation time.  When two
 heads have several lowest common ancestors those are folded pairwise into
 virtual commits, recursing for each pairwise base; every invocation of the
 recursive merge function is counted in MergeStats.
+
+Ancestry is answered from a generation number per commit, 1 + the largest
+generation of its parents (git's commit-graph topological level), so the
+graph holds O(N) state.  Merge bases come from git's paint_down_to_common
+walk, which pops commits highest generation first, followed by
+remove_redundant; ancestry tests walk down from the descendant and stop
+below the generation of the candidate ancestor.  A walk therefore covers
+only the commits between the heads and the generation of their bases.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -57,7 +66,7 @@ class CommitGraph:
     def __init__(self) -> None:
         self.commits: dict[str, Commit] = {}
         self._next_ts = 0
-        self._ancestors: dict[str, frozenset[str]] = {}
+        self._generation: dict[str, int] = {}
 
     def add_commit(
         self,
@@ -77,9 +86,16 @@ class CommitGraph:
         self._next_ts = max(self._next_ts, timestamp) + 1
         commit = Commit(cid, parents, dict(tree or {}), timestamp)
         self.commits[cid] = commit
-        anc = frozenset({cid}).union(*(self._ancestors[p] for p in parents)) if parents else frozenset({cid})
-        self._ancestors[cid] = anc
+        self._generation[cid] = 1 + max((self._generation[p] for p in parents), default=0)
         return commit
+
+    def copy(self) -> CommitGraph:
+        """A graph with the same commits; commits added later to one stay out of the other."""
+        fresh = CommitGraph()
+        fresh.commits = dict(self.commits)
+        fresh._generation = dict(self._generation)
+        fresh._next_ts = self._next_ts
+        return fresh
 
     def __getitem__(self, cid: str) -> Commit:
         try:
@@ -93,14 +109,93 @@ class CommitGraph:
     def __len__(self) -> int:
         return len(self.commits)
 
+    def _parents(self, cid: str) -> tuple[str, ...]:
+        return self.commits[cid].parents
+
     def ancestors_of(self, cid: str) -> frozenset[str]:
         """Ancestors including the commit itself."""
         if cid not in self.commits:
             raise UnknownCommit(cid)
-        return self._ancestors[cid]
+        return frozenset(_reachable((cid,), self._parents, self._generation.__getitem__, 0))
 
     def is_ancestor(self, a: str, b: str) -> bool:
-        return a in self.ancestors_of(b)
+        """Whether a is b or one of its ancestors; an unknown a is no ancestor."""
+        if b not in self.commits:
+            raise UnknownCommit(b)
+        if a not in self.commits:
+            return False
+        # an ancestor's generation is lower than each of its descendants'
+        floor = self._generation[a]
+        return a in _reachable((b,), self._parents, self._generation.__getitem__, floor)
+
+
+def _reachable(starts, parents_of, generation_of, floor: int) -> set[str]:
+    """The starts and the ancestors reachable from them through commits whose
+    generation is at least ``floor``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for p in parents_of(stack.pop()):
+            if p not in seen and generation_of(p) >= floor:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+_PARENT1, _PARENT2, _STALE = 1, 2, 4
+
+
+def _merge_bases(a: str, b: str, parents_of, generation_of) -> list[str]:
+    """Lowest common ancestors of a and b: git's paint_down_to_common, then
+    remove_redundant.
+
+    Ancestors of a are painted PARENT1 and those of b PARENT2.  A commit
+    painted both is a candidate, and everything below it is STALE; the walk
+    ends when only stale commits are queued.  Commits leave the queue
+    highest generation first, and every descendant has a higher generation,
+    so a commit's paint is final when it is popped.
+    """
+    paint = {a: _PARENT1}
+    paint[b] = paint.get(b, 0) | _PARENT2
+    queue = [(-generation_of(cid), cid) for cid in paint]
+    heapq.heapify(queue)
+    nonstale = len(queue)  # queued commits not painted STALE
+    candidates = []
+    while nonstale:
+        _, cid = heapq.heappop(queue)
+        flags = paint[cid]
+        if not flags & _STALE:
+            nonstale -= 1
+        if flags == _PARENT1 | _PARENT2:
+            candidates.append(cid)
+            flags |= _STALE
+        for p in parents_of(cid):
+            # p is below cid, so it is still queued if it was painted at all
+            old = paint.get(p, 0)
+            if old | flags == old:
+                continue
+            paint[p] = old | flags
+            if not old:
+                heapq.heappush(queue, (-generation_of(p), p))
+                if not flags & _STALE:
+                    nonstale += 1
+            elif flags & _STALE and not old & _STALE:
+                nonstale -= 1
+    return _remove_redundant(candidates, parents_of, generation_of)
+
+
+def _remove_redundant(candidates: list[str], parents_of, generation_of) -> list[str]:
+    """Drop every candidate that is an ancestor of another candidate.
+
+    The generation order already leaves the walk's candidates independent;
+    as in git, the result is still checked, by one walk that stops below the
+    lowest candidate's generation."""
+    if len(candidates) < 2:
+        return candidates
+    floor = min(generation_of(cid) for cid in candidates)
+    starts = [p for cid in candidates for p in parents_of(cid) if generation_of(p) >= floor]
+    below = _reachable(starts, parents_of, generation_of, floor)
+    return [cid for cid in candidates if cid not in below]
 
 
 def graph_from_jsonl(text: str) -> CommitGraph:
@@ -130,45 +225,41 @@ class _MergeContext:
         self.stats = stats
         self.options = options
         self.virtual: dict[str, Commit] = {}
-        self.virtual_anc: dict[str, frozenset[str]] = {}
+        self.virtual_gen: dict[str, int] = {}
 
     def commit(self, cid: str) -> Commit:
         if cid in self.virtual:
             return self.virtual[cid]
         return self.graph[cid]
 
-    def ancestors_of(self, cid: str) -> frozenset[str]:
-        if cid in self.virtual_anc:
-            return self.virtual_anc[cid]
-        return self.graph.ancestors_of(cid)
+    def parents(self, cid: str) -> tuple[str, ...]:
+        return self.commit(cid).parents
+
+    def generation(self, cid: str) -> int:
+        if cid in self.virtual_gen:
+            return self.virtual_gen[cid]
+        return self.graph._generation[cid]
 
     def new_virtual(self, parents: tuple[str, str], tree: dict[str, bytes]) -> str:
         cid = f"virtual:{len(self.virtual)}"
         ts = max(self.commit(p).timestamp for p in parents)
         self.virtual[cid] = Commit(cid, parents, tree, ts)
-        self.virtual_anc[cid] = frozenset({cid}).union(*(self.ancestors_of(p) for p in parents))
+        self.virtual_gen[cid] = 1 + max(self.generation(p) for p in parents)
         return cid
 
 
 def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
     """All common ancestors not dominated by another common ancestor."""
-    common = graph.ancestors_of(a) & graph.ancestors_of(b)
-    return _maximal(common, graph.ancestors_of)
-
-
-def _maximal(common: frozenset[str], ancestors_of) -> set[str]:
-    result = set()
-    for c in common:
-        if not any(other != c and c in ancestors_of(other) for other in common):
-            result.add(c)
-    return result
+    for cid in (a, b):
+        if cid not in graph:
+            raise UnknownCommit(cid)
+    return set(_merge_bases(a, b, graph._parents, graph._generation.__getitem__))
 
 
 def _lca(ctx: _MergeContext, a: str, b: str) -> list[str]:
-    common = ctx.ancestors_of(a) & ctx.ancestors_of(b)
-    maximal = _maximal(common, ctx.ancestors_of)
+    bases = _merge_bases(a, b, ctx.parents, ctx.generation)
     # descending creation time; id breaks ties deterministically
-    return sorted(maximal, key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+    return sorted(bases, key=lambda cid: (-ctx.commit(cid).timestamp, cid))
 
 
 def _merge_tree_pair(
@@ -234,6 +325,25 @@ def merge_base_recursive(
     return _base_tree(ctx, a, b)
 
 
+class _DefaultId(str):
+    """A commit id an operation chose itself rather than took from its caller."""
+
+
+def _commit_clean(
+    graph: CommitGraph,
+    cid: str,
+    parents: tuple[str, ...],
+    tree: dict[str, bytes],
+    stats: MergeStats,
+) -> MergeResult:
+    """Insert a clean result.  Repeating an operation that names its commit
+    itself returns the commit the first run made, when parents and tree agree."""
+    existing = graph.commits.get(cid)
+    if isinstance(cid, _DefaultId) and existing is not None and (existing.parents, existing.tree) == (parents, tree):
+        return MergeResult("clean", existing, {}, stats)
+    return MergeResult("clean", graph.add_commit(str(cid), parents, tree), {}, stats)
+
+
 def merge_commits(
     graph: CommitGraph,
     a: str,
@@ -243,8 +353,9 @@ def merge_commits(
 ) -> MergeResult:
     """Merge two heads: fast-forward when possible, else a three-way merge.
 
-    A clean merge inserts and returns the new commit; conflicts are reported
-    per path with the rendered conflict blobs, and nothing is committed.
+    A clean merge inserts and returns the new commit; repeating it under the
+    default id returns that commit again.  Conflicts are reported per path
+    with the rendered conflict blobs, and nothing is committed.
     """
     options = options or MergeOptions()
     stats = MergeStats()
@@ -258,9 +369,7 @@ def merge_commits(
     if conflicts:
         stats.conflict_paths = sorted(conflicts)
         return MergeResult("conflict", None, conflicts, stats)
-    cid = new_id or f"merge({a},{b})"
-    commit = graph.add_commit(cid, (a, b), tree)
-    return MergeResult("clean", commit, {}, stats)
+    return _commit_clean(graph, new_id or _DefaultId(f"merge({a},{b})"), (a, b), tree, stats)
 
 
 def _pick_tree(
@@ -292,8 +401,7 @@ def cherry_pick(
     stats = MergeStats(conflict_paths=sorted(conflicts))
     if conflicts:
         return MergeResult("conflict", None, conflicts, stats)
-    cid = new_id or f"pick({commit}@{onto})"
-    return MergeResult("clean", graph.add_commit(cid, (onto,), tree), {}, stats)
+    return _commit_clean(graph, new_id or _DefaultId(f"pick({commit}@{onto})"), (onto,), tree, stats)
 
 
 def revert(
@@ -313,8 +421,7 @@ def revert(
     stats = MergeStats(conflict_paths=sorted(conflicts))
     if conflicts:
         return MergeResult("conflict", None, conflicts, stats)
-    cid = new_id or f"revert({commit}@{current})"
-    return MergeResult("clean", graph.add_commit(cid, (current,), tree), {}, stats)
+    return _commit_clean(graph, new_id or _DefaultId(f"revert({commit}@{current})"), (current,), tree, stats)
 
 
 @dataclass
@@ -333,10 +440,9 @@ def rebase(
 ) -> RebaseResult:
     """Replay the branch's first-parent chain onto another head, pick by pick."""
     options = options or MergeOptions()
-    onto_anc = graph.ancestors_of(onto)
     chain = []
     cur = branch_head
-    while cur not in onto_anc:
+    while not graph.is_ancestor(cur, onto):
         commit = graph[cur]
         chain.append(cur)
         if not commit.parents:
@@ -346,7 +452,7 @@ def rebase(
 
     tip = onto
     for index, cid in enumerate(chain):
-        result = cherry_pick(graph, cid, tip, options, new_id=f"rebase({cid}@{tip})")
+        result = cherry_pick(graph, cid, tip, options, new_id=_DefaultId(f"rebase({cid}@{tip})"))
         if result.kind == "conflict":
             return RebaseResult("conflict", None, index, result.conflicts)
         assert result.commit is not None

@@ -48,9 +48,6 @@ class PreprocessClassification:
     old_prechanged: list[bool]
     new_prechanged: list[bool]
 
-    def residual(self) -> tuple[int, int]:
-        return self.prefix_len, self.suffix_len
-
 
 def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
     """Strip common ends and pre-flag lines the search need not consider.

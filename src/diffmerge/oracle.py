@@ -103,6 +103,26 @@ def all_lis(perm: list[int]) -> set[tuple[int, ...]]:
     return best
 
 
+def ancestors_reference(graph) -> dict[str, frozenset[str]]:
+    """Every commit's ancestors, itself included, as one frozenset per commit.
+
+    This is how the commit graph answered ancestry before generation
+    numbers: O(N^2) memory, kept as the reference the walks are tested
+    against.  Commits are visited in insertion order, parents first.
+    """
+    ancestors: dict[str, frozenset[str]] = {}
+    for cid, commit in graph.commits.items():
+        ancestors[cid] = frozenset({cid}).union(*(ancestors[p] for p in commit.parents))
+    return ancestors
+
+
+def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
+    """Common ancestors of a and b that are no ancestor of another common
+    ancestor, by comparing every pair; ``ancestors_of(cid)`` includes cid."""
+    common = ancestors_of(a) & ancestors_of(b)
+    return {c for c in common if not any(other != c and c in ancestors_of(other) for other in common)}
+
+
 def check_flags_valid(old_tokens: list[int], new_tokens: list[int], old_flags: list[bool], new_flags: list[bool]) -> bool:
     """Common-subsequence correctness of a changed-lines result."""
     kept_old = [t for t, f in zip(old_tokens, old_flags) if not f]

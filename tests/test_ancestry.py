@@ -1,0 +1,152 @@
+"""Generation-number ancestry against the frozenset reference in oracle.py."""
+
+import random
+import tracemalloc
+
+import pytest
+
+from diffmerge import graph as graph_mod
+from diffmerge import oracle
+from diffmerge.graph import CommitGraph, MergeStats, UnknownCommit, lowest_common_ancestors, merge_commits
+from diffmerge.merge3 import MergeOptions
+
+# name -> keyword arguments of random_dag
+SHAPES = {
+    "long-chains": dict(n=300, merge_p=0.05, window=4),
+    "crisscross": dict(n=70, merge_p=0.6, window=6, crisscross_p=0.5),
+    "wide-fan-in": dict(n=90, merge_p=0.35, window=25, max_parents=8),
+    "disjoint-roots": dict(n=80, merge_p=0.3, window=10, components=3),
+    "out-of-order-timestamps": dict(n=80, merge_p=0.4, window=8, crisscross_p=0.3, shuffle_ts=True),
+}
+
+
+def random_dag(rng, n, merge_p, window, max_parents=2, crisscross_p=0.0, components=1, shuffle_ts=False,
+               edit=None):
+    """A seeded DAG.  Each commit takes parents from the last ``window``
+    commits of its component; a criss-cross adds a second merge of the same
+    two parents in swapped order.  ``edit(rng, cid, parent_tree)`` gives a
+    commit's tree (empty when None)."""
+    g = CommitGraph()
+    pools = [[] for _ in range(components)]
+
+    def add(cid, parents, pool):
+        tree = edit(rng, cid, g[parents[0]].tree if parents else {}) if edit else {}
+        g.add_commit(cid, parents, tree, rng.randrange(10_000) if shuffle_ts else None)
+        pool.append(cid)
+
+    for i in range(n):
+        pool = pools[i % components]
+        recent = pool[-window:]
+        if not recent:
+            add(f"c{i}", (), pool)
+            continue
+        k = rng.randint(2, max_parents) if rng.random() < merge_p else 1
+        parents = tuple(rng.sample(recent, min(k, len(recent))))
+        add(f"c{i}", parents, pool)
+        if len(parents) == 2 and rng.random() < crisscross_p:
+            add(f"x{i}", parents[::-1], pool)
+    return g
+
+
+def query_pairs(rng, g, count=400, last=0):
+    ids = list(g.commits)[-last:]
+    return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_ancestry_matches_frozenset_reference(shape, seed):
+    rng = random.Random(f"{shape}/{seed}")
+    g = random_dag(rng, **SHAPES[shape])
+    ref = oracle.ancestors_reference(g)
+    for cid in g.commits:
+        assert g.ancestors_of(cid) == ref[cid], cid
+    ctx = graph_mod._MergeContext(g, MergeStats(), MergeOptions())
+    for a, b in query_pairs(rng, g):
+        assert g.is_ancestor(a, b) == (a in ref[b]), (a, b)
+        want = oracle.lca_reference(ref.__getitem__, a, b)
+        assert lowest_common_ancestors(g, a, b) == want, (a, b)
+        ordered = sorted(want, key=lambda cid: (-g[cid].timestamp, cid))
+        assert graph_mod._lca(ctx, a, b) == ordered, (a, b)
+
+
+def test_disjoint_components_have_no_common_ancestor():
+    rng = random.Random(7)
+    g = random_dag(rng, **SHAPES["disjoint-roots"])
+    assert lowest_common_ancestors(g, "c30", "c31") == set()
+    assert not g.is_ancestor("c0", "c31")
+
+
+def test_unknown_commits():
+    g = CommitGraph()
+    g.add_commit("a")
+    assert not g.is_ancestor("missing", "a")
+    with pytest.raises(UnknownCommit):
+        g.is_ancestor("a", "missing")
+    with pytest.raises(UnknownCommit):
+        g.ancestors_of("missing")
+    with pytest.raises(UnknownCommit):
+        lowest_common_ancestors(g, "a", "missing")
+
+
+def _reference_lca(ctx, a, b):
+    """graph._lca computed from frozensets, virtual commits included."""
+    memo = {}
+
+    def ancestors_of(cid):
+        if cid not in memo:
+            memo[cid] = frozenset({cid}).union(*(ancestors_of(p) for p in ctx.commit(cid).parents))
+        return memo[cid]
+
+    return sorted(oracle.lca_reference(ancestors_of, a, b), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+
+
+def _edit_one_line(rng, cid, parent_tree):
+    # every commit rewrites one line of one file to its own id, so each
+    # merge base gives a different three-way merge
+    tree = dict(parent_tree) or {path: b"".join(b"%d\n" % i for i in range(24)) for path in ("f", "g", "h")}
+    path = rng.choice(sorted(tree))
+    lines = tree[path].splitlines(keepends=True)
+    lines[rng.randrange(len(lines))] = cid.encode() + b"\n"
+    tree[path] = b"".join(lines)
+    return tree
+
+
+def _merge_outcome(g, a, b):
+    result = merge_commits(g.copy(), a, b)
+    tree = result.commit.tree if result.commit is not None else None
+    return result.kind, tree, result.conflicts, result.stats.merge_calls, result.stats.conflict_paths
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
+    rng = random.Random(seed)
+    g = random_dag(rng, n=60, merge_p=0.6, window=5, crisscross_p=0.6, shuffle_ts=seed % 2 == 1,
+                   edit=_edit_one_line)
+    # heads near the tip share the most criss-crossed history
+    pairs = query_pairs(rng, g, 60, last=20)
+    got = [_merge_outcome(g, a, b) for a, b in pairs]
+    monkeypatch.setattr(graph_mod, "_lca", _reference_lca)
+    want = [_merge_outcome(g, a, b) for a, b in pairs]
+    assert got == want
+    # the random DAGs do reach the recursive virtual-base path
+    assert max(outcome[3] for outcome in got) > 2
+
+
+def test_long_chain_memory_stays_linear():
+    tracemalloc.start()
+    try:
+        g = CommitGraph()
+        g.add_commit("c0")
+        for i in range(1, 100_000):
+            g.add_commit(f"c{i}", (f"c{i - 1}",))
+        g.add_commit("s0", ("c50000",))
+        for i in range(1, 10):
+            g.add_commit(f"s{i}", (f"s{i - 1}",))
+        assert lowest_common_ancestors(g, "c99999", "s9") == {"c50000"}
+        assert g.is_ancestor("c0", "c99999")
+        assert not g.is_ancestor("s0", "c99999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -271,3 +271,47 @@ def test_acyclicity_by_construction():
     # parents must already exist, so a cycle cannot be introduced
     with pytest.raises(UnknownCommit):
         g.add_commit("b", ("c",))
+
+
+def diverged_graph():
+    g = CommitGraph()
+    g.add_commit("base", (), {"f": b"a\nb\nc\nd\n"})
+    g.add_commit("l", ("base",), {"f": b"a\nB\nc\nd\n"})
+    g.add_commit("r", ("base",), {"f": b"a\nb\nc\nD\n"})
+    return g
+
+
+def test_repeated_merge_returns_the_first_merge_commit():
+    g = diverged_graph()
+    first = merge_commits(g, "l", "r")
+    again = merge_commits(g, "l", "r")
+    assert again.kind == "clean"
+    assert again.commit is first.commit
+    assert len(g) == 4
+
+
+def test_merge_id_collisions_still_raise():
+    g = diverged_graph()
+    merge_commits(g, "l", "r", new_id="m")
+    with pytest.raises(GraphError):
+        merge_commits(g, "l", "r", new_id="m")
+    # the default id already names a commit with another tree
+    g.add_commit("merge(r,l)", ("r", "l"), {"f": b"other\n"})
+    with pytest.raises(GraphError):
+        merge_commits(g, "r", "l")
+
+
+def test_repeated_cherry_pick_revert_and_rebase_reuse_their_commits():
+    g = diverged_graph()
+    g.add_commit("l2", ("l",), {"f": b"z\na\nB\nc\nd\n"})
+    pick = cherry_pick(g, "l2", "r")
+    assert cherry_pick(g, "l2", "r").commit is pick.commit
+    undo = revert(g, "l2", "l2")
+    assert revert(g, "l2", "l2").commit is undo.commit
+    size = len(g)
+    first = rebase(g, "l2", "r")
+    assert first.kind == "clean"
+    assert rebase(g, "l2", "r").head == first.head
+    assert len(g) == size + 2
+    with pytest.raises(GraphError):
+        cherry_pick(g, "l2", "r", new_id=pick.commit.id)
