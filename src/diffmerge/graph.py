@@ -227,13 +227,17 @@ class _MergeContext:
         self.virtual: dict[str, Commit] = {}
         self.virtual_gen: dict[str, int] = {}
 
+    # The entry points reject unknown heads, and every id a walk reaches is
+    # a parent of a known commit, so these read the maps directly.
     def commit(self, cid: str) -> Commit:
         if cid in self.virtual:
             return self.virtual[cid]
-        return self.graph[cid]
+        return self.graph.commits[cid]
 
     def parents(self, cid: str) -> tuple[str, ...]:
-        return self.commit(cid).parents
+        if cid in self.virtual:
+            return self.virtual[cid].parents
+        return self.graph.commits[cid].parents
 
     def generation(self, cid: str) -> int:
         if cid in self.virtual_gen:

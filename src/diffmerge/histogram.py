@@ -7,24 +7,47 @@ strictly longer or its least-frequent old-file line is rarer than the best so
 far.  Lines occurring more than 64 times in the old file are never used as
 seeds, and if every common line is that frequent the whole subproblem falls
 back to the myers engine.
+
+One occurrence index over the whole old file serves every subproblem of a
+diff: a line's positions inside old[lo1:hi1] are a bisected slice of its
+ascending position list.  Runs are extended a few lines one by one, then by
+list-slice compares of doubling and halving length.  A candidate's record
+count (its least occurrence count) is taken only when it can change the
+choice: at the whole file as a C-level ``min`` over per-line counts, below it
+from bisected counts cached for the call.  The flags, regions and record
+counts equal those of the per-subproblem rescan kept as
+``oracle.histogram_reference``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import ChangedLines, InternedSequence
 from .myers import MYERS, myers_flags
 
 MAX_OCCURRENCES = 64
+# Lines compared one by one before a run is extended by slice compares.
+_GALLOP = 8
 
 
 @dataclass
 class OccurrenceIndex:
+    """Ascending positions of each token within old[lo:hi]."""
+
     occurrences: dict[int, list[int]]
-    has_common: bool = False
-    lowest_record_count: float = math.inf
+    lo: int = 0
+    hi: int = 0
+    # occurrence count of each line of old[lo:hi], built on first use
+    counts: list[int] | None = None
+
+    def line_counts(self, tokens: list[int]) -> list[int]:
+        if self.counts is None:
+            occ = self.occurrences
+            self.counts = [len(occ[t]) for t in tokens[self.lo:self.hi]]
+        return self.counts
 
 
 @dataclass(frozen=True)
@@ -48,8 +71,58 @@ def scan_a(tokens: list[int], lo: int = 0, hi: int | None = None) -> OccurrenceI
         hi = len(tokens)
     occ: dict[int, list[int]] = {}
     for i in range(lo, hi):
-        occ.setdefault(tokens[i], []).append(i)
-    return OccurrenceIndex(occ)
+        positions = occ.get(tokens[i])
+        if positions is None:
+            occ[tokens[i]] = [i]
+        else:
+            positions.append(i)
+    return OccurrenceIndex(occ, lo, hi)
+
+
+def _run_forward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """The largest k <= limit with a[i:i+k] == b[j:j+k]."""
+    k = 0
+    while k < limit:
+        if a[i + k] != b[j + k]:
+            return k
+        k += 1
+        if k == _GALLOP:
+            break
+    if k == limit:
+        return k
+    # the run is at least _GALLOP long: double the step while slices match,
+    # then halve it; the rest of the run is always shorter than the step
+    step = _GALLOP
+    while k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
+        k += step
+        step += step
+    while step > 1:
+        step >>= 1
+        if k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
+            k += step
+    return k
+
+
+def _run_backward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """The largest k <= limit with a[i-k:i] == b[j-k:j]."""
+    k = 0
+    while k < limit:
+        if a[i - 1 - k] != b[j - 1 - k]:
+            return k
+        k += 1
+        if k == _GALLOP:
+            break
+    if k == limit:
+        return k
+    step = _GALLOP
+    while k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
+        k += step
+        step += step
+    while step > 1:
+        step >>= 1
+        if k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
+            k += step
+    return k
 
 
 def find_split(
@@ -59,59 +132,96 @@ def find_split(
     hi1: int,
     lo2: int,
     hi2: int,
+    index: OccurrenceIndex | None = None,
 ) -> Region | None:
     """Pick the split region for old[lo1:hi1] vs new[lo2:hi2].
+
+    ``index`` is ``scan_a`` over a range of old that holds [lo1, hi1); when
+    omitted, old[lo1:hi1] is scanned for this call alone.
 
     Returns None when the files share no usable region; raises FallbackSignal when
     common lines exist but all of them occur more than 64 times in old.
     """
-    index = scan_a(a, lo1, hi1)
+    if index is None:
+        index = scan_a(a, lo1, hi1)
     occ = index.occurrences
-    best: Region | None = None
+    whole = index.lo == lo1 and index.hi == hi1
+    counts: list[int] | None = None
+    sub_counts: dict[int, int] | None = None
+    has_common = False
+    lowest = math.inf
+    gate = math.inf  # max(lowest, MAX_OCCURRENCES)
+    best: tuple[int, int, int, int, int] | None = None
+    best_len = -1
 
     b_ptr = lo2
     while b_ptr < hi2:
         b_next = b_ptr + 1
         positions = occ.get(b[b_ptr])
+        if positions and not whole:
+            positions = positions[bisect_left(positions, lo1):bisect_left(positions, hi1)]
         if positions:
-            index.has_common = True
-            count = len(positions)
+            has_common = True
             # Seeds rarer than the cap are always worth expanding; comparing
             # against the running lowest count instead would hide the better
             # region whenever a unique line was seen first.
-            if count <= max(index.lowest_record_count, MAX_OCCURRENCES):
+            if len(positions) <= gate:
                 region_end = lo1 - 1
                 for apos in positions:
                     if apos <= region_end:
                         continue
                     begin1, begin2 = apos, b_ptr
+                    if apos > lo1 and b_ptr > lo2 and a[apos - 1] == b[b_ptr - 1]:
+                        k = _run_backward(a, apos, b, b_ptr, min(apos - lo1, b_ptr - lo2))
+                        begin1 -= k
+                        begin2 -= k
                     end1, end2 = apos, b_ptr
-                    while begin1 > lo1 and begin2 > lo2 and a[begin1 - 1] == b[begin2 - 1]:
-                        begin1 -= 1
-                        begin2 -= 1
-                    while end1 < hi1 - 1 and end2 < hi2 - 1 and a[end1 + 1] == b[end2 + 1]:
-                        end1 += 1
-                        end2 += 1
-                    record_count = min(len(occ[a[i]]) for i in range(begin1, end1 + 1))
+                    if apos + 1 < hi1 and b_ptr + 1 < hi2 and a[apos + 1] == b[b_ptr + 1]:
+                        k = _run_forward(a, apos + 1, b, b_ptr + 1, min(hi1 - apos, hi2 - b_ptr) - 1)
+                        end1 += k
+                        end2 += k
                     if b_next <= end2:
                         b_next = end2 + 1
-                    if (
-                        best is not None and best.end1 - best.begin1 < end1 - begin1
-                    ) or record_count < index.lowest_record_count:
-                        best = Region(begin1, end1, begin2, end2, record_count)
-                        index.lowest_record_count = record_count
+                    longer = best is not None and best_len < end1 - begin1
+                    # a record count is at least 1, so once the lowest is 1
+                    # only a longer candidate can win
+                    if longer or lowest > 1:
+                        if counts is None:
+                            counts = index.line_counts(a)
+                        record_count = min(counts[begin1 - index.lo:end1 + 1 - index.lo])
+                        if not whole and record_count > 1:
+                            # counts inside old[lo1:hi1] are at most the index's
+                            # counts and at least 1, so a 1 above stays exact
+                            if sub_counts is None:
+                                sub_counts = {}
+                            record_count = math.inf
+                            for tok in a[begin1:end1 + 1]:
+                                c = sub_counts.get(tok)
+                                if c is None:
+                                    p = occ[tok]
+                                    c = sub_counts[tok] = bisect_left(p, hi1) - bisect_left(p, lo1)
+                                if c < record_count:
+                                    record_count = c
+                                    if c == 1:
+                                        break
+                        if longer or record_count < lowest:
+                            best = (begin1, end1, begin2, end2, record_count)
+                            best_len = end1 - begin1
+                            lowest = record_count
+                            gate = max(lowest, MAX_OCCURRENCES)
                     region_end = end1
         b_ptr = b_next
 
-    if index.has_common and index.lowest_record_count > MAX_OCCURRENCES:
+    if has_common and lowest > MAX_OCCURRENCES:
         raise FallbackSignal
-    return best
+    return None if best is None else Region(*best)
 
 
 def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines:
     a, b = old.tokens, new.tokens
     of = [False] * len(a)
     nf = [False] * len(b)
+    index = scan_a(a)
     work = [(0, len(a), 0, len(b))]
     while work:
         lo1, hi1, lo2, hi2 = work.pop()
@@ -126,7 +236,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
                 of[i] = True
             continue
         try:
-            split = find_split(a, b, lo1, hi1, lo2, hi2)
+            split = find_split(a, b, lo1, hi1, lo2, hi2, index)
         except FallbackSignal:
             sub = myers_flags(a[lo1:hi1], b[lo2:hi2], MYERS)
             for i, flag in enumerate(sub.old_flags):

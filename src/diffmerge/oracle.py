@@ -6,7 +6,14 @@ oracle that silently truncates is worse than none.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .core import ChangedLines, InternedSequence
+from .histogram import MAX_OCCURRENCES, FallbackSignal, Region
+from .myers import MYERS, myers_flags
+from .patience import UniqueMatch
 
 
 class SizeGuard(Exception):
@@ -121,6 +128,127 @@ def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
     ancestor, by comparing every pair; ``ancestors_of(cid)`` includes cid."""
     common = ancestors_of(a) & ancestors_of(b)
     return {c for c in common if not any(other != c and c in ancestors_of(other) for other in common)}
+
+
+def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo2: int, hi2: int) -> Region | None:
+    """The histogram split search as first written: it rebuilds the occurrence
+    lists of old[lo1:hi1] for every subproblem, extends runs one line at a
+    time and takes every candidate's record count through a generator.
+
+    Kept as the reference ``histogram.find_split`` is tested against.
+    """
+    occ: dict[int, list[int]] = {}
+    for i in range(lo1, hi1):
+        occ.setdefault(a[i], []).append(i)
+    has_common = False
+    lowest_record_count = math.inf
+    best: Region | None = None
+
+    b_ptr = lo2
+    while b_ptr < hi2:
+        b_next = b_ptr + 1
+        positions = occ.get(b[b_ptr])
+        if positions:
+            has_common = True
+            count = len(positions)
+            if count <= max(lowest_record_count, MAX_OCCURRENCES):
+                region_end = lo1 - 1
+                for apos in positions:
+                    if apos <= region_end:
+                        continue
+                    begin1, begin2 = apos, b_ptr
+                    end1, end2 = apos, b_ptr
+                    while begin1 > lo1 and begin2 > lo2 and a[begin1 - 1] == b[begin2 - 1]:
+                        begin1 -= 1
+                        begin2 -= 1
+                    while end1 < hi1 - 1 and end2 < hi2 - 1 and a[end1 + 1] == b[end2 + 1]:
+                        end1 += 1
+                        end2 += 1
+                    record_count = min(len(occ[a[i]]) for i in range(begin1, end1 + 1))
+                    if b_next <= end2:
+                        b_next = end2 + 1
+                    if (
+                        best is not None and best.end1 - best.begin1 < end1 - begin1
+                    ) or record_count < lowest_record_count:
+                        best = Region(begin1, end1, begin2, end2, record_count)
+                        lowest_record_count = record_count
+                    region_end = end1
+        b_ptr = b_next
+
+    if has_common and lowest_record_count > MAX_OCCURRENCES:
+        raise FallbackSignal
+    return best
+
+
+def histogram_reference(old: InternedSequence, new: InternedSequence) -> ChangedLines:
+    """Histogram diff flags through ``histogram_split_reference``, one call per
+    subproblem, taken from the work stack in the same order as the engine."""
+    a, b = old.tokens, new.tokens
+    of = [False] * len(a)
+    nf = [False] * len(b)
+    work = [(0, len(a), 0, len(b))]
+    while work:
+        lo1, hi1, lo2, hi2 = work.pop()
+        if lo1 == hi1 and lo2 == hi2:
+            continue
+        if lo1 == hi1:
+            for j in range(lo2, hi2):
+                nf[j] = True
+            continue
+        if lo2 == hi2:
+            for i in range(lo1, hi1):
+                of[i] = True
+            continue
+        try:
+            split = histogram_split_reference(a, b, lo1, hi1, lo2, hi2)
+        except FallbackSignal:
+            sub = myers_flags(a[lo1:hi1], b[lo2:hi2], MYERS)
+            for i, flag in enumerate(sub.old_flags):
+                if flag:
+                    of[lo1 + i] = True
+            for j, flag in enumerate(sub.new_flags):
+                if flag:
+                    nf[lo2 + j] = True
+            continue
+        if split is None:
+            for i in range(lo1, hi1):
+                of[i] = True
+            for j in range(lo2, hi2):
+                nf[j] = True
+        else:
+            work.append((lo1, split.begin1, lo2, split.begin2))
+            work.append((split.end1 + 1, hi1, split.end2 + 1, hi2))
+    return ChangedLines(of, nf)
+
+
+def patience_lis_reference(matches: list[UniqueMatch]) -> list[UniqueMatch]:
+    """Patience sorting as first written, with the predecessor of each match
+    in a dict keyed by the frozen match itself; the reference
+    ``patience.patience_lis`` is tested against."""
+    pile_tops: list[UniqueMatch] = []
+    previous: dict[UniqueMatch, UniqueMatch | None] = {}
+    for entry in matches:
+        lo, hi = 0, len(pile_tops)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pile_tops[mid].pos_b < entry.pos_b:
+                lo = mid + 1
+            else:
+                hi = mid
+        previous[entry] = pile_tops[lo - 1] if lo else None
+        if lo < len(pile_tops):
+            pile_tops[lo] = entry
+        else:
+            pile_tops.append(entry)
+    if not pile_tops:
+        return []
+    chain = []
+    node: UniqueMatch | None = pile_tops[-1]
+    while node is not None:
+        chain.append(node)
+        node = previous[node]
+    chain.reverse()
+    return chain
 
 
 def check_flags_valid(old_tokens: list[int], new_tokens: list[int], old_flags: list[bool], new_flags: list[bool]) -> bool:

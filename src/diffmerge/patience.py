@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,28 +35,23 @@ def patience_lis(matches: list[UniqueMatch]) -> list[UniqueMatch]:
     remembers the previous pile's top; the result is reconstructed from the
     last element of the last pile, so ties resolve to the latest chain.
     """
-    pile_tops: list[UniqueMatch] = []
-    previous: dict[UniqueMatch, UniqueMatch | None] = {}
-    for entry in matches:
-        lo, hi = 0, len(pile_tops)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pile_tops[mid].pos_b < entry.pos_b:
-                lo = mid + 1
-            else:
-                hi = mid
-        previous[entry] = pile_tops[lo - 1] if lo else None
-        if lo < len(pile_tops):
-            pile_tops[lo] = entry
+    top_pos_b: list[int] = []  # pos_b of each pile's top, ascending
+    top: list[int] = []  # index into matches of each pile's top
+    previous: list[int] = []  # per match, the index of its predecessor or -1
+    for k, entry in enumerate(matches):
+        pile = bisect_left(top_pos_b, entry.pos_b)
+        previous.append(top[pile - 1] if pile else -1)
+        if pile < len(top):
+            top_pos_b[pile] = entry.pos_b
+            top[pile] = k
         else:
-            pile_tops.append(entry)
-    if not pile_tops:
-        return []
+            top_pos_b.append(entry.pos_b)
+            top.append(k)
     chain = []
-    node: UniqueMatch | None = pile_tops[-1]
-    while node is not None:
-        chain.append(node)
-        node = previous[node]
+    k = top[-1] if top else -1
+    while k >= 0:
+        chain.append(matches[k])
+        k = previous[k]
     chain.reverse()
     return chain
 

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; plain ``pytest`` reports the same outcomes as test results.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -198,27 +199,34 @@ def test_criterion_9_exponential_ort():
             result = merge_commits(graph, a, b)
             assert result.stats.merge_calls == 2 ** n + 1, n
 
-        # Repetitions go round-robin across n, so machine drift during the
-        # sweep hits every n alike; each n keeps its fastest run.
+        # Each sample is the mean of back-to-back merges on pre-made copies
+        # that together run for about 20 ms, so a sample outlasts the
+        # host's short speed swings.  Rounds go round-robin across n, so
+        # drift during the sweep hits every n alike; each n keeps its
+        # fastest sample.
         sizes = range(8, 13)
         graphs = {n: build_exponential_graph(n) for n in sizes}
+        repeats = {n: max(1, math.ceil(0.02 / _timed_merges(*graphs[n], 1))) for n in sizes}
         timings = {n: float("inf") for n in sizes}
-        for _ in range(3):
+        for _ in range(5):
             for n in sizes:
-                timings[n] = min(timings[n], _timed_merge(*graphs[n]))
+                timings[n] = min(timings[n], _timed_merges(*graphs[n], repeats[n]))
         for n in range(8, 12):
             ratio = timings[n + 1] / timings[n]
             assert 1.5 <= ratio <= 3.0, (n, ratio, timings)
         assert time.perf_counter() - start < 120
 
 
-def _timed_merge(graph, a, b):
-    # merge_commits inserts the merge commit on a clean merge, so time each
-    # repetition on a fresh copy
-    fresh = graph.copy()
+def _timed_merges(graph, a, b, repeats):
+    """Mean time of one merge_commits over ``repeats`` back-to-back runs.
+
+    A clean merge inserts its commit, so each run gets its own copy of the
+    graph, made before the clock starts."""
+    copies = [graph.copy() for _ in range(repeats)]
     t0 = time.perf_counter()
-    merge_commits(fresh, a, b)
-    return time.perf_counter() - t0
+    for fresh in copies:
+        merge_commits(fresh, a, b)
+    return (time.perf_counter() - t0) / repeats
 
 
 def test_criterion_10_rebase_non_commutativity():

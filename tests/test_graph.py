@@ -315,3 +315,12 @@ def test_repeated_cherry_pick_revert_and_rebase_reuse_their_commits():
     assert len(g) == size + 2
     with pytest.raises(GraphError):
         cherry_pick(g, "l2", "r", new_id=pick.commit.id)
+
+
+def test_unknown_heads_raise_unknown_commit():
+    g, a, b = build_exponential_graph(2)
+    for heads in ((a, "missing"), ("missing", b), ("missing", "gone")):
+        with pytest.raises(UnknownCommit):
+            merge_commits(g, *heads)
+        with pytest.raises(UnknownCommit):
+            merge_base_recursive(g, *heads)

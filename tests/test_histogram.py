@@ -146,3 +146,145 @@ def test_both_directions_individually_valid():
         o2, w2 = t2.intern(b), t2.intern(a)
         rev = diff_histogram(o2, w2)
         assert oracle.check_flags_valid(o2.tokens, w2.tokens, rev.old_flags, rev.new_flags)
+
+
+# Differential tests against the per-subproblem rescan kept in oracle.py.
+
+
+def _split_or_fallback(fn, *args):
+    try:
+        return fn(*args)
+    except FallbackSignal:
+        return "fallback"
+
+
+def _assert_same_flags(old_bytes, new_bytes):
+    table = InternTable()
+    o, n = table.intern(old_bytes), table.intern(new_bytes)
+    got = diff_histogram(o, n)
+    want = oracle.histogram_reference(o, n)
+    assert got.old_flags == want.old_flags
+    assert got.new_flags == want.new_flags
+
+
+def _assert_same_splits(rng, a, b, trials):
+    """Compare find_split with the reference on random subranges, with the
+    whole-file index and with none."""
+    index = scan_a(a)
+    for _ in range(trials):
+        lo1 = rng.randrange(len(a) + 1)
+        hi1 = rng.randrange(lo1, len(a) + 1)
+        lo2 = rng.randrange(len(b) + 1)
+        hi2 = rng.randrange(lo2, len(b) + 1)
+        want = _split_or_fallback(oracle.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
+        assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index) == want
+        assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2) == want
+    whole = (0, len(a), 0, len(b))
+    assert _split_or_fallback(find_split, a, b, *whole, index) == _split_or_fallback(
+        oracle.histogram_split_reference, a, b, *whole
+    )
+
+
+def _edited(rng, lines, alphabet, edits):
+    out = list(lines)
+    for _ in range(edits):
+        at = rng.randrange(len(out) + 1)
+        out[at:at + rng.randrange(4)] = [rng.choice(alphabet) for _ in range(rng.randrange(4))]
+    return out
+
+
+def _corpus(rng, kind):
+    """One seeded (old, new) pair of line lists of the given shape."""
+    if kind == "small-alphabet":
+        alphabet = [b"%d\n" % i for i in range(rng.randrange(1, 5))]
+        old = [rng.choice(alphabet) for _ in range(rng.randrange(60))]
+        return old, [rng.choice(alphabet) for _ in range(rng.randrange(60))]
+    if kind == "over-cap":
+        # lines repeated more than MAX_OCCURRENCES times force fallbacks
+        common = [b"}\n"] * rng.randrange(65, 140)
+        old = common + [b"x%d\n" % rng.randrange(3) for _ in range(rng.randrange(20))]
+        rng.shuffle(old)
+        return old, _edited(rng, old, [b"}\n", b"y\n", b"x1\n"], rng.randrange(1, 6))
+    if kind == "long-runs":
+        # runs far longer than the lines compared one by one
+        old = [b"line %d\n" % rng.randrange(300) for _ in range(rng.randrange(50, 400))]
+        return old, _edited(rng, old, [b"new\n", b"line 7\n", b"line 9\n"], rng.randrange(1, 5))
+    # bytes that line splitting must carry through: CR/LF, NUL, a missing
+    # final newline
+    alphabet = [b"a\r\n", b"a\n", b"\x00\n", b"b\x00c\r\n", b"\r\n", b"d\n"]
+    old = [rng.choice(alphabet) for _ in range(rng.randrange(80))]
+    return old, _edited(rng, old, alphabet, rng.randrange(6))
+
+
+KINDS = ("small-alphabet", "over-cap", "long-runs", "edge-bytes")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_flags_and_splits_match_reference(kind):
+    rng = random.Random(f"histogram-{kind}")
+    for _ in range(150):
+        old, new = _corpus(rng, kind)
+        old_bytes, new_bytes = b"".join(old), b"".join(new)
+        if rng.random() < 0.3 and new_bytes.endswith(b"\n"):
+            new_bytes = new_bytes[:-1]
+        _assert_same_flags(old_bytes, new_bytes)
+        _assert_same_flags(new_bytes, old_bytes)
+        table = InternTable()
+        o, n = table.intern(old_bytes), table.intern(new_bytes)
+        _assert_same_splits(rng, o.tokens, n.tokens, 8)
+
+
+def test_over_cap_corpus_reaches_fallback():
+    rng = random.Random("histogram-over-cap")
+    fallbacks = 0
+    for _ in range(20):
+        old, new = _corpus(rng, "over-cap")
+        table = InternTable()
+        a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
+        fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b)) == "fallback"
+    assert fallbacks > 0
+
+
+def test_paper_families_match_reference():
+    for k in (3, 4, 6, 10, 40):
+        before, after = histogram_bad_family(k)
+        _assert_same_flags(before, after)
+        _assert_same_flags(after, before)
+    # criterion 5: the reordering patience wins
+    _assert_same_flags(b"u1\nf\nu2\ng\nu3\n", b"u3\nh\nu1\nk\nu2\n")
+    # criterion 6's base diffs, up to the 2k-line abab shape
+    for k in (2, 10, 100, 1000):
+        o = b"a\nb\n" * k
+        _assert_same_flags(o, b"a\nb\n" + o)
+        _assert_same_flags(o, b"a\nb\n" * (k - 1) + b"c\n")
+        table = InternTable()
+        a, b = table.intern(o).tokens, table.intern(b"a\nb\n" * (k - 1) + b"c\n").tokens
+        _assert_same_splits(random.Random(k), a, b, 10)
+
+
+def test_one_find_split_call_per_reference_subproblem(monkeypatch):
+    # a tracer wraps histogram.find_split at the module attribute; the diff
+    # must reach it once per subproblem, as the reference does
+    from diffmerge import histogram
+
+    calls = {"new": 0, "reference": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(histogram, "find_split", counting("new", histogram.find_split))
+    monkeypatch.setattr(
+        oracle, "histogram_split_reference", counting("reference", oracle.histogram_split_reference)
+    )
+    rng = random.Random(44)
+    for _ in range(40):
+        old, new = _corpus(rng, rng.choice(KINDS))
+        table = InternTable()
+        o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+        histogram.diff_histogram(o, n)
+        oracle.histogram_reference(o, n)
+    assert calls["reference"] > 40
+    assert calls["new"] == calls["reference"]

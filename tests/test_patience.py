@@ -108,3 +108,17 @@ def test_round_trip_randomized():
         o, w = table.intern(a), table.intern(b)
         script = flags_to_script(diff_patience(o, w), o, w)
         assert apply_script(o, script, w) == b
+
+
+def test_patience_lis_matches_reference_chain():
+    # the same chain as the dict-keyed reference, ties included: pos_b values
+    # repeat here, which unique-line matches never do
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randrange(0, 60)
+        span = rng.choice((3, n + 1, 4 * n + 1))
+        matches = [UniqueMatch(i, rng.randrange(span)) for i in range(n)]
+        got = patience_lis(matches)
+        assert got == oracle.patience_lis_reference(matches)
+    matches = find_matching_unique_lines(*(list(rng.sample(range(5000), 3000)) for _ in range(2)))
+    assert patience_lis(matches) == oracle.patience_lis_reference(matches)
