@@ -16,7 +16,7 @@ from .core import (
     script_to_flags,
     split_lines,
 )
-from .engine import ALGORITHMS, diff_lines, diff_script
+from .engine import ALGORITHMS, diff_lines
 from .graph import (
     Commit,
     CommitGraph,

@@ -1,7 +1,7 @@
 """Command-line front end: diff, merge-file and graph demo commands.
 
 Exit codes follow diff/merge conventions: 0 clean/identical, 1 differences
-or conflicts, 2 verification failure, 3 usage or I/O errors.
+or conflicts, 2 verification failure, 3 usage, input or I/O errors.
 """
 
 from __future__ import annotations
@@ -38,13 +38,8 @@ def _read(path: str) -> bytes:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        old_data = _read(args.old)
-        new_data = _read(args.new)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    old_data = _read(args.old)
+    new_data = _read(args.new)
     table = InternTable()
     old = table.intern(old_data)
     new = table.intern(new_data)
@@ -75,26 +70,16 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_merge_file(args: argparse.Namespace) -> int:
-    try:
-        left = _read(args.left)
-        base = _read(args.base)
-        right = _read(args.right)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        options = MergeOptions(
-            algorithm=args.algorithm,
-            style=args.style,
-            zealous=not args.no_zealous,
-            labels=tuple(args.labels) if args.labels else ("ours", "base", "theirs"),
-        )
-        outcome = merge3(base, left, right, options)
-    except MergeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    left = _read(args.left)
+    base = _read(args.base)
+    right = _read(args.right)
+    options = MergeOptions(
+        algorithm=args.algorithm,
+        style=args.style,
+        zealous=not args.no_zealous,
+        labels=tuple(args.labels) if args.labels else ("ours", "base", "theirs"),
+    )
+    outcome = merge3(base, left, right, options)
     sys.stdout.buffer.write(outcome.rendered)
     sys.stdout.flush()
     if outcome.conflict_count:
@@ -114,56 +99,59 @@ def _tree_json(tree: dict[str, bytes]) -> dict[str, str]:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    try:
-        if args.action == "expo-demo":
-            rows = []
-            for n in range(args.max_n + 1):
-                graph, a, b = build_exponential_graph(n)
-                commits = len(graph)
-                start = time.perf_counter()
-                result = merge_commits(graph, a, b)
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    {
-                        "n": n,
-                        "commits": commits,
-                        "merge_calls": result.stats.merge_calls,
-                        "seconds": round(elapsed, 6),
-                    }
-                )
-            json.dump(rows, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return EXIT_CLEAN
+    if args.action == "expo-demo":
+        rows = []
+        for n in range(args.max_n + 1):
+            graph, a, b = build_exponential_graph(n)
+            commits = len(graph)
+            start = time.perf_counter()
+            result = merge_commits(graph, a, b)
+            elapsed = time.perf_counter() - start
+            rows.append(
+                {
+                    "n": n,
+                    "commits": commits,
+                    "merge_calls": result.stats.merge_calls,
+                    "seconds": round(elapsed, 6),
+                }
+            )
+        json.dump(rows, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return EXIT_CLEAN
 
-        graph = _load_graph(args.script)
-        if args.action == "merge":
-            result = merge_commits(graph, args.a, args.b)
-        elif args.action == "cherry-pick":
-            result = cherry_pick(graph, args.a, args.b)
-        elif args.action == "revert":
-            result = revert(graph, args.a, args.b)
-        else:  # rebase
-            rb = rebase(graph, args.a, args.b)
-            failed_pick = None if rb.failed_index is None else rb.failed_index + 1
-            payload = {"result": rb.kind, "head": rb.head, "failed_pick": failed_pick,
-                       "conflicts": _tree_json(rb.conflicts)}
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return EXIT_CLEAN if rb.kind == "clean" else EXIT_DIFFERENCES
-
-        payload = {
-            "result": result.kind,
-            "commit": result.commit.id if result.commit else None,
-            "tree": _tree_json(result.commit.tree) if result.commit else None,
-            "conflicts": _tree_json(result.conflicts),
-            "merge_calls": result.stats.merge_calls,
-        }
+    graph = _load_graph(args.script)
+    if args.action == "merge":
+        result = merge_commits(graph, args.a, args.b)
+    elif args.action == "cherry-pick":
+        result = cherry_pick(graph, args.a, args.b)
+    elif args.action == "revert":
+        result = revert(graph, args.a, args.b)
+    else:  # rebase
+        rb = rebase(graph, args.a, args.b)
+        failed_pick = None if rb.failed_index is None else rb.failed_index + 1
+        payload = {"result": rb.kind, "head": rb.head, "failed_pick": failed_pick,
+                   "conflicts": _tree_json(rb.conflicts)}
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
-        return EXIT_CLEAN if result.kind != "conflict" else EXIT_DIFFERENCES
-    except (GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_CLEAN if rb.kind == "clean" else EXIT_DIFFERENCES
+
+    payload = {
+        "result": result.kind,
+        "commit": result.commit.id if result.commit else None,
+        "tree": _tree_json(result.commit.tree) if result.commit else None,
+        "conflicts": _tree_json(result.conflicts),
+        "merge_calls": result.stats.merge_calls,
+    }
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return EXIT_CLEAN if result.kind != "conflict" else EXIT_DIFFERENCES
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("old")
     p_diff.add_argument("new")
     p_diff.add_argument("--algorithm", choices=ALGORITHMS, default="myers")
-    p_diff.add_argument("--context", type=int, default=3)
+    p_diff.add_argument("--context", type=non_negative_int, default=3)
     p_diff.add_argument(
         "--no-indent-heuristic", dest="indent_heuristic", action="store_false"
     )
@@ -219,7 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_ERROR if exc.code else EXIT_CLEAN
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, MergeError, GraphError, oracle.SizeGuard) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .core import ChangedLines, EditScript, InternedSequence, flags_to_script
+from .core import ChangedLines, InternedSequence
 from .histogram import diff_histogram
 from .myers import MINIMAL, MYERS, diff_myers
 from .patience import diff_patience
-from .slider import DEFAULT_WEIGHTS, IndentWeights, slide_changed_lines
 
 ALGORITHMS = ("myers", "minimal", "patience", "histogram")
 
@@ -22,17 +21,3 @@ def diff_lines(old: InternedSequence, new: InternedSequence, algorithm: str = "m
         return diff_histogram(old, new)
     raise ValueError(f"unknown diff algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
-
-def diff_script(
-    old: InternedSequence,
-    new: InternedSequence,
-    algorithm: str = "myers",
-    *,
-    indent_heuristic: bool = False,
-    weights: IndentWeights = DEFAULT_WEIGHTS,
-) -> EditScript:
-    """Diff and convert to hunks, optionally sliding groups for display."""
-    flags = diff_lines(old, new, algorithm)
-    if indent_heuristic:
-        flags = slide_changed_lines(flags, old, new, weights)
-    return flags_to_script(flags, old, new)

@@ -267,7 +267,7 @@ def _lca(ctx: _MergeContext, a: str, b: str) -> list[str]:
 
 
 def _merge_tree_pair(
-    ctx: _MergeContext,
+    options: MergeOptions,
     base: dict[str, bytes],
     left: dict[str, bytes],
     right: dict[str, bytes],
@@ -285,7 +285,7 @@ def _merge_tree_pair(
             merged = l
         else:
             # Content differs on all sides; absent files merge as empty.
-            outcome = merge3(b or b"", l or b"", r or b"", ctx.options)
+            outcome = merge3(b or b"", l or b"", r or b"", options)
             merged = outcome.rendered
             if outcome.conflict_count:
                 conflicts[path] = outcome.rendered
@@ -294,22 +294,23 @@ def _merge_tree_pair(
     return tree, conflicts
 
 
-def _merge_recursive(ctx: _MergeContext, a: str, b: str) -> tuple[dict[str, bytes], dict[str, bytes]]:
-    """The recursive merge function; every invocation counts."""
+def _merge_recursive(
+    ctx: _MergeContext, a: str, b: str, bases: list[str]
+) -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """The recursive merge function over the ordered merge bases of a and b;
+    every invocation counts."""
     ctx.stats.merge_calls += 1
-    base_tree = _base_tree(ctx, a, b)
-    return _merge_tree_pair(ctx, base_tree, ctx.commit(a).tree, ctx.commit(b).tree)
+    base_tree = _fold_bases(ctx, bases)
+    return _merge_tree_pair(ctx.options, base_tree, ctx.commit(a).tree, ctx.commit(b).tree)
 
 
-def _base_tree(ctx: _MergeContext, a: str, b: str) -> dict[str, bytes]:
-    bases = _lca(ctx, a, b)
+def _fold_bases(ctx: _MergeContext, bases: list[str]) -> dict[str, bytes]:
+    """Tree of the merge bases folded pairwise, in order, into one virtual commit."""
     if not bases:
         return {}
-    if len(bases) == 1:
-        return ctx.commit(bases[0]).tree
     current = bases[0]
     for nxt in bases[1:]:
-        tree, _conflicts = _merge_recursive(ctx, current, nxt)
+        tree, _conflicts = _merge_recursive(ctx, current, nxt, _lca(ctx, current, nxt))
         # conflict markers, if any, stay in the virtual blobs
         current = ctx.new_virtual((current, nxt), tree)
     return ctx.commit(current).tree
@@ -326,7 +327,7 @@ def merge_base_recursive(
     ctx = _MergeContext(graph, stats if stats is not None else MergeStats(), options or MergeOptions())
     if a not in graph or b not in graph:
         raise UnknownCommit(a if a not in graph else b)
-    return _base_tree(ctx, a, b)
+    return _fold_bases(ctx, _lca(ctx, a, b))
 
 
 class _DefaultId(str):
@@ -361,30 +362,46 @@ def merge_commits(
     default id returns that commit again.  Conflicts are reported per path
     with the rendered conflict blobs, and nothing is committed.
     """
-    options = options or MergeOptions()
+    if a not in graph or b not in graph:
+        raise UnknownCommit(a if a not in graph else b)
     stats = MergeStats()
-    if graph.is_ancestor(a, b):
-        return MergeResult("fast-forward", graph[b], {}, stats)
-    if graph.is_ancestor(b, a):
-        return MergeResult("fast-forward", graph[a], {}, stats)
+    ctx = _MergeContext(graph, stats, options or MergeOptions())
+    bases = _lca(ctx, a, b)
+    # a head among the merge bases is an ancestor of the other head
+    if a in bases:
+        return MergeResult("fast-forward", graph.commits[b], {}, stats)
+    if b in bases:
+        return MergeResult("fast-forward", graph.commits[a], {}, stats)
 
-    ctx = _MergeContext(graph, stats, options)
-    tree, conflicts = _merge_recursive(ctx, a, b)
+    tree, conflicts = _merge_recursive(ctx, a, b, bases)
     if conflicts:
         stats.conflict_paths = sorted(conflicts)
         return MergeResult("conflict", None, conflicts, stats)
     return _commit_clean(graph, new_id or _DefaultId(f"merge({a},{b})"), (a, b), tree, stats)
 
 
-def _pick_tree(
+def _apply_change(
     graph: CommitGraph,
-    base: dict[str, bytes],
-    left: dict[str, bytes],
-    right: dict[str, bytes],
-    options: MergeOptions,
-) -> tuple[dict[str, bytes], dict[str, bytes]]:
-    ctx = _MergeContext(graph, MergeStats(), options)
-    return _merge_tree_pair(ctx, base, left, right)
+    commit: str,
+    onto: str,
+    options: MergeOptions | None,
+    new_id: str,
+    *,
+    undo: bool,
+) -> MergeResult:
+    """Merge the change a single-parent commit made into ``onto``, or with
+    ``undo`` the inverse change; the new commit's only parent is ``onto``."""
+    changed = graph[commit]
+    if len(changed.parents) != 1:
+        raise MultiParent(f"{commit!r} has {len(changed.parents)} parents")
+    before, after = graph[changed.parents[0]].tree, changed.tree
+    if undo:
+        before, after = after, before
+    tree, conflicts = _merge_tree_pair(options or MergeOptions(), before, after, graph[onto].tree)
+    stats = MergeStats(conflict_paths=sorted(conflicts))
+    if conflicts:
+        return MergeResult("conflict", None, conflicts, stats)
+    return _commit_clean(graph, new_id, (onto,), tree, stats)
 
 
 def cherry_pick(
@@ -396,16 +413,8 @@ def cherry_pick(
 ) -> MergeResult:
     """Apply one commit's change elsewhere: a single three-way merge whose
     base is the commit's parent; the new commit's only parent is ``onto``."""
-    options = options or MergeOptions()
-    picked = graph[commit]
-    if len(picked.parents) != 1:
-        raise MultiParent(f"{commit!r} has {len(picked.parents)} parents")
-    base = graph[picked.parents[0]].tree
-    tree, conflicts = _pick_tree(graph, base, picked.tree, graph[onto].tree, options)
-    stats = MergeStats(conflict_paths=sorted(conflicts))
-    if conflicts:
-        return MergeResult("conflict", None, conflicts, stats)
-    return _commit_clean(graph, new_id or _DefaultId(f"pick({commit}@{onto})"), (onto,), tree, stats)
+    default_id = _DefaultId(f"pick({commit}@{onto})")
+    return _apply_change(graph, commit, onto, options, new_id or default_id, undo=False)
 
 
 def revert(
@@ -416,16 +425,8 @@ def revert(
     new_id: str | None = None,
 ) -> MergeResult:
     """Undo one commit: the cherry-pick merge with commit and parent swapped."""
-    options = options or MergeOptions()
-    reverted = graph[commit]
-    if len(reverted.parents) != 1:
-        raise MultiParent(f"{commit!r} has {len(reverted.parents)} parents")
-    parent = graph[reverted.parents[0]]
-    tree, conflicts = _pick_tree(graph, reverted.tree, parent.tree, graph[current].tree, options)
-    stats = MergeStats(conflict_paths=sorted(conflicts))
-    if conflicts:
-        return MergeResult("conflict", None, conflicts, stats)
-    return _commit_clean(graph, new_id or _DefaultId(f"revert({commit}@{current})"), (current,), tree, stats)
+    default_id = _DefaultId(f"revert({commit}@{current})")
+    return _apply_change(graph, commit, current, options, new_id or default_id, undo=True)
 
 
 @dataclass

@@ -114,8 +114,17 @@ def _edit_one_line(rng, cid, parent_tree):
 
 def _merge_outcome(g, a, b):
     result = merge_commits(g.copy(), a, b)
-    tree = result.commit.tree if result.commit is not None else None
-    return result.kind, tree, result.conflicts, result.stats.merge_calls, result.stats.conflict_paths
+    commit_id, tree = (result.commit.id, result.commit.tree) if result.commit is not None else (None, None)
+    return result.kind, commit_id, tree, result.conflicts, result.stats.merge_calls, result.stats.conflict_paths
+
+
+def ancestor_pairs(rng, g, ref, count):
+    """(ancestor, descendant) in both orders, and each descendant with itself."""
+    pairs = []
+    for d in rng.sample(list(g.commits), count):
+        anc = rng.choice(sorted(ref[d] - {d}) or [d])
+        pairs += [(anc, d), (d, anc), (d, d)]
+    return pairs
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -123,14 +132,21 @@ def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
     rng = random.Random(seed)
     g = random_dag(rng, n=60, merge_p=0.6, window=5, crisscross_p=0.6, shuffle_ts=seed % 2 == 1,
                    edit=_edit_one_line)
+    ref = oracle.ancestors_reference(g)
     # heads near the tip share the most criss-crossed history
-    pairs = query_pairs(rng, g, 60, last=20)
+    pairs = query_pairs(rng, g, 60, last=20) + ancestor_pairs(rng, g, ref, 10)
     got = [_merge_outcome(g, a, b) for a, b in pairs]
     monkeypatch.setattr(graph_mod, "_lca", _reference_lca)
     want = [_merge_outcome(g, a, b) for a, b in pairs]
     assert got == want
+    # a fast-forward exactly when one head is an ancestor of the other
+    for (a, b), (kind, commit_id, *_, merge_calls, _paths) in zip(pairs, got):
+        if a in ref[b] or b in ref[a]:
+            assert (kind, commit_id, merge_calls) == ("fast-forward", b if a in ref[b] else a, 0), (a, b)
+        else:
+            assert kind != "fast-forward" and merge_calls >= 1, (a, b)
     # the random DAGs do reach the recursive virtual-base path
-    assert max(outcome[3] for outcome in got) > 2
+    assert max(outcome[4] for outcome in got) > 2
 
 
 def test_long_chain_memory_stays_linear():

@@ -1,5 +1,9 @@
 import json
+import random
 
+import pytest
+
+from diffmerge import oracle
 from diffmerge.cli import main
 
 
@@ -43,14 +47,44 @@ def test_diff_histogram_bad_pair_counts(tmp_path, capsys):
 
 
 def test_diff_minimal_verify_on_random_corpus(tmp_path):
-    import random
-
     rng = random.Random(55)
     for i in range(25):
         a = write(tmp_path, f"a{i}", b"".join(rng.choice([b"p\n", b"q\n", b"r\n"]) for _ in range(rng.randrange(20))))
         b = write(tmp_path, f"b{i}", b"".join(rng.choice([b"p\n", b"q\n", b"r\n"]) for _ in range(rng.randrange(20))))
         code = main(["diff", a, b, "--algorithm=minimal", "--verify"])
         assert code in (0, 1)  # never 2: the oracle must agree
+
+
+def _edited_pair(tmp_path, lines):
+    rng = random.Random(lines)
+    old = [b"line %d\n" % rng.randrange(lines) for _ in range(lines)]
+    new = list(old)
+    for _ in range(lines // 50):
+        new[rng.randrange(lines)] = b"edit %d\n" % rng.randrange(lines)
+    return write(tmp_path, "old", b"".join(old)), write(tmp_path, "new", b"".join(new))
+
+
+def test_diff_minimal_verify_above_the_old_2000_line_guard(tmp_path):
+    old, new = _edited_pair(tmp_path, 2500)
+    assert main(["diff", old, new, "--algorithm=minimal", "--verify"]) == 1
+
+
+def test_diff_minimal_verify_above_the_oracle_guard_is_an_error(tmp_path, monkeypatch, capsys):
+    old, new = _edited_pair(tmp_path, 300)
+    monkeypatch.setattr(oracle, "_LCS_LIMIT", 200)
+    assert main(["diff", old, new, "--algorithm=minimal", "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "guard" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_diff_rejects_a_bad_context(tmp_path, capsys, value):
+    a = write(tmp_path, "a", b"x\n")
+    b = write(tmp_path, "b", b"y\n")
+    assert main(["diff", a, b, "--context", value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--context" in captured.err
 
 
 def test_merge_file_left_equals_base_prints_right(tmp_path, capsys):
