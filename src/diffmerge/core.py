@@ -121,27 +121,45 @@ def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSeq
     same token sequence.
     """
     of, nf = flags.old_flags, flags.new_flags
-    if len(of) != len(old) or len(nf) != len(new):
+    n, m = len(old), len(new)
+    if len(of) != n or len(nf) != m:
         raise InvalidFlags("flag arrays do not match file lengths")
+    a, b = old.tokens, new.tokens
+    # padded so that every search ends inside the list: the True at the end
+    # stops a search for the next flagged line, the False after it a run that
+    # reaches the end, one past it
+    po = of + [True, False]
+    pn = nf + [True, False]
     changes = []
     i = j = 0
-    n, m = len(old), len(new)
-    while i < n or j < m:
-        if (i < n and of[i]) or (j < m and nf[j]):
-            s_old, s_new = i, j
-            while i < n and of[i]:
-                i += 1
-            while j < m and nf[j]:
-                j += 1
-            changes.append(Change(s_old, i, s_new, j))
-        elif i < n and j < m:
-            if old.tokens[i] != new.tokens[j]:
-                raise InvalidFlags(f"unflagged lines differ at old[{i}] vs new[{j}]")
-            i += 1
-            j += 1
+    while True:
+        # unflagged lines pair up until either file reaches a flagged line or its end
+        k = po.index(True, i) - i
+        k_new = pn.index(True, j) - j
+        if k_new < k:
+            k = k_new
+        if a[i:i + k] != b[j:j + k]:
+            d = next(d for d in range(k) if a[i + d] != b[j + d])
+            raise InvalidFlags(f"unflagged lines differ at old[{i + d}] vs new[{j + d}]")
+        i += k
+        j += k
+        at_old = i < n and of[i]
+        at_new = j < m and nf[j]
+        if at_old or at_new:
+            start_old, start_new = i, j
+            if at_old:
+                i = po.index(False, i)
+                if i > n:
+                    i = n
+            if at_new:
+                j = pn.index(False, j)
+                if j > m:
+                    j = m
+            changes.append(Change(start_old, i, start_new, j))
+        elif i == n and j == m:
+            return EditScript(tuple(changes))
         else:
             raise InvalidFlags("unflagged tail of one file has no counterpart")
-    return EditScript(tuple(changes))
 
 
 def script_to_flags(script: EditScript, old_len: int, new_len: int) -> ChangedLines:

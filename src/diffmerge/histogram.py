@@ -15,8 +15,9 @@ list-slice compares of doubling and halving length.  A candidate's record
 count (its least occurrence count) is taken only when it can change the
 choice: at the whole file as a C-level ``min`` over per-line counts, below it
 from bisected counts cached for the call.  The flags, regions and record
-counts equal those of the per-subproblem rescan kept as
-``oracle.histogram_reference``.
+counts equal those of the per-subproblem rescan kept as the test reference
+``histogram_reference``.  A call whose first seed already occurs more than 64
+times, with no rarer common line after it, falls back at once.
 """
 
 from __future__ import annotations
@@ -125,6 +126,17 @@ def _run_backward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int
     return k
 
 
+def _any_rare(tokens: list[int], occ: dict[int, list[int]], lo1: int, hi1: int, whole: bool) -> bool:
+    """Whether some token occurs 1 to MAX_OCCURRENCES times in old[lo1:hi1]."""
+    for tok in set(tokens):
+        positions = occ.get(tok)
+        if positions:
+            count = len(positions) if whole else bisect_left(positions, hi1) - bisect_left(positions, lo1)
+            if 0 < count <= MAX_OCCURRENCES:
+                return True
+    return False
+
+
 def find_split(
     a: list[int],
     b: list[int],
@@ -162,6 +174,12 @@ def find_split(
             positions = positions[bisect_left(positions, lo1):bisect_left(positions, hi1)]
         if positions:
             has_common = True
+            if best is None and len(positions) > MAX_OCCURRENCES and not _any_rare(b[b_ptr:hi2], occ, lo1, hi1, whole):
+                # No earlier line of b occurs in old[lo1:hi1], or it would
+                # have seeded a region, so every region lies in b[b_ptr:hi2];
+                # with no line there at or below the cap, every record count
+                # is above it and the call must end in the fallback.
+                raise FallbackSignal
             # Seeds rarer than the cap are always worth expanding; comparing
             # against the running lowest count instead would hide the better
             # region whenever a unique line was seen first.

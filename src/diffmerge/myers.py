@@ -148,6 +148,7 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
     """Find a pivot on (or near) the shortest path; returns (i1, i2, min_lo, min_hi)."""
     ha1, ha2 = env.ha1, env.ha2
     kvdf, kvdb = env.kvdf, env.kvdb
+    snake = env.snake
     dmin, dmax = off1 - lim2, lim1 - off2
     fmid, bmid = off1 - off2, lim1 - lim2
     odd = (fmid - bmid) & 1
@@ -170,17 +171,19 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             kvdf[fmax + 1] = -1
         else:
             fmax -= 1
+        # diagonals go d, d-2, ..., so kvdf[d-1] read at d is kvdf[d+1] at
+        # the next one; the pass writes only diagonals of d's parity
+        upper = kvdf[fmax + 1]
         for d in range(fmax, fmin - 1, -2):
-            if kvdf[d - 1] >= kvdf[d + 1]:
-                i1 = kvdf[d - 1] + 1
-            else:
-                i1 = kvdf[d + 1]
+            lower = kvdf[d - 1]
+            i1 = lower + 1 if lower >= upper else upper
+            upper = lower
             prev1 = i1
             i2 = i1 - d
             while i1 < lim1 and i2 < lim2 and ha1[i1] == ha2[i2]:
                 i1 += 1
                 i2 += 1
-            if i1 - prev1 > env.snake:
+            if i1 - prev1 > snake:
                 got_snake = True
             kvdf[d] = i1
             if odd and bmin <= d <= bmax and kvdb[d] <= i1:
@@ -196,17 +199,17 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             kvdb[bmax + 1] = _BIG
         else:
             bmax -= 1
+        upper = kvdb[bmax + 1]
         for d in range(bmax, bmin - 1, -2):
-            if kvdb[d - 1] < kvdb[d + 1]:
-                i1 = kvdb[d - 1]
-            else:
-                i1 = kvdb[d + 1] - 1
+            lower = kvdb[d - 1]
+            i1 = lower if lower < upper else upper - 1
+            upper = lower
             prev1 = i1
             i2 = i1 - d
             while i1 > off1 and i2 > off2 and ha1[i1 - 1] == ha2[i2 - 1]:
                 i1 -= 1
                 i2 -= 1
-            if prev1 - i1 > env.snake:
+            if prev1 - i1 > snake:
                 got_snake = True
             kvdb[d] = i1
             if not odd and fmin <= d <= fmax and i1 <= kvdf[d]:
@@ -230,10 +233,10 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
                 if (
                     v > 4 * ec
                     and v > best
-                    and off1 + env.snake <= i1 < lim1
-                    and off2 + env.snake <= i2 < lim2
+                    and off1 + snake <= i1 < lim1
+                    and off2 + snake <= i2 < lim2
                 ):
-                    if all(ha1[i1 - k] == ha2[i2 - k] for k in range(1, env.snake + 1)):
+                    if all(ha1[i1 - k] == ha2[i2 - k] for k in range(1, snake + 1)):
                         best = v
                         spl = (i1, i2)
             if spl is not None:
@@ -249,10 +252,10 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
                 if (
                     v > 4 * ec
                     and v > best
-                    and off1 < i1 <= lim1 - env.snake
-                    and off2 < i2 <= lim2 - env.snake
+                    and off1 < i1 <= lim1 - snake
+                    and off2 < i2 <= lim2 - snake
                 ):
-                    if all(ha1[i1 + k] == ha2[i2 + k] for k in range(env.snake)):
+                    if all(ha1[i1 + k] == ha2[i2 + k] for k in range(snake)):
                         best = v
                         spl = (i1, i2)
             if spl is not None:

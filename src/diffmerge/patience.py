@@ -3,29 +3,36 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ChangedLines, InternedSequence
 from .myers import MYERS, myers_flags
 
 
-@dataclass(frozen=True)
-class UniqueMatch:
+class UniqueMatch(NamedTuple):
     pos_a: int
     pos_b: int
 
 
-def find_matching_unique_lines(a: list[int], b: list[int]) -> list[UniqueMatch]:
-    """Pairs (posA, posB) of lines occurring exactly once in each file, by posA."""
-    count_a = Counter(a)
-    count_b = Counter(b)
-    pos_b = {tok: j for j, tok in enumerate(b) if count_b[tok] == 1}
-    matches = []
-    for i, tok in enumerate(a):
-        if count_a[tok] == 1 and tok in pos_b:
-            matches.append(UniqueMatch(i, pos_b[tok]))
-    return matches
+def _unique_positions(tokens: list[int], lo: int, hi: int) -> dict[int, int]:
+    """Each token of tokens[lo:hi] mapped to its position, or to -1 if it repeats."""
+    pos: dict[int, int] = {}
+    for i in range(lo, hi):
+        tok = tokens[i]
+        pos[tok] = -1 if tok in pos else i
+    return pos
+
+
+def find_matching_unique_lines(
+    a: list[int], b: list[int], lo_a: int = 0, hi_a: int | None = None, lo_b: int = 0, hi_b: int | None = None
+) -> list[UniqueMatch]:
+    """Pairs (posA, posB) of lines occurring exactly once in each of
+    a[lo_a:hi_a] and b[lo_b:hi_b], by posA; positions index a and b."""
+    pos_a = _unique_positions(a, lo_a, len(a) if hi_a is None else hi_a)
+    pos_b = _unique_positions(b, lo_b, len(b) if hi_b is None else hi_b)
+    # a dict keeps first-insertion order, and a unique line's first position
+    # is its only one, so the matches come out ascending in posA
+    return [UniqueMatch(i, pos_b[tok]) for tok, i in pos_a.items() if i >= 0 and pos_b.get(tok, -1) >= 0]
 
 
 def patience_lis(matches: list[UniqueMatch]) -> list[UniqueMatch]:
@@ -63,32 +70,31 @@ def diff_patience(old: InternedSequence, new: InternedSequence) -> ChangedLines:
     work = [(0, len(a), 0, len(b))]
     while work:
         lo_a, hi_a, lo_b, hi_b = work.pop()
+        # every line of a subproblem is still unflagged, so flags go in by slice
         if lo_a == hi_a:
-            for j in range(lo_b, hi_b):
-                nf[j] = True
+            nf[lo_b:hi_b] = [True] * (hi_b - lo_b)
             continue
         if lo_b == hi_b:
-            for i in range(lo_a, hi_a):
-                of[i] = True
+            of[lo_a:hi_a] = [True] * (hi_a - lo_a)
             continue
 
-        matches = find_matching_unique_lines(a[lo_a:hi_a], b[lo_b:hi_b])
-        lcs = patience_lis(matches)
+        lcs = patience_lis(find_matching_unique_lines(a, b, lo_a, hi_a, lo_b, hi_b))
         if not lcs:
             sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b], MYERS)
-            for i, flag in enumerate(sub.old_flags):
-                if flag:
-                    of[lo_a + i] = True
-            for j, flag in enumerate(sub.new_flags):
-                if flag:
-                    nf[lo_b + j] = True
+            of[lo_a:hi_a] = sub.old_flags
+            nf[lo_b:hi_b] = sub.new_flags
             continue
 
-        # recurse on the segments between matched unique lines
+        # Recurse on the gaps between matched unique lines, the last one ending
+        # at (hi_a, hi_b), but not on gaps where old and new are equal.  Those
+        # share their unique lines at equal offsets, so the LIS would take them
+        # all and every gap between them would be equal again, down to gaps
+        # without unique lines that the fallback's prefix trim consumes whole:
+        # nothing in an equal gap is ever flagged.
+        lcs.append(UniqueMatch(hi_a, hi_b))
         prev_a, prev_b = lo_a, lo_b
-        for m in lcs:
-            abs_a, abs_b = lo_a + m.pos_a, lo_b + m.pos_b
-            work.append((prev_a, abs_a, prev_b, abs_b))
-            prev_a, prev_b = abs_a + 1, abs_b + 1
-        work.append((prev_a, hi_a, prev_b, hi_b))
+        for pos_a, pos_b in lcs:
+            if pos_a - prev_a != pos_b - prev_b or a[prev_a:pos_a] != b[prev_b:pos_b]:
+                work.append((prev_a, pos_a, prev_b, pos_b))
+            prev_a, prev_b = pos_a + 1, pos_b + 1
     return ChangedLines(of, nf)

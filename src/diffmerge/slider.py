@@ -136,17 +136,18 @@ def split_indent(m: SplitMeasurement) -> int:
 
 
 def _groups(flags: list[bool]) -> list[tuple[int, int]]:
-    groups = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            start = i
-            while i < len(flags) and flags[i]:
-                i += 1
-            groups.append((start, i))
-        else:
-            i += 1
-    return groups
+    """Half-open (start, end) of each maximal run of True, in order."""
+    n = len(flags)
+    # the padding ends every search inside the list: a False at n stops a
+    # run at the end, a True at n + 1 ends the search for the next run
+    padded = flags + [False, True]
+    runs = []
+    start = padded.index(True)
+    while start < n:
+        end = padded.index(False, start)
+        runs.append((start, end))
+        start = padded.index(True, end)
+    return runs
 
 
 def slidable_range(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:

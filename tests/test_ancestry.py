@@ -1,4 +1,4 @@
-"""Generation-number ancestry against the frozenset reference in oracle.py."""
+"""Generation-number ancestry against the frozenset reference in reference.py."""
 
 import random
 import tracemalloc
@@ -6,9 +6,10 @@ import tracemalloc
 import pytest
 
 from diffmerge import graph as graph_mod
-from diffmerge import oracle
 from diffmerge.graph import CommitGraph, MergeStats, UnknownCommit, lowest_common_ancestors, merge_commits
 from diffmerge.merge3 import MergeOptions
+
+import reference
 
 # name -> keyword arguments of random_dag
 SHAPES = {
@@ -58,13 +59,13 @@ def query_pairs(rng, g, count=400, last=0):
 def test_ancestry_matches_frozenset_reference(shape, seed):
     rng = random.Random(f"{shape}/{seed}")
     g = random_dag(rng, **SHAPES[shape])
-    ref = oracle.ancestors_reference(g)
+    ref = reference.ancestors_reference(g)
     for cid in g.commits:
         assert g.ancestors_of(cid) == ref[cid], cid
     ctx = graph_mod._MergeContext(g, MergeStats(), MergeOptions())
     for a, b in query_pairs(rng, g):
         assert g.is_ancestor(a, b) == (a in ref[b]), (a, b)
-        want = oracle.lca_reference(ref.__getitem__, a, b)
+        want = reference.lca_reference(ref.__getitem__, a, b)
         assert lowest_common_ancestors(g, a, b) == want, (a, b)
         ordered = sorted(want, key=lambda cid: (-g[cid].timestamp, cid))
         assert graph_mod._lca(ctx, a, b) == ordered, (a, b)
@@ -98,7 +99,7 @@ def _reference_lca(ctx, a, b):
             memo[cid] = frozenset({cid}).union(*(ancestors_of(p) for p in ctx.commit(cid).parents))
         return memo[cid]
 
-    return sorted(oracle.lca_reference(ancestors_of, a, b), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+    return sorted(reference.lca_reference(ancestors_of, a, b), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
 
 
 def _edit_one_line(rng, cid, parent_tree):
@@ -132,7 +133,7 @@ def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
     rng = random.Random(seed)
     g = random_dag(rng, n=60, merge_p=0.6, window=5, crisscross_p=0.6, shuffle_ts=seed % 2 == 1,
                    edit=_edit_one_line)
-    ref = oracle.ancestors_reference(g)
+    ref = reference.ancestors_reference(g)
     # heads near the tip share the most criss-crossed history
     pairs = query_pairs(rng, g, 60, last=20) + ancestor_pairs(rng, g, ref, 10)
     got = [_merge_outcome(g, a, b) for a, b in pairs]

@@ -197,3 +197,42 @@ def test_graph_malformed_script_exit_three(tmp_path, capsys):
 
 def test_usage_error_exit_three():
     assert main(["diff"]) == 3
+
+
+def test_main_keeps_no_value_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; every call must still see only
+    # its own arguments.  Each output is compared with a run on a new parser.
+    from diffmerge import cli
+
+    old = write(tmp_path, "old", b"def alpha():\n    return 1\n\ndef omega():\n    return 9\n")
+    new = write(tmp_path, "new", b"def alpha():\n    return 1\n\ndef middle():\n    return 5\n\n"
+                                 b"def omega():\n    return 9\n")
+    base = write(tmp_path, "base", b"a\nb\nc\n")
+    left = write(tmp_path, "left", b"a\nL\nc\n")
+    right = write(tmp_path, "right", b"a\nR\nc\n")
+    argvs = [
+        ["diff", old, new, "--no-indent-heuristic", "--context", "0"],
+        ["diff", old, new],
+        ["merge-file", left, base, right, "--labels", "mine", "old", "yours"],
+        ["merge-file", left, base, right],
+        ["diff", old, new, "--algorithm=patience", "--context", "0"],
+        ["diff", old, new, "--context=1"],
+        ["diff", old, new],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    outputs = [run(argv) for argv in argvs]
+    parser = cli._parser
+    assert parser is not None
+    main(["diff", old, old])
+    assert cli._parser is parser
+    # the flags change the output, so a value kept from an earlier call shows
+    assert outputs[0] != outputs[1] and outputs[2] != outputs[3] and outputs[5] != outputs[6]
+    assert "<<<<<<< mine" in outputs[2][1].out and "<<<<<<< ours" in outputs[3][1].out
+    assert outputs[1] == outputs[6]
+    for argv, output in zip(argvs, outputs):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run(argv) == output, argv

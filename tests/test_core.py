@@ -6,6 +6,7 @@ from diffmerge.core import (
     Change,
     ChangedLines,
     EditScript,
+    InternedSequence,
     InternTable,
     InvalidFlags,
     apply_script,
@@ -17,6 +18,7 @@ from diffmerge.core import (
 )
 from diffmerge.engine import ALGORITHMS, diff_lines
 
+import reference
 from conftest import random_file
 
 
@@ -198,3 +200,57 @@ def test_render_parse_apply_round_trip():
         context = rng.randrange(4)
         reparsed = parse_unified(render_unified(old, new, script, context))
         assert apply_script(old, reparsed, new) == b
+
+
+# Differential tests against the line-by-line scan kept in reference.py.
+
+
+def _script_or_error(fn, flags, old, new):
+    try:
+        return fn(flags, old, new)
+    except InvalidFlags as exc:
+        return f"InvalidFlags: {exc}"
+
+
+def _valid_flags(rng, alphabet):
+    """Two token lists and flags whose unflagged lines are one common sequence."""
+    old, new, of, nf = [], [], [], []
+    for _ in range(rng.randrange(25)):
+        for tokens, flags in ((old, of), (new, nf)):
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                tokens.append(rng.randrange(alphabet))
+                flags.append(True)
+        common = rng.randrange(alphabet)
+        old.append(common)
+        new.append(common)
+        of.append(False)
+        nf.append(False)
+    if rng.random() < 0.5 and old:
+        # end on a change, or with one file's tail entirely flagged
+        old.append(rng.randrange(alphabet))
+        of.append(True)
+    return old, new, of, nf
+
+
+def test_flags_to_script_matches_reference():
+    rng = random.Random(83)
+    for trial in range(3000):
+        alphabet = rng.choice((1, 2, 3, 50))
+        if trial % 2:
+            old, new, of, nf = _valid_flags(rng, alphabet)
+        else:
+            # random flags: mostly invalid, raising at a mismatch or a tail
+            old = [rng.randrange(alphabet) for _ in range(rng.randrange(20))]
+            new = [rng.randrange(alphabet) for _ in range(rng.randrange(20))]
+            density = rng.choice((0.0, 0.3, 0.7, 1.0))
+            of = [rng.random() < density for _ in old]
+            nf = [rng.random() < density for _ in new]
+        o, n = InternedSequence(old, []), InternedSequence(new, [])
+        flags = ChangedLines(of, nf)
+        got = _script_or_error(flags_to_script, flags, o, n)
+        assert got == _script_or_error(reference.flags_to_script_reference, flags, o, n), (old, new, of, nf)
+        if trial % 2:
+            assert isinstance(got, EditScript)
+    o, n = InternedSequence([1, 2], []), InternedSequence([1], [])
+    flags = ChangedLines([False], [False])
+    assert _script_or_error(flags_to_script, flags, o, n) == "InvalidFlags: flag arrays do not match file lengths"

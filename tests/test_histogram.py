@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from diffmerge import oracle
 from diffmerge.core import InternTable, apply_script, flags_to_script
 from diffmerge.histogram import FallbackSignal, diff_histogram, find_split, scan_a
 from diffmerge.myers import MINIMAL, diff_myers
 from diffmerge.patience import diff_patience
 
+import reference
 from conftest import random_file
 
 
@@ -105,7 +105,7 @@ def test_fallback_subproblem_routes_to_myers(intern_pair):
     body = b"x\n" * 70
     o, n = intern_pair(body + b"p\n", b"q\n" + body)
     flags = diff_histogram(o, n)
-    assert oracle.check_flags_valid(o.tokens, n.tokens, flags.old_flags, flags.new_flags)
+    assert reference.check_flags_valid(o.tokens, n.tokens, flags.old_flags, flags.new_flags)
 
 
 def test_degenerate_split_marks_everything(intern_pair):
@@ -141,14 +141,14 @@ def test_both_directions_individually_valid():
         t1 = InternTable()
         o, w = t1.intern(a), t1.intern(b)
         fwd = diff_histogram(o, w)
-        assert oracle.check_flags_valid(o.tokens, w.tokens, fwd.old_flags, fwd.new_flags)
+        assert reference.check_flags_valid(o.tokens, w.tokens, fwd.old_flags, fwd.new_flags)
         t2 = InternTable()
         o2, w2 = t2.intern(b), t2.intern(a)
         rev = diff_histogram(o2, w2)
-        assert oracle.check_flags_valid(o2.tokens, w2.tokens, rev.old_flags, rev.new_flags)
+        assert reference.check_flags_valid(o2.tokens, w2.tokens, rev.old_flags, rev.new_flags)
 
 
-# Differential tests against the per-subproblem rescan kept in oracle.py.
+# Differential tests against the per-subproblem rescan kept in reference.py.
 
 
 def _split_or_fallback(fn, *args):
@@ -162,7 +162,7 @@ def _assert_same_flags(old_bytes, new_bytes):
     table = InternTable()
     o, n = table.intern(old_bytes), table.intern(new_bytes)
     got = diff_histogram(o, n)
-    want = oracle.histogram_reference(o, n)
+    want = reference.histogram_reference(o, n)
     assert got.old_flags == want.old_flags
     assert got.new_flags == want.new_flags
 
@@ -176,12 +176,12 @@ def _assert_same_splits(rng, a, b, trials):
         hi1 = rng.randrange(lo1, len(a) + 1)
         lo2 = rng.randrange(len(b) + 1)
         hi2 = rng.randrange(lo2, len(b) + 1)
-        want = _split_or_fallback(oracle.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
+        want = _split_or_fallback(reference.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
         assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index) == want
         assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2) == want
     whole = (0, len(a), 0, len(b))
     assert _split_or_fallback(find_split, a, b, *whole, index) == _split_or_fallback(
-        oracle.histogram_split_reference, a, b, *whole
+        reference.histogram_split_reference, a, b, *whole
     )
 
 
@@ -209,6 +209,25 @@ def _corpus(rng, kind):
         # runs far longer than the lines compared one by one
         old = [b"line %d\n" % rng.randrange(300) for _ in range(rng.randrange(50, 400))]
         return old, _edited(rng, old, [b"new\n", b"line 7\n", b"line 9\n"], rng.randrange(1, 5))
+    if kind == "all-frequent":
+        # each of a few lines occurs more than MAX_OCCURRENCES times in old,
+        # and new keeps under a third of old's other lines, so many split
+        # searches see only over-cap common lines and fall back
+        common = [b"}\n", b"{\n", b"end\n"][: rng.randrange(1, 4)]
+        old = [line for line in common for _ in range(rng.randrange(65, 100))]
+        old += [b"old %d\n" % i for i in range(rng.randrange(10))]
+        rng.shuffle(old)
+        new = [line for line in old if line in common or rng.random() < 0.3]
+        return old, _edited(rng, new, [b"}\n", b"new\n", b"new 2\n"], rng.randrange(1, 6))
+    if kind == "late-rare":
+        # new opens with a line that occurs more than MAX_OCCURRENCES times in
+        # old; a rare common line comes only after it
+        frequent = [b"}\n"] * rng.randrange(65, 120)
+        rare = [b"rare %d\n" % rng.randrange(3) for _ in range(rng.randrange(1, 4))]
+        old = frequent + rare + [b"x\n"] * rng.randrange(3)
+        rng.shuffle(old)
+        new = [b"}\n"] * rng.randrange(1, 5) + [b"y\n"] * rng.randrange(3) + rare + [b"}\n"] * rng.randrange(3)
+        return old, _edited(rng, new, [b"}\n", b"z\n"], rng.randrange(3))
     # bytes that line splitting must carry through: CR/LF, NUL, a missing
     # final newline
     alphabet = [b"a\r\n", b"a\n", b"\x00\n", b"b\x00c\r\n", b"\r\n", b"d\n"]
@@ -217,9 +236,11 @@ def _corpus(rng, kind):
 
 
 KINDS = ("small-alphabet", "over-cap", "long-runs", "edge-bytes")
+# corpora where the first common line is over the cap: the early fallback
+FREQUENT_KINDS = ("all-frequent", "late-rare")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + FREQUENT_KINDS)
 def test_flags_and_splits_match_reference(kind):
     rng = random.Random(f"histogram-{kind}")
     for _ in range(150):
@@ -277,7 +298,7 @@ def test_one_find_split_call_per_reference_subproblem(monkeypatch):
 
     monkeypatch.setattr(histogram, "find_split", counting("new", histogram.find_split))
     monkeypatch.setattr(
-        oracle, "histogram_split_reference", counting("reference", oracle.histogram_split_reference)
+        reference, "histogram_split_reference", counting("reference", reference.histogram_split_reference)
     )
     rng = random.Random(44)
     for _ in range(40):
@@ -285,6 +306,6 @@ def test_one_find_split_call_per_reference_subproblem(monkeypatch):
         table = InternTable()
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
         histogram.diff_histogram(o, n)
-        oracle.histogram_reference(o, n)
+        reference.histogram_reference(o, n)
     assert calls["reference"] > 40
     assert calls["new"] == calls["reference"]

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from diffmerge import oracle
 from diffmerge.core import Change, EditScript, InternTable
 from diffmerge.merge3 import (
     CONFLICT,
@@ -17,6 +16,7 @@ from diffmerge.merge3 import (
     refine_zealous,
 )
 
+import reference
 from conftest import random_file
 
 
@@ -44,7 +44,7 @@ def test_one_sided_left_change_lookback():
     regions = compute_merge_regions(sl, sr, l, r, 3)
     assert regions[0] == MergeRegion(1, 2, 1, 2, 1, 2, LEFT)
     assert regions[1].kind == RIGHT
-    assert not oracle.validate_merge_regions(regions, o.tokens, l.tokens, r.tokens)
+    assert not reference.validate_merge_regions(regions, o.tokens, l.tokens, r.tokens)
 
 
 def test_identical_change_is_applied_silently():
@@ -81,7 +81,7 @@ def test_conflict_region_covers_both_changes_all_sign_combinations():
         sl = EditScript((Change(s1, e1, s1, s1 + len(ins1)),))
         sr = EditScript((Change(s2, e2, s2, s2 + len(ins2)),))
         regions = compute_merge_regions(sl, sr, l, r, o_len)
-        problems = oracle.validate_merge_regions(regions, o.tokens, l.tokens, r.tokens)
+        problems = reference.validate_merge_regions(regions, o.tokens, l.tokens, r.tokens)
         assert not problems, (base, left_lines, right_lines, regions, problems)
         if not (e1 < s2 or e2 < s1):
             checked.add((s1 - s2 < 0, e1 - e2 < 0))

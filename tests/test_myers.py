@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from diffmerge import oracle
 from diffmerge.core import InternTable
 from diffmerge.engine import diff_lines
@@ -13,6 +15,7 @@ from diffmerge.myers import (
     preprocess,
 )
 
+import reference
 from conftest import random_file
 
 
@@ -120,7 +123,7 @@ def test_heuristic_mode_never_shorter_than_minimal_and_valid():
         o, n = table.intern(a), table.intern(b)
         hrs = diff_myers(o, n, MYERS)
         mns = diff_myers(o, n, MINIMAL)
-        assert oracle.check_flags_valid(o.tokens, n.tokens, hrs.old_flags, hrs.new_flags)
+        assert reference.check_flags_valid(o.tokens, n.tokens, hrs.old_flags, hrs.new_flags)
         assert hrs.flag_count() >= mns.flag_count()
 
 
@@ -135,10 +138,45 @@ def test_snake_and_budget_cutoffs_fire_on_large_noisy_input():
     b = b[:100] + shared + b[100:]
     cheap = myers_flags(a, b, MYERS)
     exact = myers_flags(a, b, MINIMAL)
-    assert oracle.check_flags_valid(a, b, cheap.old_flags, cheap.new_flags)
+    assert reference.check_flags_valid(a, b, cheap.old_flags, cheap.new_flags)
     assert cheap.flag_count() >= exact.flag_count()
 
 
 def test_engine_dispatch_names(intern_pair):
     o, n = intern_pair(b"a\n", b"b\n")
     assert diff_lines(o, n, "myers").flag_count() == 2
+
+
+# Differential tests against the dict-lookup split kept in reference.py: the
+# reference is patched in as myers._split and myers_flags runs once with each.
+# The two small configs make the snake and the budget cutoff fire on inputs
+# of a few dozen lines.
+
+SPLIT_CONFIGS = (MYERS, MINIMAL, HeuristicConfig(True, 3, 4), HeuristicConfig(True, 2, 1))
+
+
+def _split_pair(rng):
+    alphabet = range(rng.choice((2, 3, 5, 12, 40)))
+    old = [rng.choice(alphabet) for _ in range(rng.randrange(80))]
+    if rng.random() < 0.5:
+        return old, [rng.choice(alphabet) for _ in range(rng.randrange(80))]
+    new = list(old)
+    for _ in range(rng.randrange(1, 8)):
+        at = rng.randrange(len(new) + 1)
+        new[at:at + rng.randrange(5)] = [rng.choice(alphabet) for _ in range(rng.randrange(5))]
+    return old, new
+
+
+@pytest.mark.parametrize("config", SPLIT_CONFIGS, ids=("myers", "minimal", "snake3-steps4", "snake2-steps1"))
+def test_myers_flags_match_reference_split(monkeypatch, config):
+    from diffmerge import myers
+
+    rng = random.Random(f"split-{config}")
+    pairs = [_split_pair(rng) for _ in range(760)]
+    got = [myers_flags(old, new, config) for old, new in pairs]
+    monkeypatch.setattr(myers, "_split", reference.split_reference)
+    for (old, new), flags in zip(pairs, got):
+        want = myers_flags(old, new, config)
+        assert (flags.old_flags, flags.new_flags) == (want.old_flags, want.new_flags), (old, new)
+        if config is MINIMAL:
+            assert flags.flag_count() == oracle.min_edit_distance(old, new)

@@ -1,7 +1,8 @@
 import random
 
-from diffmerge import oracle
-from diffmerge.core import InternTable
+import pytest
+
+from diffmerge.core import InternedSequence, InternTable
 from diffmerge.myers import MYERS, diff_myers
 from diffmerge.patience import (
     UniqueMatch,
@@ -10,6 +11,7 @@ from diffmerge.patience import (
     patience_lis,
 )
 
+import reference
 from conftest import random_file
 
 
@@ -58,7 +60,7 @@ def test_patience_lis_member_of_exhaustive_set():
         perm = list(range(n))
         rng.shuffle(perm)
         got = tuple(_lis_of(perm))
-        assert got in oracle.all_lis(perm)
+        assert got in reference.all_lis(perm)
 
 
 def test_diff_identical_files(intern_pair):
@@ -93,7 +95,7 @@ def test_permutation_flag_count_is_twice_lis_deficit():
         new = b"".join(b"line%d\n" % i for i in perm)
         table = InternTable()
         o, w = table.intern(old), table.intern(new)
-        lis_len = max(len(s) for s in oracle.all_lis(perm)) if n else 0
+        lis_len = max(len(s) for s in reference.all_lis(perm)) if n else 0
         assert diff_patience(o, w).flag_count() == 2 * (n - lis_len)
 
 
@@ -119,6 +121,74 @@ def test_patience_lis_matches_reference_chain():
         span = rng.choice((3, n + 1, 4 * n + 1))
         matches = [UniqueMatch(i, rng.randrange(span)) for i in range(n)]
         got = patience_lis(matches)
-        assert got == oracle.patience_lis_reference(matches)
+        assert got == reference.patience_lis_reference(matches)
     matches = find_matching_unique_lines(*(list(rng.sample(range(5000), 3000)) for _ in range(2)))
-    assert patience_lis(matches) == oracle.patience_lis_reference(matches)
+    assert patience_lis(matches) == reference.patience_lis_reference(matches)
+
+
+# Differential tests against the slicing patience diff kept in reference.py.
+
+
+def _edited(rng, lines, alphabet):
+    out = list(lines)
+    for _ in range(rng.randrange(4)):
+        at = rng.randrange(len(out) + 1)
+        out[at:at + rng.randrange(3)] = [rng.choice(alphabet) for _ in range(rng.randrange(3))]
+    return out
+
+
+def _patience_pair(rng, kind):
+    """One seeded (old, new) pair of token lists of the given shape."""
+    if kind == "tiny-alphabet":
+        alphabet = range(rng.randrange(1, 4))
+        return [rng.choice(alphabet) for _ in range(rng.randrange(30))], [
+            rng.choice(alphabet) for _ in range(rng.randrange(30))
+        ]
+    if kind == "equal-gaps":
+        # unique anchors between blocks of repeated lines; most blocks are
+        # equal on both sides, so most gaps between anchors are equal
+        old, new = [], []
+        for k in range(rng.randrange(1, 12)):
+            block = [rng.randrange(3) for _ in range(rng.randrange(6))]
+            old += [100 + k] + block
+            new += [100 + k] + (block if rng.random() < 0.7 else _edited(rng, block, range(3)))
+        return old, new
+    if kind == "repeated":
+        # every line occurs at least twice in its file: no unique line at all
+        half = [rng.randrange(1000) for _ in range(rng.randrange(15))]
+        old = half + half
+        rng.shuffle(old)
+        other = _edited(rng, half, half or [0])
+        return old, other + other
+    alphabet = range(rng.randrange(1, 1001))
+    old = [rng.choice(alphabet) for _ in range(rng.randrange(60))]
+    return old, _edited(rng, old, alphabet)
+
+
+PAIR_KINDS = ("tiny-alphabet", "equal-gaps", "repeated", "wide-alphabet")
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_diff_patience_matches_reference(kind):
+    rng = random.Random(f"patience-{kind}")
+    for _ in range(400):
+        old, new = _patience_pair(rng, kind)
+        o, n = InternedSequence(old, []), InternedSequence(new, [])
+        for x, y in ((o, n), (n, o)):
+            got = diff_patience(x, y)
+            want = reference.diff_patience_reference(x, y)
+            assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags), (x.tokens, y.tokens)
+
+
+def test_unique_matches_on_a_range_match_the_sliced_reference():
+    rng = random.Random(61)
+    for _ in range(500):
+        old, new = _patience_pair(rng, rng.choice(PAIR_KINDS))
+        lo_a = rng.randrange(len(old) + 1)
+        hi_a = rng.randrange(lo_a, len(old) + 1)
+        lo_b = rng.randrange(len(new) + 1)
+        hi_b = rng.randrange(lo_b, len(new) + 1)
+        got = find_matching_unique_lines(old, new, lo_a, hi_a, lo_b, hi_b)
+        want = reference.find_matching_unique_lines_reference(old[lo_a:hi_a], new[lo_b:hi_b])
+        assert got == [UniqueMatch(m.pos_a + lo_a, m.pos_b + lo_b) for m in want]
+        assert all(type(m) is UniqueMatch for m in got)

@@ -6,6 +6,7 @@ from diffmerge.slider import (
     DEFAULT_WEIGHTS,
     IndentWeights,
     SplitMeasurement,
+    _groups,
     line_indent,
     measure_split,
     slidable_range,
@@ -15,6 +16,7 @@ from diffmerge.slider import (
     split_penalty,
 )
 
+import reference
 from conftest import random_file
 
 
@@ -220,3 +222,13 @@ def test_penalty_ordering_invariant_under_constant_indent():
         assert split_penalty(m1) == split_penalty(m2)
         # the bias side compares totals, which shift together
         assert split_indent(m2) >= split_indent(m1)
+
+
+def test_groups_match_reference():
+    rng = random.Random(19)
+    cases = [[], [True], [False], [True] * 9, [False] * 9]
+    for _ in range(2000):
+        density = rng.random()
+        cases.append([rng.random() < density for _ in range(rng.randrange(30))])
+    for flags in cases:
+        assert _groups(flags) == reference.groups_reference(flags), flags
