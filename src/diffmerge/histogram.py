@@ -243,32 +243,22 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
     work = [(0, len(a), 0, len(b))]
     while work:
         lo1, hi1, lo2, hi2 = work.pop()
-        if lo1 == hi1 and lo2 == hi2:
-            continue
         if lo1 == hi1:
-            for j in range(lo2, hi2):
-                nf[j] = True
+            nf[lo2:hi2] = [True] * (hi2 - lo2)
             continue
         if lo2 == hi2:
-            for i in range(lo1, hi1):
-                of[i] = True
+            of[lo1:hi1] = [True] * (hi1 - lo1)
             continue
         try:
             split = find_split(a, b, lo1, hi1, lo2, hi2, index)
         except FallbackSignal:
             sub = myers_flags(a[lo1:hi1], b[lo2:hi2], MYERS)
-            for i, flag in enumerate(sub.old_flags):
-                if flag:
-                    of[lo1 + i] = True
-            for j, flag in enumerate(sub.new_flags):
-                if flag:
-                    nf[lo2 + j] = True
+            of[lo1:hi1] = sub.old_flags
+            nf[lo2:hi2] = sub.new_flags
             continue
         if split is None:
-            for i in range(lo1, hi1):
-                of[i] = True
-            for j in range(lo2, hi2):
-                nf[j] = True
+            of[lo1:hi1] = [True] * (hi1 - lo1)
+            nf[lo2:hi2] = [True] * (hi2 - lo2)
         else:
             work.append((lo1, split.begin1, lo2, split.begin2))
             work.append((split.end1 + 1, hi1, split.end2 + 1, hi2))

@@ -93,16 +93,11 @@ def compute_merge_regions(
         if regions:
             prev = regions[-1]
             if sa <= prev.end_a or sl <= prev.end_l or sr <= prev.end_r:
+                # the later piece's ends win, as in git's xdl_append_merge:
+                # the earlier piece projected its ends past hunks it had not
+                # seen, so a max could overshoot the files
                 kind = kind if kind == prev.kind else CONFLICT
-                regions[-1] = MergeRegion(
-                    prev.start_a,
-                    max(prev.end_a, ea),
-                    prev.start_l,
-                    max(prev.end_l, el),
-                    prev.start_r,
-                    max(prev.end_r, er),
-                    kind,
-                )
+                regions[-1] = MergeRegion(prev.start_a, ea, prev.start_l, el, prev.start_r, er, kind)
                 return
         regions.append(MergeRegion(sa, ea, sl, el, sr, er, kind))
 

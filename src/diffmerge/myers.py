@@ -71,12 +71,8 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     count_b = Counter(b)
     old_pre = [False] * n
     new_pre = [False] * m
-    for i in range(prefix, n - suffix):
-        if count_b[a[i]] == 0:
-            old_pre[i] = True
-    for j in range(prefix, m - suffix):
-        if count_a[b[j]] == 0:
-            new_pre[j] = True
+    old_pre[prefix:n - suffix] = [t not in count_b for t in a[prefix:n - suffix]]
+    new_pre[prefix:m - suffix] = [t not in count_a for t in b[prefix:m - suffix]]
 
     if not minimal:
         _flag_frequent(a, count_a, old_pre, prefix, n - suffix)
@@ -86,47 +82,29 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
 
 
 def _flag_frequent(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
+    """Flag, in each maximal block of unmatched-or-frequent lines of
+    tokens[lo:hi] where 3 * frequent < unmatched, the frequent lines between
+    its first and last unmatched line.  A block is decided when it ends; the
+    lines between blocks are never flagged, so one block cannot change
+    another."""
     limit = approx_sqrt(len(tokens))
-    frequent = [lo <= i < hi and not pre[i] and counts[tokens[i]] > limit for i in range(len(tokens))]
-    extra = []
-    for i in range(lo, hi):
-        if frequent[i] and _block_qualifies(pre, frequent, i, lo, hi):
-            extra.append(i)
-    for i in extra:
-        pre[i] = True
-
-
-def _block_qualifies(unmatched: list[bool], frequent: list[bool], i: int, lo: int, hi: int) -> bool:
-    # Scan outwards while lines are unmatched or frequent; require at least
-    # one unmatched line on each side, and strictly fewer than a quarter of
-    # the block being merely frequent.
-    un_above, fr_above = 0, 1  # the line itself counts as frequent
-    k = i - 1
-    while k >= lo:
-        if unmatched[k]:
-            un_above += 1
-        elif frequent[k]:
-            fr_above += 1
+    frequent = {t for t, c in counts.items() if c > limit}
+    if not frequent:
+        return
+    first = last = 0  # first and last unmatched line of the current block
+    fr = un = 0
+    for i in range(lo, hi + 1):
+        if i < hi and pre[i]:
+            if not un:
+                first = i
+            last = i
+            un += 1
+        elif i < hi and tokens[i] in frequent:
+            fr += 1
         else:
-            break
-        k -= 1
-    if un_above == 0:
-        return False
-    un_below, fr_below = 0, 0
-    k = i + 1
-    while k < hi:
-        if unmatched[k]:
-            un_below += 1
-        elif frequent[k]:
-            fr_below += 1
-        else:
-            break
-        k += 1
-    if un_below == 0:
-        return False
-    fr_total = fr_above + fr_below
-    un_total = un_above + un_below
-    return fr_total * 4 < fr_total + un_total
+            if 3 * fr < un:
+                pre[first:last] = [True] * (last - first)
+            fr = un = 0
 
 
 @dataclass
@@ -339,8 +317,8 @@ def diff_myers(old: InternedSequence, new: InternedSequence, config: HeuristicCo
         config = MYERS
     cls = preprocess(old, new, minimal=not config.enable_heuristics)
     n, m = len(old), len(new)
-    of = list(cls.old_prechanged)
-    nf = list(cls.new_prechanged)
+    of = cls.old_prechanged
+    nf = cls.new_prechanged
 
     kept_old = [i for i in range(cls.prefix_len, n - cls.suffix_len) if not of[i]]
     kept_new = [j for j in range(cls.prefix_len, m - cls.suffix_len) if not nf[j]]

@@ -66,29 +66,55 @@ def line_indent(record: bytes) -> int | None:
 
 def measure_split(seq: InternedSequence, split: int) -> SplitMeasurement:
     """Measure the split lying between lines split-1 and split."""
-    n = len(seq)
-    if split >= n:
-        at_end, indent = True, None
-    else:
-        at_end, indent = False, line_indent(seq.raw[split])
+    return _measure_splits(seq, split, split)[0]
 
-    pre_blank = 0
-    pre_indent = None
-    for i in range(split - 1, -1, -1):
-        pre_indent = line_indent(seq.raw[i])
-        if pre_indent is not None:
-            break
-        pre_blank += 1
 
-    post_blank = 0
-    post_indent = None
-    for i in range(split + 1, n):
-        post_indent = line_indent(seq.raw[i])
-        if post_indent is not None:
-            break
-        post_blank += 1
+def _measure_splits(seq: InternedSequence, lo: int, hi: int) -> list[SplitMeasurement]:
+    """Measure the splits lo..hi (inclusive, at most len(seq)) in one pass.
 
-    return SplitMeasurement(at_end, indent, pre_blank, pre_indent, post_blank, post_indent)
+    The blank lines above the range and below it are walked once; the
+    blank count and indent above each split are carried forward from the
+    split before it, and those below it backward from the split after it.
+    """
+    raw = seq.raw
+    n = len(raw)
+    indents = [line_indent(raw[i]) for i in range(lo, min(hi + 1, n))]
+
+    post_blank, post_indent = _blank_run(raw, range(hi + 1, n))
+    posts = []
+    for s in range(hi, lo - 1, -1):
+        posts.append((post_blank, post_indent))
+        # the lines below split s - 1 start at line s; none lie below
+        # split n - 1, as none lie below split n
+        if s < n:
+            if indents[s - lo] is None:
+                post_blank += 1
+            else:
+                post_blank, post_indent = 0, indents[s - lo]
+    posts.reverse()
+
+    pre_blank, pre_indent = _blank_run(raw, range(lo - 1, -1, -1))
+    out = []
+    for s, (post_blank, post_indent) in zip(range(lo, hi + 1), posts):
+        indent = indents[s - lo] if s < n else None
+        out.append(SplitMeasurement(s >= n, indent, pre_blank, pre_indent, post_blank, post_indent))
+        if indent is None:
+            pre_blank += 1
+        else:
+            pre_blank, pre_indent = 0, indent
+    return out
+
+
+def _blank_run(raw: list[bytes], lines: range) -> tuple[int, int | None]:
+    """Count of blank lines that ``lines`` opens with, and the indent of the
+    line after them (None when ``lines`` runs out first)."""
+    blank = 0
+    for i in lines:
+        indent = line_indent(raw[i])
+        if indent is not None:
+            return blank, indent
+        blank += 1
+    return blank, None
 
 
 def split_penalty(m: SplitMeasurement, w: IndentWeights = DEFAULT_WEIGHTS) -> int:
@@ -198,12 +224,12 @@ def slide_group(
     if lo == hi == 0:
         return group
 
+    tops = _measure_splits(seq, start + lo, start + hi)
+    bottoms = _measure_splits(seq, end + lo, end + hi)
     best_shift = None
     best_penalty = 0
     best_indent = 0
-    for shift in range(lo, hi + 1):
-        top = measure_split(seq, start + shift)
-        bottom = measure_split(seq, end + shift)
+    for shift, top, bottom in zip(range(lo, hi + 1), tops, bottoms):
         penalty = split_penalty(top, weights) + split_penalty(bottom, weights)
         indent = split_indent(top) + split_indent(bottom)
         if best_shift is None:

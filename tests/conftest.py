@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -20,3 +21,22 @@ def random_file(rng: random.Random, max_lines: int, alphabet: int, allow_missing
     if allow_missing_nl and data and rng.random() < 0.1:
         data = data[:-1]
     return data
+
+
+def lines_executed(fn, *args, **kwargs) -> int:
+    """Python source lines executed by one call, counted with sys.settrace;
+    a deterministic measure of work that does not depend on the host."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(None)
+    return count

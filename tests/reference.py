@@ -4,7 +4,9 @@ Each is either a brute-force answer (LCS by memoised recursion, every LIS
 by enumeration, frozenset ancestry) or the first, simpler form of code that
 was later rewritten for speed: the per-subproblem histogram rescan, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
-split, and the line-by-line flag scans.  Tests require the package to give
+split, the line-by-line flag scans, the frequent-line rule that rescans a
+block around each of its lines, and the indent heuristic that rescans the
+blank lines around each split.  Tests require the package to give
 the same answers; none of this code ships in ``src/``.
 """
 
@@ -15,9 +17,19 @@ from collections import Counter
 
 from diffmerge.core import Change, ChangedLines, EditScript, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
-from diffmerge.myers import _BIG, MYERS, _SearchEnv, myers_flags
+from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import UniqueMatch, patience_lis
+from diffmerge.slider import (
+    DEFAULT_WEIGHTS,
+    IndentWeights,
+    SplitMeasurement,
+    _groups,
+    line_indent,
+    slidable_range,
+    split_indent,
+    split_penalty,
+)
 
 _MEMO_LIMIT = 600
 _LIS_LIMIT = 15
@@ -237,7 +249,8 @@ def check_flags_valid(old_tokens: list[int], new_tokens: list[int], old_flags: l
 def validate_merge_regions(regions, o: list[int], left: list[int], right: list[int]) -> list[str]:
     """Exhaustively check a merge-region list against the three token files.
 
-    Verifies ordering and non-overlap in all three coordinate systems, the
+    Verifies ordering, non-overlap and file bounds in all three coordinate
+    systems, the
     per-kind equality constraints, and that the text between regions is
     identical in ancestor, left and right.  Returns a list of violation
     descriptions (empty when valid).
@@ -247,6 +260,8 @@ def validate_merge_regions(regions, o: list[int], left: list[int], right: list[i
     for idx, reg in enumerate(regions):
         if reg.start_a < pa or reg.start_l < pl or reg.start_r < pr:
             problems.append(f"region {idx} overlaps its predecessor: {reg}")
+        if reg.end_a > len(o) or reg.end_l > len(left) or reg.end_r > len(right):
+            problems.append(f"region {idx} ends past a file: {reg}")
         gap_a = o[pa:reg.start_a]
         gap_l = left[pl:reg.start_l]
         gap_r = right[pr:reg.start_r]
@@ -514,3 +529,158 @@ def groups_reference(flags: list[bool]) -> list[tuple[int, int]]:
         else:
             i += 1
     return groups
+
+
+def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
+    """``myers.preprocess`` as first written: each frequent line rescans its block."""
+    a, b = old.tokens, new.tokens
+    n, m = len(a), len(b)
+    prefix = 0
+    while prefix < n and prefix < m and a[prefix] == b[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < n - prefix and suffix < m - prefix and a[n - 1 - suffix] == b[m - 1 - suffix]:
+        suffix += 1
+
+    count_a = Counter(a)
+    count_b = Counter(b)
+    old_pre = [False] * n
+    new_pre = [False] * m
+    for i in range(prefix, n - suffix):
+        if count_b[a[i]] == 0:
+            old_pre[i] = True
+    for j in range(prefix, m - suffix):
+        if count_a[b[j]] == 0:
+            new_pre[j] = True
+
+    if not minimal:
+        flag_frequent_reference(a, count_a, old_pre, prefix, n - suffix)
+        flag_frequent_reference(b, count_b, new_pre, prefix, m - suffix)
+
+    return PreprocessClassification(prefix, suffix, old_pre, new_pre)
+
+
+def flag_frequent_reference(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
+    limit = approx_sqrt(len(tokens))
+    frequent = [lo <= i < hi and not pre[i] and counts[tokens[i]] > limit for i in range(len(tokens))]
+    extra = []
+    for i in range(lo, hi):
+        if frequent[i] and block_qualifies_reference(pre, frequent, i, lo, hi):
+            extra.append(i)
+    for i in extra:
+        pre[i] = True
+
+
+def block_qualifies_reference(unmatched: list[bool], frequent: list[bool], i: int, lo: int, hi: int) -> bool:
+    # Scan outwards while lines are unmatched or frequent; require at least
+    # one unmatched line on each side, and strictly fewer than a quarter of
+    # the block being merely frequent.
+    un_above, fr_above = 0, 1  # the line itself counts as frequent
+    k = i - 1
+    while k >= lo:
+        if unmatched[k]:
+            un_above += 1
+        elif frequent[k]:
+            fr_above += 1
+        else:
+            break
+        k -= 1
+    if un_above == 0:
+        return False
+    un_below, fr_below = 0, 0
+    k = i + 1
+    while k < hi:
+        if unmatched[k]:
+            un_below += 1
+        elif frequent[k]:
+            fr_below += 1
+        else:
+            break
+        k += 1
+    if un_below == 0:
+        return False
+    fr_total = fr_above + fr_below
+    un_total = un_above + un_below
+    return fr_total * 4 < fr_total + un_total
+
+
+def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasurement:
+    """``slider.measure_split`` as first written: walks the blank lines around one split."""
+    n = len(seq)
+    if split >= n:
+        at_end, indent = True, None
+    else:
+        at_end, indent = False, line_indent(seq.raw[split])
+
+    pre_blank = 0
+    pre_indent = None
+    for i in range(split - 1, -1, -1):
+        pre_indent = line_indent(seq.raw[i])
+        if pre_indent is not None:
+            break
+        pre_blank += 1
+
+    post_blank = 0
+    post_indent = None
+    for i in range(split + 1, n):
+        post_indent = line_indent(seq.raw[i])
+        if post_indent is not None:
+            break
+        post_blank += 1
+
+    return SplitMeasurement(at_end, indent, pre_blank, pre_indent, post_blank, post_indent)
+
+
+def slide_group_reference(
+    flags: list[bool],
+    seq: InternedSequence,
+    group: tuple[int, int],
+    weights: IndentWeights = DEFAULT_WEIGHTS,
+) -> tuple[int, int]:
+    """``slider.slide_group`` as first written, measuring each shift's splits alone."""
+    start, end = group
+    lo, hi = slidable_range(flags, seq, group)
+    if lo == hi == 0:
+        return group
+
+    best_shift = None
+    best_penalty = 0
+    best_indent = 0
+    for shift in range(lo, hi + 1):
+        top = measure_split_reference(seq, start + shift)
+        bottom = measure_split_reference(seq, end + shift)
+        penalty = split_penalty(top, weights) + split_penalty(bottom, weights)
+        indent = split_indent(top) + split_indent(bottom)
+        if best_shift is None:
+            best_shift, best_penalty, best_indent = shift, penalty, indent
+            continue
+        a_score, b_score = penalty, best_penalty
+        if indent > best_indent:
+            a_score += weights.total_indent_bias
+        elif best_indent > indent:
+            b_score += weights.total_indent_bias
+        if a_score < b_score:
+            best_shift, best_penalty, best_indent = shift, penalty, indent
+
+    assert best_shift is not None
+    if best_shift:
+        for i in range(start, end):
+            flags[i] = False
+        for i in range(start + best_shift, end + best_shift):
+            flags[i] = True
+    return start + best_shift, end + best_shift
+
+
+def slide_changed_lines_reference(
+    flags: ChangedLines,
+    old: InternedSequence,
+    new: InternedSequence,
+    weights: IndentWeights = DEFAULT_WEIGHTS,
+) -> ChangedLines:
+    of = list(flags.old_flags)
+    nf = list(flags.new_flags)
+    for group in _groups(of):
+        slide_group_reference(of, old, group, weights)
+    for group in _groups(nf):
+        slide_group_reference(nf, new, group, weights)
+    return ChangedLines(of, nf)

@@ -308,3 +308,83 @@ def test_compat_flag_reproduces_residual_equal_sided_conflict():
 
     fixed = merge3(o, left, right, MergeOptions(algorithm="myers"))
     assert fixed.clean and fixed.rendered == right
+
+
+# Each of these made region coalescing keep an end that the earlier piece
+# had projected past a hunk it had not seen yet, where git's
+# xdl_append_merge takes the later piece's ends.
+
+
+def test_coalesced_conflict_takes_the_later_ends():
+    o, left, right = b"b\na\nb\nc\n", b"c\n", b"a\nc\n"
+    out = merge3(o, left, right)
+    # theirs' side of the conflict is "a" alone: the common "c" follows it
+    assert out.rendered == b"<<<<<<< ours\n=======\na\n>>>>>>> theirs\nc\n"
+    assert not reference.validate_merge_regions(out.regions, *(s.tokens for s in interned(o, left, right)))
+
+
+def test_coalesced_conflict_trims_in_zdiff3():
+    out = merge3(b"a\nc\nc\n", b"c\n", b"b\n", MergeOptions(style="zdiff3"))
+    assert out.regions == [MergeRegion(0, 3, 0, 1, 0, 1, CONFLICT)]
+    assert out.rendered == b"<<<<<<< ours\nc\n||||||| base\na\nc\nc\n=======\nb\n>>>>>>> theirs\n"
+
+
+def test_coalesced_conflict_stays_inside_theirs():
+    out = merge3(b"a\nb\nb\n", b"", b"b\n")
+    assert out.regions == [MergeRegion(0, 3, 0, 0, 0, 1, CONFLICT)]
+
+
+# A seeded property fuzz of merge3 over every algorithm and style.
+
+_FUZZ_LINES = (
+    b"a\n", b"b\n", b"c\n", b"d\n", b"a\r\n", b"\r\n", b"\n", b"x\x00y\n",
+    b"<<<<<<< ours\n", b"=======\n", b">>>>>>> theirs\n", b"||||||| base\n",
+)
+FUZZ_CONFIGS = [
+    MergeOptions(algorithm=algorithm, style=style, zealous=zealous)
+    for algorithm in ("myers", "minimal", "patience", "histogram")
+    for style, zealous in (("merge", True), ("merge", False), ("diff3", False), ("zdiff3", True), ("zdiff3", False))
+]
+
+
+def _fuzz_side(rng, base):
+    """base with a few hunks replaced, inserted or deleted."""
+    lines = list(base)
+    for _ in range(rng.randrange(5)):
+        at = rng.randrange(len(lines) + 1)
+        lines[at:at + rng.randrange(4)] = [rng.choice(_FUZZ_LINES) for _ in range(rng.randrange(4))]
+    data = b"".join(lines)
+    if data and rng.random() < 0.15:
+        data = data.rstrip(b"\n")
+    return data
+
+
+def _fuzz_triple(rng):
+    alphabet = _FUZZ_LINES[: rng.randrange(2, len(_FUZZ_LINES) + 1)]
+    base = [rng.choice(alphabet) for _ in range(rng.randrange(25))]
+    return _fuzz_side(rng, base), _fuzz_side(rng, base), _fuzz_side(rng, base)
+
+
+@pytest.mark.parametrize(
+    "options", FUZZ_CONFIGS,
+    ids=[f"{c.algorithm}-{c.style}{'-zealous' if c.zealous else ''}" for c in FUZZ_CONFIGS],
+)
+def test_merge3_fuzz(options):
+    rng = random.Random(f"merge-fuzz-{options.algorithm}-{options.style}-{options.zealous}")
+    for _ in range(300):
+        o, left, right = _fuzz_triple(rng)
+        out = merge3(o, left, right, options)
+        oo, ll, rr = interned(o, left, right)
+        pa = pl = pr = 0
+        for reg in out.regions:
+            assert pa <= reg.start_a <= reg.end_a <= len(oo), (o, left, right, reg)
+            assert pl <= reg.start_l <= reg.end_l <= len(ll), (o, left, right, reg)
+            assert pr <= reg.start_r <= reg.end_r <= len(rr), (o, left, right, reg)
+            # the ancestor may differ here: an identical change on both
+            # sides is dropped without a region
+            assert ll.tokens[pl:reg.start_l] == rr.tokens[pr:reg.start_r], (o, left, right)
+            pa, pl, pr = reg.end_a, reg.end_l, reg.end_r
+        assert ll.tokens[pl:] == rr.tokens[pr:], (o, left, right)
+        for mine, theirs, want in ((o, right, right), (left, o, left), (left, left, left)):
+            one_sided = merge3(o, mine, theirs, options)
+            assert one_sided.clean and one_sided.rendered == want, (o, mine, theirs)

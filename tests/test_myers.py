@@ -16,7 +16,7 @@ from diffmerge.myers import (
 )
 
 import reference
-from conftest import random_file
+from conftest import lines_executed, random_file
 
 
 def test_approx_sqrt_values():
@@ -180,3 +180,70 @@ def test_myers_flags_match_reference_split(monkeypatch, config):
         assert (flags.old_flags, flags.new_flags) == (want.old_flags, want.new_flags), (old, new)
         if config is MINIMAL:
             assert flags.flag_count() == oracle.min_edit_distance(old, new)
+
+
+# Differential tests against the frequent-line rule that rescans the block
+# around each frequent line, kept in reference.py.
+
+
+def _frequent_pair(rng):
+    """Old and new files built from long runs of repeated lines, lines found
+    in one file only, and a few shared ordinary lines."""
+
+    def build(tag):
+        out = []
+        length = rng.randrange(400)
+        while len(out) < length:
+            r = rng.random()
+            if r < 0.35:
+                out += [rng.choice((b"f\n", b"f\n", b"}\n"))] * rng.randrange(1, rng.choice((3, 80)))
+            elif r < 0.75:
+                out += [b"%s %d\n" % (tag, rng.randrange(10**6)) for _ in range(rng.randrange(1, 12))]
+            else:
+                out.append(b"shared %d\n" % rng.randrange(6))
+        return out
+
+    old = build(b"old")
+    if rng.random() < 0.5:
+        return old, build(b"new")
+    new = list(old)
+    for _ in range(rng.randrange(1, 6)):
+        at = rng.randrange(len(new) + 1)
+        new[at:at + rng.randrange(20)] = build(b"new")[: rng.randrange(30)]
+    return old, new
+
+
+@pytest.mark.parametrize("minimal", (False, True), ids=("myers", "minimal"))
+def test_preprocess_matches_reference(minimal):
+    rng = random.Random(f"preprocess-{minimal}")
+    fired = 0
+    for _ in range(400):
+        old, new = _frequent_pair(rng)
+        table = InternTable()
+        o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+        got = preprocess(o, n, minimal=minimal)
+        assert got == reference.preprocess_reference(o, n, minimal=minimal)
+        fired += got != preprocess(o, n, minimal=True)
+    # the frequent-line rule flags lines in a good share of the corpus
+    assert fired > 50 if not minimal else fired == 0
+
+
+def _frequent_run(n):
+    """A run of n repeated lines between two unmatched lines, and a block of
+    unmatched lines with every fifth line frequent, which the rule flags."""
+    table = InternTable()
+    run = table.intern(b"old\n" + b"f\n" * n + b"old end\n"), table.intern(b"new\n" + b"f\n" * (n // 2) + b"new end\n")
+    mixed = b"".join(b"f\n" if i % 5 == 2 else b"old %d\n" % i for i in range(n))
+    block = table.intern(b"top\n" + mixed + b"bottom\n"), table.intern(b"top\n" + b"f\n" * (n // 2) + b"bottom\n")
+    return run, block
+
+
+def test_preprocess_work_is_linear_in_a_frequent_run():
+    n = 1000
+    for old, new in _frequent_run(n):
+        for a, b in ((old, new), (new, old)):
+            assert preprocess(a, b, minimal=False) == reference.preprocess_reference(a, b, minimal=False)
+            # the rescanning reference executes 1.4M to 6.3M lines here
+            assert lines_executed(preprocess, a, b, minimal=False) <= 20 * n
+    old, new = _frequent_run(n)[1]
+    assert sum(preprocess(old, new, minimal=False).old_prechanged) == n

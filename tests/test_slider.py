@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from diffmerge.core import InternTable, apply_script, flags_to_script
 from diffmerge.engine import diff_lines
 from diffmerge.slider import (
@@ -17,7 +19,7 @@ from diffmerge.slider import (
 )
 
 import reference
-from conftest import random_file
+from conftest import lines_executed, random_file
 
 
 def test_line_indent_tabs_and_blanks():
@@ -232,3 +234,69 @@ def test_groups_match_reference():
         cases.append([rng.random() < density for _ in range(rng.randrange(30))])
     for flags in cases:
         assert _groups(flags) == reference.groups_reference(flags), flags
+
+
+# Differential tests against the indent heuristic that walks the blank lines
+# around each split on its own, kept in reference.py.
+
+_BLANKS = (b"\n", b"\n", b"  \n", b"\t\n", b"\r\n")
+_TEXT = (b"x\n", b"    y\n", b"\tz\n", b"  }\n", b"}\n", b"        w\n")
+
+
+def _blank_pair(rng):
+    """Old and new files with long runs of blank lines of several kinds."""
+
+    def build():
+        out = []
+        length = rng.randrange(300)
+        while len(out) < length:
+            if rng.random() < 0.4:
+                out += [rng.choice(_BLANKS)] * rng.randrange(1, rng.choice((4, 60)))
+            else:
+                out += [rng.choice(_TEXT) for _ in range(rng.randrange(1, 6))]
+        return out
+
+    old = build()
+    new = list(old)
+    for _ in range(rng.randrange(1, 6)):
+        at = rng.randrange(len(new) + 1)
+        new[at:at + rng.randrange(3)] = rng.choice((_BLANKS, _TEXT))[:rng.randrange(1, 4)] * rng.randrange(1, 4)
+    if rng.random() < 0.2:
+        new[-1:] = [line.rstrip(b"\n") for line in new[-1:]]
+    return old, new
+
+
+@pytest.mark.parametrize("algorithm", ("myers", "minimal", "patience", "histogram"))
+def test_slide_and_measure_match_reference(algorithm):
+    rng = random.Random(f"slider-{algorithm}")
+    moved = 0
+    for _ in range(100):
+        old_lines, new_lines = _blank_pair(rng)
+        table = InternTable()
+        old, new = table.intern(b"".join(old_lines)), table.intern(b"".join(new_lines))
+        for a, b in ((old, new), (new, old)):
+            flags = diff_lines(a, b, algorithm)
+            got = slide_changed_lines(flags, a, b)
+            assert got == reference.slide_changed_lines_reference(flags, a, b)
+            moved += got != flags
+        for split in range(len(new) + 1):
+            assert measure_split(new, split) == reference.measure_split_reference(new, split)
+    assert moved > 100
+
+
+def _blank_run(n):
+    """One blank line inserted into a run of n blank lines."""
+    table = InternTable()
+    return table.intern(b"x\n" + b"\n" * n + b"y\n"), table.intern(b"x\n" + b"\n" * (n + 1) + b"y\n")
+
+
+def test_slide_work_is_linear_in_a_blank_run():
+    n = 1000
+    old, new = _blank_run(n)
+    for a, b in ((old, new), (new, old)):
+        flags = diff_lines(a, b, "myers")
+        got = slide_changed_lines(flags, a, b)
+        assert got == reference.slide_changed_lines_reference(flags, a, b)
+        # the group slides over all n + 1 positions; the reference, which
+        # walks the run again for every split, executes 24M lines here
+        assert lines_executed(slide_changed_lines, flags, a, b) <= 200 * n
