@@ -264,7 +264,6 @@ def parse_unified(patch: bytes) -> EditScript:
     """Parse output of render_unified back into an edit script."""
     changes: list[Change] = []
     old_pos = new_pos = 0
-    pending: list[tuple[int, int, int, int]] | None = None
 
     def flush_run(run_old: list[int], run_new: list[int]) -> None:
         if run_old or run_new:
@@ -274,12 +273,9 @@ def parse_unified(patch: bytes) -> EditScript:
                 Change(so, so + len(run_old), sn, sn + len(run_new))
             )
 
-    lines = patch.split(b"\n")
-    i = 0
     run_old: list[int] = []
     run_new: list[int] = []
-    while i < len(lines):
-        line = lines[i]
+    for line in patch.split(b"\n"):
         if line.startswith(b"@@"):
             flush_run(run_old, run_new)
             run_old, run_new = [], []
@@ -299,7 +295,6 @@ def parse_unified(patch: bytes) -> EditScript:
             old_pos += 1
             new_pos += 1
         # "\ No newline at end of file" and blank tail lines need no action
-        i += 1
     flush_run(run_old, run_new)
     return EditScript(tuple(changes))
 

@@ -6,13 +6,14 @@ heads have several lowest common ancestors those are folded pairwise into
 virtual commits, recursing for each pairwise base; every invocation of the
 recursive merge function is counted in MergeStats.
 
-Ancestry is answered from a generation number per commit, 1 + the largest
-generation of its parents (git's commit-graph topological level), so the
-graph holds O(N) state.  Merge bases come from git's paint_down_to_common
-walk, which pops commits highest generation first, followed by
-remove_redundant; ancestry tests walk down from the descendant and stop
-below the generation of the candidate ancestor.  A walk therefore covers
-only the commits between the heads and the generation of their bases.
+Every commit carries its generation number, 1 + the largest generation of
+its parents (git's commit-graph topological level), so the graph holds O(N)
+state and each walk reads one commit lookup.  Merge bases come from git's
+paint_down_to_common walk followed by remove_redundant; every other
+ancestry question is one _Descent from the descendant, stopped at the
+generation of the candidate ancestor.  Both pop commits highest generation
+first, so a walk covers only the commits between the heads and that
+generation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class Commit:
     parents: tuple[str, ...]
     tree: dict[str, bytes]
     timestamp: int
+    generation: int
 
 
 @dataclass
@@ -66,7 +68,6 @@ class CommitGraph:
     def __init__(self) -> None:
         self.commits: dict[str, Commit] = {}
         self._next_ts = 0
-        self._generation: dict[str, int] = {}
 
     def add_commit(
         self,
@@ -84,16 +85,14 @@ class CommitGraph:
         if timestamp is None:
             timestamp = self._next_ts
         self._next_ts = max(self._next_ts, timestamp) + 1
-        commit = Commit(cid, parents, dict(tree or {}), timestamp)
-        self.commits[cid] = commit
-        self._generation[cid] = 1 + max((self._generation[p] for p in parents), default=0)
+        generation = 1 + max((self.commits[p].generation for p in parents), default=0)
+        commit = self.commits[cid] = Commit(cid, parents, dict(tree or {}), timestamp, generation)
         return commit
 
     def copy(self) -> CommitGraph:
         """A graph with the same commits; commits added later to one stay out of the other."""
         fresh = CommitGraph()
         fresh.commits = dict(self.commits)
-        fresh._generation = dict(self._generation)
         fresh._next_ts = self._next_ts
         return fresh
 
@@ -109,43 +108,46 @@ class CommitGraph:
     def __len__(self) -> int:
         return len(self.commits)
 
-    def _parents(self, cid: str) -> tuple[str, ...]:
-        return self.commits[cid].parents
-
     def ancestors_of(self, cid: str) -> frozenset[str]:
         """Ancestors including the commit itself."""
-        if cid not in self.commits:
-            raise UnknownCommit(cid)
-        return frozenset(_reachable((cid,), self._parents, self._generation.__getitem__, 0))
+        return frozenset(_Descent([self[cid].id], self.commits.__getitem__).lower(0))
 
     def is_ancestor(self, a: str, b: str) -> bool:
         """Whether a is b or one of its ancestors; an unknown a is no ancestor."""
-        if b not in self.commits:
-            raise UnknownCommit(b)
-        if a not in self.commits:
-            return False
-        # an ancestor's generation is lower than each of its descendants'
-        floor = self._generation[a]
-        return a in _reachable((b,), self._parents, self._generation.__getitem__, floor)
+        descent = _Descent([self[b].id], self.commits.__getitem__)
+        return a in self.commits and a in descent.lower(self.commits[a].generation)
 
 
-def _reachable(starts, parents_of, generation_of, floor: int) -> set[str]:
-    """The starts and the ancestors reachable from them through commits whose
-    generation is at least ``floor``."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for p in parents_of(stack.pop()):
-            if p not in seen and generation_of(p) >= floor:
-                seen.add(p)
-                stack.append(p)
-    return seen
+class _Descent:
+    """The ancestors of some start commits, expanded highest generation first.
+
+    ``lower(floor)`` expands every queued commit whose generation is above
+    ``floor`` and returns the commits seen so far.  Every commit on a path
+    down to a commit has a higher generation than it, so afterwards the set
+    holds every reachable commit of generation ``floor`` or more, and only
+    reachable commits.  A later call with a lower floor resumes where this
+    one stopped."""
+
+    def __init__(self, starts, commit_of) -> None:
+        self.commit_of = commit_of
+        self.seen = set(starts)
+        self.queue = [(-commit_of(cid).generation, cid) for cid in self.seen]
+        heapq.heapify(self.queue)
+
+    def lower(self, floor: int) -> set[str]:
+        queue, seen, commit_of = self.queue, self.seen, self.commit_of
+        while queue and -queue[0][0] > floor:
+            for p in commit_of(heapq.heappop(queue)[1]).parents:
+                if p not in seen:
+                    seen.add(p)
+                    heapq.heappush(queue, (-commit_of(p).generation, p))
+        return seen
 
 
 _PARENT1, _PARENT2, _STALE = 1, 2, 4
 
 
-def _merge_bases(a: str, b: str, parents_of, generation_of) -> list[str]:
+def _merge_bases(a: str, b: str, commit_of) -> list[str]:
     """Lowest common ancestors of a and b: git's paint_down_to_common, then
     remove_redundant.
 
@@ -157,7 +159,7 @@ def _merge_bases(a: str, b: str, parents_of, generation_of) -> list[str]:
     """
     paint = {a: _PARENT1}
     paint[b] = paint.get(b, 0) | _PARENT2
-    queue = [(-generation_of(cid), cid) for cid in paint]
+    queue = [(-commit_of(cid).generation, cid) for cid in paint]
     heapq.heapify(queue)
     nonstale = len(queue)  # queued commits not painted STALE
     candidates = []
@@ -169,32 +171,32 @@ def _merge_bases(a: str, b: str, parents_of, generation_of) -> list[str]:
         if flags == _PARENT1 | _PARENT2:
             candidates.append(cid)
             flags |= _STALE
-        for p in parents_of(cid):
+        for p in commit_of(cid).parents:
             # p is below cid, so it is still queued if it was painted at all
             old = paint.get(p, 0)
             if old | flags == old:
                 continue
             paint[p] = old | flags
             if not old:
-                heapq.heappush(queue, (-generation_of(p), p))
+                heapq.heappush(queue, (-commit_of(p).generation, p))
                 if not flags & _STALE:
                     nonstale += 1
             elif flags & _STALE and not old & _STALE:
                 nonstale -= 1
-    return _remove_redundant(candidates, parents_of, generation_of)
+    return _remove_redundant(candidates, commit_of)
 
 
-def _remove_redundant(candidates: list[str], parents_of, generation_of) -> list[str]:
+def _remove_redundant(candidates: list[str], commit_of) -> list[str]:
     """Drop every candidate that is an ancestor of another candidate.
 
     The generation order already leaves the walk's candidates independent;
-    as in git, the result is still checked, by one walk that stops below the
-    lowest candidate's generation."""
+    as in git, the result is still checked, by one descent from the
+    candidates' parents that stops at the lowest candidate's generation."""
     if len(candidates) < 2:
         return candidates
-    floor = min(generation_of(cid) for cid in candidates)
-    starts = [p for cid in candidates for p in parents_of(cid) if generation_of(p) >= floor]
-    below = _reachable(starts, parents_of, generation_of, floor)
+    floor = min(commit_of(cid).generation for cid in candidates)
+    starts = [p for cid in candidates for p in commit_of(cid).parents]
+    below = _Descent(starts, commit_of).lower(floor)
     return [cid for cid in candidates if cid not in below]
 
 
@@ -225,30 +227,19 @@ class _MergeContext:
         self.stats = stats
         self.options = options
         self.virtual: dict[str, Commit] = {}
-        self.virtual_gen: dict[str, int] = {}
 
     # The entry points reject unknown heads, and every id a walk reaches is
-    # a parent of a known commit, so these read the maps directly.
+    # a parent of a known commit, so this reads the maps directly.
     def commit(self, cid: str) -> Commit:
         if cid in self.virtual:
             return self.virtual[cid]
         return self.graph.commits[cid]
 
-    def parents(self, cid: str) -> tuple[str, ...]:
-        if cid in self.virtual:
-            return self.virtual[cid].parents
-        return self.graph.commits[cid].parents
-
-    def generation(self, cid: str) -> int:
-        if cid in self.virtual_gen:
-            return self.virtual_gen[cid]
-        return self.graph._generation[cid]
-
     def new_virtual(self, parents: tuple[str, str], tree: dict[str, bytes]) -> str:
         cid = f"virtual:{len(self.virtual)}"
-        ts = max(self.commit(p).timestamp for p in parents)
-        self.virtual[cid] = Commit(cid, parents, tree, ts)
-        self.virtual_gen[cid] = 1 + max(self.generation(p) for p in parents)
+        bases = [self.commit(p) for p in parents]
+        ts = max(c.timestamp for c in bases)
+        self.virtual[cid] = Commit(cid, parents, tree, ts, 1 + max(c.generation for c in bases))
         return cid
 
 
@@ -257,11 +248,11 @@ def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
     for cid in (a, b):
         if cid not in graph:
             raise UnknownCommit(cid)
-    return set(_merge_bases(a, b, graph._parents, graph._generation.__getitem__))
+    return set(_merge_bases(a, b, graph.commits.__getitem__))
 
 
 def _lca(ctx: _MergeContext, a: str, b: str) -> list[str]:
-    bases = _merge_bases(a, b, ctx.parents, ctx.generation)
+    bases = _merge_bases(a, b, ctx.commit)
     # descending creation time; id breaks ties deterministically
     return sorted(bases, key=lambda cid: (-ctx.commit(cid).timestamp, cid))
 
@@ -443,16 +434,20 @@ def rebase(
     onto: str,
     options: MergeOptions | None = None,
 ) -> RebaseResult:
-    """Replay the branch's first-parent chain onto another head, pick by pick."""
+    """Replay the branch's first-parent chain onto another head, pick by pick.
+
+    The chain ends at the first commit that is an ancestor of ``onto``.  Its
+    generations fall strictly, so one descent from ``onto``, lowered to each
+    chain commit's generation in turn, answers every step."""
     options = options or MergeOptions()
+    below_onto = _Descent([graph[onto].id], graph.commits.__getitem__)
     chain = []
-    cur = branch_head
-    while not graph.is_ancestor(cur, onto):
-        commit = graph[cur]
-        chain.append(cur)
+    commit = graph[branch_head]
+    while commit.id not in below_onto.lower(commit.generation):
+        chain.append(commit.id)
         if not commit.parents:
             break
-        cur = commit.parents[0]
+        commit = graph.commits[commit.parents[0]]
     chain.reverse()
 
     tip = onto

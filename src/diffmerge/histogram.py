@@ -36,18 +36,16 @@ _GALLOP = 8
 
 @dataclass
 class OccurrenceIndex:
-    """Ascending positions of each token within old[lo:hi]."""
+    """Ascending positions of each token within the old file."""
 
     occurrences: dict[int, list[int]]
-    lo: int = 0
-    hi: int = 0
-    # occurrence count of each line of old[lo:hi], built on first use
+    # occurrence count of each line of the old file, built on first use
     counts: list[int] | None = None
 
     def line_counts(self, tokens: list[int]) -> list[int]:
         if self.counts is None:
             occ = self.occurrences
-            self.counts = [len(occ[t]) for t in tokens[self.lo:self.hi]]
+            self.counts = [len(occ[t]) for t in tokens]
         return self.counts
 
 
@@ -66,18 +64,16 @@ class FallbackSignal(Exception):
     pass
 
 
-def scan_a(tokens: list[int], lo: int = 0, hi: int | None = None) -> OccurrenceIndex:
-    """Map each token to its ascending positions within old[lo:hi]."""
-    if hi is None:
-        hi = len(tokens)
+def scan_a(tokens: list[int]) -> OccurrenceIndex:
+    """Map each token to its ascending positions within the old file."""
     occ: dict[int, list[int]] = {}
-    for i in range(lo, hi):
-        positions = occ.get(tokens[i])
+    for i, tok in enumerate(tokens):
+        positions = occ.get(tok)
         if positions is None:
-            occ[tokens[i]] = [i]
+            occ[tok] = [i]
         else:
             positions.append(i)
-    return OccurrenceIndex(occ, lo, hi)
+    return OccurrenceIndex(occ)
 
 
 def _run_forward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
@@ -144,20 +140,16 @@ def find_split(
     hi1: int,
     lo2: int,
     hi2: int,
-    index: OccurrenceIndex | None = None,
+    index: OccurrenceIndex,
 ) -> Region | None:
-    """Pick the split region for old[lo1:hi1] vs new[lo2:hi2].
-
-    ``index`` is ``scan_a`` over a range of old that holds [lo1, hi1); when
-    omitted, old[lo1:hi1] is scanned for this call alone.
+    """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``index`` is
+    ``scan_a`` over the whole old file.
 
     Returns None when the files share no usable region; raises FallbackSignal when
     common lines exist but all of them occur more than 64 times in old.
     """
-    if index is None:
-        index = scan_a(a, lo1, hi1)
     occ = index.occurrences
-    whole = index.lo == lo1 and index.hi == hi1
+    whole = lo1 == 0 and hi1 == len(a)
     counts: list[int] | None = None
     sub_counts: dict[int, int] | None = None
     has_common = False
@@ -206,7 +198,7 @@ def find_split(
                     if longer or lowest > 1:
                         if counts is None:
                             counts = index.line_counts(a)
-                        record_count = min(counts[begin1 - index.lo:end1 + 1 - index.lo])
+                        record_count = min(counts[begin1:end1 + 1])
                         if not whole and record_count > 1:
                             # counts inside old[lo1:hi1] are at most the index's
                             # counts and at least 1, so a 1 above stays exact

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import EditScript, InternedSequence, InternTable, flags_to_script
+from .core import Change, EditScript, InternedSequence, InternTable, flags_to_script
 from .engine import diff_lines
 
 LEFT = "left-change"
@@ -101,10 +101,12 @@ def compute_merge_regions(
                 return
         regions.append(MergeRegion(sa, ea, sl, el, sr, er, kind))
 
-    ls = list(changes_l)
-    rs = list(changes_r)
+    # an end marker past both files closes each list; a change beside it
+    # projects with the length difference of the files
+    ls = [*changes_l, Change(len_o + 1, len_o + 1, len(left) + 1, len(left) + 1)]
+    rs = [*changes_r, Change(len_o + 1, len_o + 1, len(right) + 1, len(right) + 1)]
     i = j = 0
-    while i < len(ls) and j < len(rs):
+    while i < len(ls) - 1 or j < len(rs) - 1:
         cl, cr = ls[i], rs[j]
         if cl.end_old < cr.start_old:
             off = cr.start_new - cr.start_old
@@ -141,19 +143,6 @@ def compute_merge_regions(
             j += 1
         if cr.end_old >= cl.end_old:
             i += 1
-    len_l, len_r = len(left), len(right)
-    while i < len(ls):
-        cl = ls[i]
-        off = len_r - len_o
-        emit(LEFT, cl.start_old, cl.end_old, cl.start_new, cl.end_new,
-             cl.start_old + off, cl.end_old + off)
-        i += 1
-    while j < len(rs):
-        cr = rs[j]
-        off = len_l - len_o
-        emit(RIGHT, cr.start_old, cr.end_old, cr.start_old + off, cr.end_old + off,
-             cr.start_new, cr.end_new)
-        j += 1
 
     _check_ordering(regions)
     return regions

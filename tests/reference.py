@@ -3,6 +3,7 @@
 Each is either a brute-force answer (LCS by memoised recursion, every LIS
 by enumeration, frozenset ancestry) or the first, simpler form of code that
 was later rewritten for speed: the per-subproblem histogram rescan, the
+rebase that tests each chain commit for ancestry with a walk of its own, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the line-by-line flag scans, the frequent-line rule that rescans a
 block around each of its lines, and the indent heuristic that rescans the
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, EditScript, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
 from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
@@ -116,6 +118,28 @@ def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
     ancestor, by comparing every pair; ``ancestors_of(cid)`` includes cid."""
     common = ancestors_of(a) & ancestors_of(b)
     return {c for c in common if not any(other != c and c in ancestors_of(other) for other in common)}
+
+
+def rebase_reference(graph, branch_head: str, onto: str, options=None):
+    """graph.rebase as it was before its one-walk chain: one is_ancestor walk
+    per first-parent commit, then the same picks."""
+    chain = []
+    cur = branch_head
+    while not graph.is_ancestor(cur, onto):
+        commit = graph[cur]
+        chain.append(cur)
+        if not commit.parents:
+            break
+        cur = commit.parents[0]
+    chain.reverse()
+
+    tip = onto
+    for index, cid in enumerate(chain):
+        result = graph_mod.cherry_pick(graph, cid, tip, options, new_id=graph_mod._DefaultId(f"rebase({cid}@{tip})"))
+        if result.kind == "conflict":
+            return graph_mod.RebaseResult("conflict", None, index, result.conflicts)
+        tip = result.commit.id
+    return graph_mod.RebaseResult("clean", tip)
 
 
 def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo2: int, hi2: int) -> Region | None:

@@ -1,4 +1,4 @@
-"""Generation-number ancestry against the frozenset reference in reference.py."""
+"""Generation-number ancestry and rebase against the references in reference.py."""
 
 import random
 import tracemalloc
@@ -6,10 +6,11 @@ import tracemalloc
 import pytest
 
 from diffmerge import graph as graph_mod
-from diffmerge.graph import CommitGraph, MergeStats, UnknownCommit, lowest_common_ancestors, merge_commits
+from diffmerge.graph import CommitGraph, MergeStats, MultiParent, UnknownCommit, lowest_common_ancestors, merge_commits, rebase
 from diffmerge.merge3 import MergeOptions
 
 import reference
+from conftest import lines_executed
 
 # name -> keyword arguments of random_dag
 SHAPES = {
@@ -167,3 +168,49 @@ def test_long_chain_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _rebase_outcome(rebase_fn, g, head, onto):
+    copy = g.copy()
+    try:
+        result = rebase_fn(copy, head, onto)
+    except MultiParent as exc:
+        # a merge commit on the chain cannot be picked
+        return "multi-parent", str(exc)
+    tree = copy[result.head].tree if result.head is not None else None
+    return result.kind, result.head, result.failed_index, result.conflicts, tree
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_rebase_matches_per_step_ancestry_reference(shape):
+    rng = random.Random(f"rebase/{shape}")
+    g = random_dag(rng, **SHAPES[shape], edit=_edit_one_line)
+    ref = reference.ancestors_reference(g)
+    pairs = query_pairs(rng, g, 40) + ancestor_pairs(rng, g, ref, 5)
+    kinds = set()
+    for head, onto in pairs:
+        got = _rebase_outcome(rebase, g, head, onto)
+        assert got == _rebase_outcome(reference.rebase_reference, g, head, onto), (head, onto)
+        kinds.add(got[0])
+    assert {"clean", "conflict"} <= kinds
+
+
+def test_rebase_walks_the_mainline_once():
+    # a k-commit branch forked at the root of an N-commit mainline: a walk
+    # per branch commit would cover the mainline k times
+    n, k = 2000, 200
+    g = CommitGraph()
+    g.add_commit("m0")
+    for i in range(1, n):
+        g.add_commit(f"m{i}", (f"m{i - 1}",))
+    g.add_commit("b0", ("m0",))
+    for i in range(1, k):
+        g.add_commit(f"b{i}", (f"b{i - 1}",))
+    work = lines_executed(rebase, g, f"b{k - 1}", f"m{n - 1}")
+    result = rebase(g, f"b{k - 1}", f"m{n - 1}")
+    assert result.kind == "clean"
+    head = g[result.head]
+    for _ in range(k):
+        head = g[head.parents[0]]
+    assert head.id == f"m{n - 1}"
+    assert work <= 20 * (n + k), work

@@ -17,6 +17,7 @@ from diffmerge.core import (
     split_lines,
 )
 from diffmerge.engine import ALGORITHMS, diff_lines
+from diffmerge.slider import slide_changed_lines
 
 import reference
 from conftest import random_file
@@ -200,6 +201,39 @@ def test_render_parse_apply_round_trip():
         context = rng.randrange(4)
         reparsed = parse_unified(render_unified(old, new, script, context))
         assert apply_script(old, reparsed, new) == b
+
+
+# lines a patch parser could mistake for its own syntax, and bytes that line
+# splitting must carry through
+_HOSTILE_LINES = [
+    b"-x\n", b"+y\n", b"@@ -1 +1 @@\n", b"\\ No newline at end of file\n", b"<<<<<<< ours\n",
+    b"a\r\n", b"\r\n", b"\x00\n", b"b\x00c\n", b"\n", b"a\n", b"b\n", b"-\n", b"+\n",
+]
+
+
+def test_render_parse_apply_round_trip_hostile_lines():
+    rng = random.Random("render-parse-apply")
+    for _ in range(300):
+        old_lines = [rng.choice(_HOSTILE_LINES) for _ in range(rng.randrange(30))]
+        new_lines = list(old_lines)
+        for _ in range(rng.randrange(1, 5)):
+            at = rng.randrange(len(new_lines) + 1)
+            new_lines[at:at + rng.randrange(3)] = rng.choices(_HOSTILE_LINES, k=rng.randrange(3))
+        a, b = b"".join(old_lines), b"".join(new_lines)
+        if a and rng.random() < 0.3:
+            a = a[:-1]
+        if b and rng.random() < 0.3:
+            b = b[:-1]
+        table = InternTable()
+        old, new = table.intern(a), table.intern(b)
+        for algo in ALGORITHMS:
+            flags = diff_lines(old, new, algo)
+            for slide in (False, True):
+                script = flags_to_script(slide_changed_lines(flags, old, new) if slide else flags, old, new)
+                for context in range(4):
+                    reparsed = parse_unified(render_unified(old, new, script, context))
+                    assert reparsed == script, (a, b, algo, slide, context)
+                    assert apply_script(old, reparsed, new) == b
 
 
 # Differential tests against the line-by-line scan kept in reference.py.

@@ -38,14 +38,14 @@ def test_scan_a_many_repeats():
 def test_find_split_unique_shared_prefix():
     a = toks("xAy")
     b = toks("xAz")
-    region = find_split(a, b, 0, 3, 0, 3)
+    region = find_split(a, b, 0, 3, 0, 3, scan_a(a))
     assert (region.begin1, region.end1, region.begin2, region.end2) == (0, 1, 0, 1)
 
 
 def test_find_split_pivots_on_moved_unique_line():
     table = InternTable()
     old, new = (table.intern(f) for f in histogram_bad_family(3))
-    region = find_split(old.tokens, new.tokens, 0, 7, 0, 7)
+    region = find_split(old.tokens, new.tokens, 0, 7, 0, 7, scan_a(old.tokens))
     # the unique A wins on record count despite the longer repeated block
     assert (region.begin1, region.end1) == (0, 0)
     assert (region.begin2, region.end2) == (6, 6)
@@ -56,11 +56,12 @@ def test_find_split_fallback_when_all_common_lines_frequent():
     a = [1] * 70
     b = [1] * 70 + [2]
     with pytest.raises(FallbackSignal):
-        find_split(a, b, 0, len(a), 0, len(b))
+        find_split(a, b, 0, len(a), 0, len(b), scan_a(a))
 
 
 def test_find_split_none_when_nothing_common():
-    assert find_split(toks("ab"), toks("cd"), 0, 2, 0, 2) is None
+    a = toks("ab")
+    assert find_split(a, toks("cd"), 0, 2, 0, 2, scan_a(a)) is None
 
 
 def test_diff_identical(intern_pair):
@@ -168,8 +169,8 @@ def _assert_same_flags(old_bytes, new_bytes):
 
 
 def _assert_same_splits(rng, a, b, trials):
-    """Compare find_split with the reference on random subranges, with the
-    whole-file index and with none."""
+    """Compare find_split with the reference on random subranges and on the
+    whole files."""
     index = scan_a(a)
     for _ in range(trials):
         lo1 = rng.randrange(len(a) + 1)
@@ -178,7 +179,6 @@ def _assert_same_splits(rng, a, b, trials):
         hi2 = rng.randrange(lo2, len(b) + 1)
         want = _split_or_fallback(reference.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
         assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index) == want
-        assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2) == want
     whole = (0, len(a), 0, len(b))
     assert _split_or_fallback(find_split, a, b, *whole, index) == _split_or_fallback(
         reference.histogram_split_reference, a, b, *whole
@@ -262,7 +262,7 @@ def test_over_cap_corpus_reaches_fallback():
         old, new = _corpus(rng, "over-cap")
         table = InternTable()
         a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
-        fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b)) == "fallback"
+        fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b), scan_a(a)) == "fallback"
     assert fallbacks > 0
 
 
