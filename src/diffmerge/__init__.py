@@ -49,11 +49,10 @@ from .merge3 import (
     merge3,
     refine_zealous,
 )
-from .myers import MINIMAL, MYERS, HeuristicConfig, approx_sqrt, diff_myers, preprocess
+from .myers import MINIMAL, MYERS, approx_sqrt, diff_myers, preprocess
 from .patience import diff_patience, find_matching_unique_lines, patience_lis
 from .slider import (
     DEFAULT_WEIGHTS,
-    IndentWeights,
     SplitMeasurement,
     measure_split,
     slidable_range,
@@ -70,7 +69,7 @@ __all__ = [
     "RangeError", "apply_script", "flags_to_script", "parse_unified", "render_unified", "script_to_flags",
     "split_lines",
     # diff algorithms
-    "ALGORITHMS", "diff_lines", "diff_histogram", "MINIMAL", "MYERS", "HeuristicConfig", "approx_sqrt",
+    "ALGORITHMS", "diff_lines", "diff_histogram", "MINIMAL", "MYERS", "approx_sqrt",
     "diff_myers", "preprocess", "diff_patience", "find_matching_unique_lines", "patience_lis",
     # graph
     "Commit", "CommitGraph", "GraphError", "MergeResult", "MergeStats", "MultiParent", "RebaseResult",
@@ -80,6 +79,6 @@ __all__ = [
     "CONFLICT", "LEFT", "RIGHT", "SAME", "InvariantViolation", "MergeOptions", "MergeOutcome", "MergeRegion",
     "compute_merge_regions", "merge3", "refine_zealous",
     # slider
-    "DEFAULT_WEIGHTS", "IndentWeights", "SplitMeasurement", "measure_split", "slidable_range",
+    "DEFAULT_WEIGHTS", "SplitMeasurement", "measure_split", "slidable_range",
     "slide_changed_lines", "slide_group", "split_penalty",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .core import ChangedLines, InternedSequence
 from .histogram import diff_histogram
-from .myers import MINIMAL, MYERS, diff_myers
+from .myers import diff_myers
 from .patience import diff_patience
 
 ALGORITHMS = ("myers", "minimal", "patience", "histogram")
@@ -12,9 +12,9 @@ ALGORITHMS = ("myers", "minimal", "patience", "histogram")
 
 def diff_lines(old: InternedSequence, new: InternedSequence, algorithm: str = "myers") -> ChangedLines:
     if algorithm == "myers":
-        return diff_myers(old, new, MYERS)
+        return diff_myers(old, new)
     if algorithm == "minimal":
-        return diff_myers(old, new, MINIMAL)
+        return diff_myers(old, new, minimal=True)
     if algorithm == "patience":
         return diff_patience(old, new)
     if algorithm == "histogram":

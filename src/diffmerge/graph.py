@@ -9,8 +9,9 @@ recursive merge function is counted in MergeStats.
 Every commit carries its generation number, 1 + the largest generation of
 its parents (git's commit-graph topological level), so the graph holds O(N)
 state and each walk reads one commit lookup.  Merge bases come from git's
-paint_down_to_common walk followed by remove_redundant; every other
-ancestry question is one _Descent from the descendant, stopped at the
+paint_down_to_common walk, whose generation order leaves its candidates
+independent without git's remove_redundant check; every other ancestry
+question is one _Descent from the descendant, stopped at the
 generation of the candidate ancestor.  Both pop commits highest generation
 first, so a walk covers only the commits between the heads and that
 generation.
@@ -148,14 +149,16 @@ _PARENT1, _PARENT2, _STALE = 1, 2, 4
 
 
 def _merge_bases(a: str, b: str, commit_of) -> list[str]:
-    """Lowest common ancestors of a and b: git's paint_down_to_common, then
-    remove_redundant.
+    """Lowest common ancestors of a and b: git's paint_down_to_common.
 
     Ancestors of a are painted PARENT1 and those of b PARENT2.  A commit
     painted both is a candidate, and everything below it is STALE; the walk
     ends when only stale commits are queued.  Commits leave the queue
     highest generation first, and every descendant has a higher generation,
-    so a commit's paint is final when it is popped.
+    so a commit's paint is final when it is popped.  In particular a
+    candidate is popped before its ancestors and paints them STALE first,
+    so no candidate is an ancestor of another and git's remove_redundant
+    check is not needed.
     """
     paint = {a: _PARENT1}
     paint[b] = paint.get(b, 0) | _PARENT2
@@ -183,21 +186,7 @@ def _merge_bases(a: str, b: str, commit_of) -> list[str]:
                     nonstale += 1
             elif flags & _STALE and not old & _STALE:
                 nonstale -= 1
-    return _remove_redundant(candidates, commit_of)
-
-
-def _remove_redundant(candidates: list[str], commit_of) -> list[str]:
-    """Drop every candidate that is an ancestor of another candidate.
-
-    The generation order already leaves the walk's candidates independent;
-    as in git, the result is still checked, by one descent from the
-    candidates' parents that stops at the lowest candidate's generation."""
-    if len(candidates) < 2:
-        return candidates
-    floor = min(commit_of(cid).generation for cid in candidates)
-    starts = [p for cid in candidates for p in commit_of(cid).parents]
-    below = _Descent(starts, commit_of).lower(floor)
-    return [cid for cid in candidates if cid not in below]
+    return candidates
 
 
 def graph_from_jsonl(text: str) -> CommitGraph:

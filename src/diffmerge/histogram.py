@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import ChangedLines, InternedSequence
-from .myers import MYERS, myers_flags
+from .myers import myers_flags
 
 MAX_OCCURRENCES = 64
 # Lines compared one by one before a run is extended by slice compares.
@@ -244,7 +244,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
         try:
             split = find_split(a, b, lo1, hi1, lo2, hi2, index)
         except FallbackSignal:
-            sub = myers_flags(a[lo1:hi1], b[lo2:hi2], MYERS)
+            sub = myers_flags(a[lo1:hi1], b[lo2:hi2])
             of[lo1:hi1] = sub.old_flags
             nf[lo2:hi2] = sub.new_flags
             continue

@@ -202,40 +202,14 @@ def refine_zealous(
     return pieces
 
 
-def _remerge_close_conflicts(regions: list[MergeRegion]) -> list[MergeRegion]:
-    out: list[MergeRegion] = []
-    for region in regions:
-        if (
-            out
-            and out[-1].kind == CONFLICT
-            and region.kind == CONFLICT
-            and region.start_l - out[-1].end_l < _REMERGE_GAP
-        ):
-            prev = out[-1]
-            out[-1] = MergeRegion(
-                prev.start_a,
-                max(prev.end_a, region.end_a),
-                prev.start_l,
-                region.end_l,
-                prev.start_r,
-                region.end_r,
-                CONFLICT,
-            )
-        else:
-            out.append(region)
-    return out
-
-
-def _demote_equal_sides(regions: list[MergeRegion], left: InternedSequence, right: InternedSequence) -> list[MergeRegion]:
-    out = []
-    for region in regions:
-        if (
-            region.kind == CONFLICT
-            and left.tokens[region.start_l:region.end_l] == right.tokens[region.start_r:region.end_r]
-        ):
-            region = replace(region, kind=SAME)
-        out.append(region)
-    return out
+def _demote_equal_sides(region: MergeRegion, left: InternedSequence, right: InternedSequence) -> MergeRegion:
+    """A conflict whose two sides hold the same lines becomes a same-change."""
+    if (
+        region.kind == CONFLICT
+        and left.tokens[region.start_l:region.end_l] == right.tokens[region.start_r:region.end_r]
+    ):
+        return replace(region, kind=SAME)
+    return region
 
 
 def _trim_zdiff3(region: MergeRegion, o: InternedSequence, left: InternedSequence, right: InternedSequence) -> MergeRegion:
@@ -327,11 +301,15 @@ def merge_regions_pipeline(
     if options.zealous and options.style == "merge":
         refined: list[MergeRegion] = []
         for region in regions:
-            refined.extend(refine_zealous(region, left, right, options.algorithm))
-        refined = _demote_equal_sides(refined, left, right)  # pre-join check
-        refined = _remerge_close_conflicts(refined)
+            for piece in refine_zealous(region, left, right, options.algorithm):
+                piece = _demote_equal_sides(piece, left, right)
+                prev = refined[-1] if refined else None
+                if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l < _REMERGE_GAP:
+                    refined[-1] = replace(prev, end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
+                else:
+                    refined.append(piece)
         if not options.skip_remerge_recheck:
-            refined = _demote_equal_sides(refined, left, right)
+            refined = [_demote_equal_sides(r, left, right) for r in refined]
         regions = refined
     elif options.style == "zdiff3" and options.zealous:
         regions = [

@@ -4,7 +4,9 @@ The ``myers`` option runs the bidirectional shortest-edit-script search and
 may pivot early on a long diagonal run (snake) or on the furthest frontier
 point once a step budget is exhausted.  The ``minimal`` option disables both
 cutoffs and also skips the frequent-line preprocessing step, so its output
-length always equals the true minimal edit distance.
+length always equals the true minimal edit distance.  The cutoffs are git's
+fixed constants (``XDL_SNAKE_CNT`` and ``XDL_HEUR_MIN_COST`` in
+``xdiff/xdiffi.c``).
 """
 
 from __future__ import annotations
@@ -23,22 +25,21 @@ def approx_sqrt(n: int) -> int:
     return p
 
 
-@dataclass
-class HeuristicConfig:
-    enable_heuristics: bool = True
-    snake_length: int = 20
-    min_steps: int = 256
+SNAKE_CNT = 20  # a diagonal run longer than this is a snake
+HEUR_MIN_COST = 256  # steps before the snake cutoff may fire, and the budget's floor
 
-    def step_budget(self, n: int) -> int:
-        # The budget never drops below min_steps: a smaller budget would make
-        # the cutoff fire on tiny files, which contradicts both observed Git
-        # behaviour and the requirement that heuristics stay inert below the
-        # 256-step threshold.
-        return max(approx_sqrt(n), self.min_steps)
+MYERS = False  # the two values of the ``minimal`` argument
+MINIMAL = True
 
 
-MYERS = HeuristicConfig(enable_heuristics=True)
-MINIMAL = HeuristicConfig(enable_heuristics=False)
+def step_budget(n: int) -> int:
+    """Steps the search takes before the budget cutoff fires.
+
+    The budget never drops below HEUR_MIN_COST: a smaller budget would make
+    the cutoff fire on tiny files, which contradicts both observed Git
+    behaviour and the requirement that heuristics stay inert below the
+    256-step threshold."""
+    return max(approx_sqrt(n), HEUR_MIN_COST)
 
 
 @dataclass
@@ -271,8 +272,10 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
         ec += 1
 
 
-def _recs_cmp(env: _SearchEnv, rchg1: list[bool], rchg2: list[bool]) -> None:
+def _recs_cmp(env: _SearchEnv) -> ChangedLines:
     ha1, ha2 = env.ha1, env.ha2
+    rchg1 = [False] * len(ha1)
+    rchg2 = [False] * len(ha2)
     stack = [(0, len(ha1), 0, len(ha2), env.need_min)]
     while stack:
         off1, lim1, off2, lim2, need_min = stack.pop()
@@ -292,30 +295,18 @@ def _recs_cmp(env: _SearchEnv, rchg1: list[bool], rchg2: list[bool]) -> None:
             i1, i2, min_lo, min_hi = _split(env, off1, lim1, off2, lim2, need_min)
             stack.append((i1, lim1, i2, lim2, min_hi))
             stack.append((off1, i1, off2, i2, min_lo))
+    return ChangedLines(rchg1, rchg2)
 
 
-def myers_flags(old_tokens: list[int], new_tokens: list[int], config: HeuristicConfig) -> ChangedLines:
+def myers_flags(old_tokens: list[int], new_tokens: list[int], minimal: bool = False) -> ChangedLines:
     """Run the bidirectional search on bare token lists (no preprocessing)."""
-    of = [False] * len(old_tokens)
-    nf = [False] * len(new_tokens)
-    budget = config.step_budget(len(old_tokens) + len(new_tokens))
-    env = _SearchEnv(
-        old_tokens,
-        new_tokens,
-        need_min=not config.enable_heuristics,
-        snake=config.snake_length,
-        heur_min=config.min_steps,
-        mxcost=budget,
-    )
-    _recs_cmp(env, of, nf)
-    return ChangedLines(of, nf)
+    budget = step_budget(len(old_tokens) + len(new_tokens))
+    return _recs_cmp(_SearchEnv(old_tokens, new_tokens, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
 
 
-def diff_myers(old: InternedSequence, new: InternedSequence, config: HeuristicConfig | None = None) -> ChangedLines:
+def diff_myers(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
     """Full myers/minimal pipeline: preprocess, search kept lines, map back."""
-    if config is None:
-        config = MYERS
-    cls = preprocess(old, new, minimal=not config.enable_heuristics)
+    cls = preprocess(old, new, minimal=minimal)
     n, m = len(old), len(new)
     of = cls.old_prechanged
     nf = cls.new_prechanged
@@ -325,7 +316,7 @@ def diff_myers(old: InternedSequence, new: InternedSequence, config: HeuristicCo
     sub = myers_flags(
         [old.tokens[i] for i in kept_old],
         [new.tokens[j] for j in kept_new],
-        config,
+        minimal,
     )
     for i, flag in zip(kept_old, sub.old_flags):
         if flag:

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .core import ChangedLines, InternedSequence
-from .myers import MYERS, myers_flags
+from .myers import myers_flags
 
 
 class UniqueMatch(NamedTuple):
@@ -80,7 +80,7 @@ def diff_patience(old: InternedSequence, new: InternedSequence) -> ChangedLines:
 
         lcs = patience_lis(find_matching_unique_lines(a, b, lo_a, hi_a, lo_b, hi_b))
         if not lcs:
-            sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b], MYERS)
+            sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b])
             of[lo_a:hi_a] = sub.old_flags
             nf[lo_b:hi_b] = sub.new_flags
             continue

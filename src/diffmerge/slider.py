@@ -17,6 +17,9 @@ _MAX_INDENT = 200
 
 @dataclass(frozen=True)
 class IndentWeights:
+    """git's fixed indent-heuristic weights (``xdiff/xdiffi.c``); the slider
+    reads only DEFAULT_WEIGHTS."""
+
     start_of_file: int = 1
     end_of_file: int = 21
     total_blanks: int = -30
@@ -117,8 +120,9 @@ def _blank_run(raw: list[bytes], lines: range) -> tuple[int, int | None]:
     return blank, None
 
 
-def split_penalty(m: SplitMeasurement, w: IndentWeights = DEFAULT_WEIGHTS) -> int:
+def split_penalty(m: SplitMeasurement) -> int:
     """Penalty of one split; lower is better."""
+    w = DEFAULT_WEIGHTS
     if m.at_end:
         indent = None
         total_blank = m.pre_blank
@@ -207,16 +211,11 @@ def slidable_range(flags: list[bool], seq: InternedSequence, group: tuple[int, i
     return min_shift, max_shift
 
 
-def slide_group(
-    flags: list[bool],
-    seq: InternedSequence,
-    group: tuple[int, int],
-    weights: IndentWeights = DEFAULT_WEIGHTS,
-) -> tuple[int, int]:
+def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
     """Move one group to its best position; returns the new (start, end).
 
     The chosen shift minimises penalty(top split) + penalty(bottom split),
-    with the configured bias added to the side whose two splits have the
+    with the indent bias added to the side whose two splits have the
     greater summed effective indent.  Ties go to the lowest shift.
     """
     start, end = group
@@ -230,16 +229,16 @@ def slide_group(
     best_penalty = 0
     best_indent = 0
     for shift, top, bottom in zip(range(lo, hi + 1), tops, bottoms):
-        penalty = split_penalty(top, weights) + split_penalty(bottom, weights)
+        penalty = split_penalty(top) + split_penalty(bottom)
         indent = split_indent(top) + split_indent(bottom)
         if best_shift is None:
             best_shift, best_penalty, best_indent = shift, penalty, indent
             continue
         a_score, b_score = penalty, best_penalty
         if indent > best_indent:
-            a_score += weights.total_indent_bias
+            a_score += DEFAULT_WEIGHTS.total_indent_bias
         elif best_indent > indent:
-            b_score += weights.total_indent_bias
+            b_score += DEFAULT_WEIGHTS.total_indent_bias
         if a_score < b_score:
             best_shift, best_penalty, best_indent = shift, penalty, indent
 
@@ -252,17 +251,12 @@ def slide_group(
     return start + best_shift, end + best_shift
 
 
-def slide_changed_lines(
-    flags: ChangedLines,
-    old: InternedSequence,
-    new: InternedSequence,
-    weights: IndentWeights = DEFAULT_WEIGHTS,
-) -> ChangedLines:
+def slide_changed_lines(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> ChangedLines:
     """Apply the indent heuristic to every group in both files."""
     of = list(flags.old_flags)
     nf = list(flags.new_flags)
     for group in _groups(of):
-        slide_group(of, old, group, weights)
+        slide_group(of, old, group)
     for group in _groups(nf):
-        slide_group(nf, new, group, weights)
+        slide_group(nf, new, group)
     return ChangedLines(of, nf)

@@ -24,7 +24,6 @@ from diffmerge.oracle import SizeGuard
 from diffmerge.patience import UniqueMatch, patience_lis
 from diffmerge.slider import (
     DEFAULT_WEIGHTS,
-    IndentWeights,
     SplitMeasurement,
     _groups,
     line_indent,
@@ -655,12 +654,7 @@ def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasureme
     return SplitMeasurement(at_end, indent, pre_blank, pre_indent, post_blank, post_indent)
 
 
-def slide_group_reference(
-    flags: list[bool],
-    seq: InternedSequence,
-    group: tuple[int, int],
-    weights: IndentWeights = DEFAULT_WEIGHTS,
-) -> tuple[int, int]:
+def slide_group_reference(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
     """``slider.slide_group`` as first written, measuring each shift's splits alone."""
     start, end = group
     lo, hi = slidable_range(flags, seq, group)
@@ -673,16 +667,16 @@ def slide_group_reference(
     for shift in range(lo, hi + 1):
         top = measure_split_reference(seq, start + shift)
         bottom = measure_split_reference(seq, end + shift)
-        penalty = split_penalty(top, weights) + split_penalty(bottom, weights)
+        penalty = split_penalty(top) + split_penalty(bottom)
         indent = split_indent(top) + split_indent(bottom)
         if best_shift is None:
             best_shift, best_penalty, best_indent = shift, penalty, indent
             continue
         a_score, b_score = penalty, best_penalty
         if indent > best_indent:
-            a_score += weights.total_indent_bias
+            a_score += DEFAULT_WEIGHTS.total_indent_bias
         elif best_indent > indent:
-            b_score += weights.total_indent_bias
+            b_score += DEFAULT_WEIGHTS.total_indent_bias
         if a_score < b_score:
             best_shift, best_penalty, best_indent = shift, penalty, indent
 
@@ -695,16 +689,11 @@ def slide_group_reference(
     return start + best_shift, end + best_shift
 
 
-def slide_changed_lines_reference(
-    flags: ChangedLines,
-    old: InternedSequence,
-    new: InternedSequence,
-    weights: IndentWeights = DEFAULT_WEIGHTS,
-) -> ChangedLines:
+def slide_changed_lines_reference(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> ChangedLines:
     of = list(flags.old_flags)
     nf = list(flags.new_flags)
     for group in _groups(of):
-        slide_group_reference(of, old, group, weights)
+        slide_group_reference(of, old, group)
     for group in _groups(nf):
-        slide_group_reference(nf, new, group, weights)
+        slide_group_reference(nf, new, group)
     return ChangedLines(of, nf)

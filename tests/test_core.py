@@ -288,3 +288,13 @@ def test_flags_to_script_matches_reference():
     o, n = InternedSequence([1, 2], []), InternedSequence([1], [])
     flags = ChangedLines([False], [False])
     assert _script_or_error(flags_to_script, flags, o, n) == "InvalidFlags: flag arrays do not match file lengths"
+
+
+def test_star_import_matches_all():
+    import diffmerge
+
+    namespace = {}
+    exec("from diffmerge import *", namespace)
+    for name in diffmerge.__all__:
+        assert hasattr(diffmerge, name), name
+        assert namespace[name] is getattr(diffmerge, name)

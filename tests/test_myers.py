@@ -8,11 +8,13 @@ from diffmerge.engine import diff_lines
 from diffmerge.myers import (
     MINIMAL,
     MYERS,
-    HeuristicConfig,
+    _SearchEnv,
+    _recs_cmp,
     approx_sqrt,
     diff_myers,
     myers_flags,
     preprocess,
+    step_budget,
 )
 
 import reference
@@ -28,9 +30,8 @@ def test_approx_sqrt_values():
 
 
 def test_step_budget_never_below_min_steps():
-    cfg = HeuristicConfig()
-    assert cfg.step_budget(10) == 256
-    assert cfg.step_budget(100_000) == 512
+    assert step_budget(10) == 256
+    assert step_budget(100_000) == 512
 
 
 def test_preprocess_identical_files_strip_everything(intern_pair):
@@ -149,10 +150,37 @@ def test_engine_dispatch_names(intern_pair):
 
 # Differential tests against the dict-lookup split kept in reference.py: the
 # reference is patched in as myers._split and myers_flags runs once with each.
-# The two small configs make the snake and the budget cutoff fire on inputs
-# of a few dozen lines.
+# The two small search settings, built as a _SearchEnv with a short snake and
+# a small step floor, make the snake and the budget cutoff fire on inputs of
+# a few dozen lines.  Each case keeps the seed string it has always had.
 
-SPLIT_CONFIGS = (MYERS, MINIMAL, HeuristicConfig(True, 3, 4), HeuristicConfig(True, 2, 1))
+
+def _small_cutoffs(snake, heur_min):
+    def flags(old, new):
+        mxcost = max(approx_sqrt(len(old) + len(new)), heur_min)
+        return _recs_cmp(_SearchEnv(old, new, False, snake, heur_min, mxcost))
+
+    return flags
+
+
+SPLIT_CASES = {
+    "myers": (
+        "split-HeuristicConfig(enable_heuristics=True, snake_length=20, min_steps=256)",
+        lambda old, new: myers_flags(old, new, MYERS),
+    ),
+    "minimal": (
+        "split-HeuristicConfig(enable_heuristics=False, snake_length=20, min_steps=256)",
+        lambda old, new: myers_flags(old, new, MINIMAL),
+    ),
+    "snake3-steps4": (
+        "split-HeuristicConfig(enable_heuristics=True, snake_length=3, min_steps=4)",
+        _small_cutoffs(3, 4),
+    ),
+    "snake2-steps1": (
+        "split-HeuristicConfig(enable_heuristics=True, snake_length=2, min_steps=1)",
+        _small_cutoffs(2, 1),
+    ),
+}
 
 
 def _split_pair(rng):
@@ -167,18 +195,19 @@ def _split_pair(rng):
     return old, new
 
 
-@pytest.mark.parametrize("config", SPLIT_CONFIGS, ids=("myers", "minimal", "snake3-steps4", "snake2-steps1"))
-def test_myers_flags_match_reference_split(monkeypatch, config):
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_myers_flags_match_reference_split(monkeypatch, case):
     from diffmerge import myers
 
-    rng = random.Random(f"split-{config}")
+    seed, run = SPLIT_CASES[case]
+    rng = random.Random(seed)
     pairs = [_split_pair(rng) for _ in range(760)]
-    got = [myers_flags(old, new, config) for old, new in pairs]
+    got = [run(old, new) for old, new in pairs]
     monkeypatch.setattr(myers, "_split", reference.split_reference)
     for (old, new), flags in zip(pairs, got):
-        want = myers_flags(old, new, config)
+        want = run(old, new)
         assert (flags.old_flags, flags.new_flags) == (want.old_flags, want.new_flags), (old, new)
-        if config is MINIMAL:
+        if case == "minimal":
             assert flags.flag_count() == oracle.min_edit_distance(old, new)
 
 

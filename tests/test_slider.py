@@ -6,7 +6,6 @@ from diffmerge.core import InternTable, apply_script, flags_to_script
 from diffmerge.engine import diff_lines
 from diffmerge.slider import (
     DEFAULT_WEIGHTS,
-    IndentWeights,
     SplitMeasurement,
     _groups,
     line_indent,
@@ -168,15 +167,21 @@ def test_three_line_insertion_picks_function_boundary():
     assert new.raw[chosen] == b"def middle():\n"
 
 
-def test_zero_weights_pick_lowest_shift():
+def test_tied_shifts_pick_lowest_shift():
+    # every shift of the inserted "b" scores penalty 0 and indent 0 on both
+    # splits, so all of them tie
     table = InternTable()
     old = table.intern(b"a\nb\nb\nc\n")
     new = table.intern(b"a\nb\nb\nb\nc\n")
     flags = diff_lines(old, new, "minimal")
     group = next((i, i + 1) for i, f in enumerate(flags.new_flags) if f)
-    lo, _hi = slidable_range(flags.new_flags, new, group)
-    zero = IndentWeights(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, total_indent_bias=0)
-    chosen = slide_group(list(flags.new_flags), new, group, zero)
+    lo, hi = slidable_range(flags.new_flags, new, group)
+    assert lo < hi
+    for shift in range(lo, hi + 1):
+        for split in (group[0] + shift, group[1] + shift):
+            assert split_penalty(measure_split(new, split)) == 0
+            assert split_indent(measure_split(new, split)) == 0
+    chosen = slide_group(list(flags.new_flags), new, group)
     assert chosen == (group[0] + lo, group[1] + lo)
 
 
