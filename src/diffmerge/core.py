@@ -2,15 +2,20 @@
 
 A diff problem (two or three files) shares one :class:`InternTable` so that
 equal line content gets equal integer tokens across all files involved.
-Lines are byte strings split on LF only; a CR is ordinary line content.  A
-final line without a trailing newline is still one line, and its token
-differs from the same content with a newline (matching the unified-diff
-``\\ No newline at end of file`` convention).
+Lines are byte strings split on LF only; CR and the other line breaks of
+``bytes.splitlines`` are ordinary content.  A final line without a trailing
+newline is still one line, and its token differs from the same content with
+a newline (as unified diff's ``\\ No newline at end of file`` marks).
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .histogram import OccurrenceIndex
 
 
 class DiffError(Exception):
@@ -26,14 +31,8 @@ class RangeError(DiffError):
 
 
 def split_lines(data: bytes) -> list[bytes]:
-    """Split on LF, keeping terminators. ``b"a\\nb"`` -> ``[b"a\\n", b"b"]``."""
-    if not data:
-        return []
-    parts = data.split(b"\n")
-    records = [p + b"\n" for p in parts[:-1]]
-    if parts[-1]:
-        records.append(parts[-1])
-    return records
+    """Split on LF only, keeping terminators. ``b"a\\nb"`` -> ``[b"a\\n", b"b"]``."""
+    return io.BytesIO(data).readlines()
 
 
 @dataclass
@@ -42,6 +41,8 @@ class InternedSequence:
 
     tokens: list[int]
     raw: list[bytes]
+    # histogram's occurrence index, built by the first diff from this file
+    occurrence_index: OccurrenceIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -63,14 +64,9 @@ class InternTable:
     def intern(self, data: bytes) -> InternedSequence:
         records = split_lines(data)
         ids = self._ids
-        tokens = []
-        for rec in records:
-            tok = ids.get(rec)
-            if tok is None:
-                tok = len(ids)
-                ids[rec] = tok
-            tokens.append(tok)
-        return InternedSequence(tokens, records)
+        add = ids.setdefault
+        # len(ids) is read before rec is added, so tokens count first occurrences
+        return InternedSequence([add(rec, len(ids)) for rec in records], records)
 
 
 @dataclass

@@ -8,11 +8,12 @@ far.  Lines occurring more than 64 times in the old file are never used as
 seeds, and if every common line is that frequent the whole subproblem falls
 back to the myers engine.
 
-One occurrence index over the whole old file serves every subproblem of a
-diff: a line's positions inside old[lo1:hi1] are a bisected slice of its
-ascending position list.  Runs are extended a few lines one by one, then by
-list-slice compares of doubling and halving length.  A candidate's record
-count (its least occurrence count) is taken only when it can change the
+One occurrence index over the whole old file serves every subproblem of a diff
+and is kept on the old sequence for later diffs from it, such as a merge's
+second base diff.  A line's positions inside old[lo1:hi1] are a bisected slice
+of its ascending position list.  Runs are extended a few lines one by one,
+then by list-slice compares of doubling and halving length.  A candidate's
+record count (its least occurrence count) is taken only when it can change the
 choice: at the whole file as a C-level ``min`` over per-line counts, below it
 from bisected counts cached for the call.  The flags, regions and record
 counts equal those of the per-subproblem rescan kept as the test reference
@@ -67,12 +68,9 @@ class FallbackSignal(Exception):
 def scan_a(tokens: list[int]) -> OccurrenceIndex:
     """Map each token to its ascending positions within the old file."""
     occ: dict[int, list[int]] = {}
+    add = occ.setdefault
     for i, tok in enumerate(tokens):
-        positions = occ.get(tok)
-        if positions is None:
-            occ[tok] = [i]
-        else:
-            positions.append(i)
+        add(tok, []).append(i)
     return OccurrenceIndex(occ)
 
 
@@ -231,7 +229,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
     a, b = old.tokens, new.tokens
     of = [False] * len(a)
     nf = [False] * len(b)
-    index = scan_a(a)
+    index = old.occurrence_index = old.occurrence_index or scan_a(a)
     work = [(0, len(a), 0, len(b))]
     while work:
         lo1, hi1, lo2, hi2 = work.pop()

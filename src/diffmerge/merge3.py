@@ -294,6 +294,7 @@ def merge_regions_pipeline(
 ) -> list[MergeRegion]:
     flags_l = diff_lines(o, left, options.algorithm)
     flags_r = diff_lines(o, right, options.algorithm)
+    o.occurrence_index = None  # read by the base diffs only; freed before rendering
     script_l = flags_to_script(flags_l, o, left)
     script_r = flags_to_script(flags_r, o, right)
     regions = compute_merge_regions(script_l, script_r, left, right, len(o))

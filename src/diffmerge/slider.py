@@ -211,6 +211,11 @@ def slidable_range(flags: list[bool], seq: InternedSequence, group: tuple[int, i
     return min_shift, max_shift
 
 
+def _split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(split_penalty, split_indent) of each split lo..hi."""
+    return [(split_penalty(m), split_indent(m)) for m in _measure_splits(seq, lo, hi)]
+
+
 def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
     """Move one group to its best position; returns the new (start, end).
 
@@ -223,17 +228,20 @@ def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]
     if lo == hi == 0:
         return group
 
-    tops = _measure_splits(seq, start + lo, start + hi)
-    bottoms = _measure_splits(seq, end + lo, end + hi)
-    best_shift = None
-    best_penalty = 0
-    best_indent = 0
-    for shift, top, bottom in zip(range(lo, hi + 1), tops, bottoms):
-        penalty = split_penalty(top) + split_penalty(bottom)
-        indent = split_indent(top) + split_indent(bottom)
-        if best_shift is None:
-            best_shift, best_penalty, best_indent = shift, penalty, indent
-            continue
+    size = end - start
+    if size <= hi - lo:
+        # the top and bottom split ranges overlap: score their union once
+        tops = _split_scores(seq, start + lo, end + hi)
+        bottoms = tops[size:]
+    else:
+        tops = _split_scores(seq, start + lo, start + hi)
+        bottoms = _split_scores(seq, end + lo, end + hi)
+    best_shift = lo  # the loop compares shift lo with itself, which changes nothing
+    best_penalty = tops[0][0] + bottoms[0][0]
+    best_indent = tops[0][1] + bottoms[0][1]
+    for shift, (top_penalty, top_indent), (bottom_penalty, bottom_indent) in zip(range(lo, hi + 1), tops, bottoms):
+        penalty = top_penalty + bottom_penalty
+        indent = top_indent + bottom_indent
         a_score, b_score = penalty, best_penalty
         if indent > best_indent:
             a_score += DEFAULT_WEIGHTS.total_indent_bias
@@ -242,12 +250,9 @@ def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]
         if a_score < b_score:
             best_shift, best_penalty, best_indent = shift, penalty, indent
 
-    assert best_shift is not None
     if best_shift:
-        for i in range(start, end):
-            flags[i] = False
-        for i in range(start + best_shift, end + best_shift):
-            flags[i] = True
+        flags[start:end] = [False] * size
+        flags[start + best_shift:end + best_shift] = [True] * size
     return start + best_shift, end + best_shift
 
 

@@ -6,8 +6,9 @@ was later rewritten for speed: the per-subproblem histogram rescan, the
 rebase that tests each chain commit for ancestry with a walk of its own, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the line-by-line flag scans, the frequent-line rule that rescans a
-block around each of its lines, and the indent heuristic that rescans the
-blank lines around each split.  Tests require the package to give
+block around each of its lines, the indent heuristic that rescans the
+blank lines around each split, and the line split and intern loop that
+handle one line at a time in Python.  Tests require the package to give
 the same answers; none of this code ships in ``src/``.
 """
 
@@ -697,3 +698,28 @@ def slide_changed_lines_reference(flags: ChangedLines, old: InternedSequence, ne
     for group in _groups(nf):
         slide_group_reference(nf, new, group)
     return ChangedLines(of, nf)
+
+
+def split_lines_reference(data: bytes) -> list[bytes]:
+    """Split on LF, keeping terminators, by ``bytes.split`` and a re-append."""
+    if not data:
+        return []
+    parts = data.split(b"\n")
+    records = [p + b"\n" for p in parts[:-1]]
+    if parts[-1]:
+        records.append(parts[-1])
+    return records
+
+
+def intern_reference(ids: dict[bytes, int], data: bytes) -> InternedSequence:
+    """``InternTable.intern`` by a per-line lookup; ``ids`` plays the table,
+    shared by every file of one problem."""
+    records = split_lines_reference(data)
+    tokens = []
+    for rec in records:
+        tok = ids.get(rec)
+        if tok is None:
+            tok = len(ids)
+            ids[rec] = tok
+        tokens.append(tok)
+    return InternedSequence(tokens, records)

@@ -30,6 +30,31 @@ def test_split_lines_basics():
     assert split_lines(b"\n") == [b"\n"]
 
 
+# Differential test against the first split and intern, kept in
+# reference.py.  bytes.splitlines would also split on each control byte
+# here except NUL; only LF may end a line.
+_SPLIT_PIECES = (b"a", b"b", b" ", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x85", b"\x00", b"\n")
+_SPLIT_FIXED = (b"", b"\n", b"a", b"a\rb\r\nc\x0bd\x0ce\x1cf\x1dg\x1eh\x85i\x00j\nk")
+
+
+def test_split_and_intern_match_reference():
+    rng = random.Random(20)
+    triples = [_SPLIT_FIXED[:3], _SPLIT_FIXED[1:], _SPLIT_FIXED[::-1]]
+    for _ in range(600):
+        triples.append(tuple(
+            rng.choice(_SPLIT_FIXED) if rng.random() < 0.1
+            else b"".join(rng.choice(_SPLIT_PIECES) for _ in range(rng.randrange(40)))
+            for _ in range(3)
+        ))
+    for triple in triples:
+        # the three files of one merge share one table
+        table, ids = InternTable(), {}
+        for data in triple:
+            assert split_lines(data) == reference.split_lines_reference(data), data
+            got, want = table.intern(data), reference.intern_reference(ids, data)
+            assert (got.tokens, got.raw) == (want.tokens, want.raw), triple
+
+
 def test_intern_empty_input():
     seq = InternTable().intern(b"")
     assert len(seq) == 0

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from diffmerge.core import InternTable, apply_script, flags_to_script
+from diffmerge.core import InternedSequence, InternTable, apply_script, flags_to_script
 from diffmerge.histogram import FallbackSignal, diff_histogram, find_split, scan_a
+from diffmerge.merge3 import MergeOptions, merge3
 from diffmerge.myers import MINIMAL, diff_myers
 from diffmerge.patience import diff_patience
 
@@ -309,3 +310,55 @@ def test_one_find_split_call_per_reference_subproblem(monkeypatch):
         reference.histogram_reference(o, n)
     assert calls["reference"] > 40
     assert calls["new"] == calls["reference"]
+
+
+# The occurrence index is built once per old file and kept on it, so a
+# merge's two base diffs from the ancestor share one.
+
+def _counting_scan_a(monkeypatch):
+    from diffmerge import histogram
+
+    calls = []
+
+    def counting(tokens):
+        calls.append(tokens)
+        return scan_a(tokens)
+
+    monkeypatch.setattr(histogram, "scan_a", counting)
+    return calls
+
+
+def test_merge_base_diffs_share_one_index(monkeypatch):
+    calls = _counting_scan_a(monkeypatch)
+    o = b"".join(b"line %d\n" % i for i in range(40))
+    left = o.replace(b"line 3\n", b"ours\n")
+    right = o.replace(b"line 30\n", b"theirs\n").replace(b"line 3\n", b"other\n")
+    # without zealous refinement the two base diffs are the only diffs
+    out = merge3(o, left, right, MergeOptions(algorithm="histogram", zealous=False))
+    assert out.conflict_count == 1
+    assert len(calls) == 1
+    assert calls[0] == InternTable().intern(o).tokens
+
+
+def test_each_old_file_gets_its_own_index(monkeypatch):
+    calls = _counting_scan_a(monkeypatch)
+    table = InternTable()
+    x, y, z = (table.intern(data) for data in (b"a\nb\nc\nb\n", b"b\nc\nd\n", b"a\nc\n"))
+    diff_histogram(x, y)
+    diff_histogram(x, z)
+    assert len(calls) == 1 and x.occurrence_index is not None
+    for old, new in ((y, x), (z, y)):
+        assert diff_histogram(old, new) == reference.histogram_reference(old, new)
+    assert calls == [x.tokens, y.tokens, z.tokens]
+    assert y.occurrence_index is not x.occurrence_index
+    assert y.occurrence_index.occurrences == scan_a(y.tokens).occurrences
+
+
+def test_cached_index_is_not_part_of_equality_or_repr():
+    table = InternTable()
+    old, new = table.intern(b"a\nb\n"), table.intern(b"b\nc\n")
+    bare = InternedSequence(list(old.tokens), list(old.raw))
+    diff_histogram(old, new)
+    assert old.occurrence_index is not None and bare.occurrence_index is None
+    assert old == bare
+    assert repr(old) == repr(bare) == f"InternedSequence(tokens={old.tokens!r}, raw={old.raw!r})"

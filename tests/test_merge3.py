@@ -1,8 +1,10 @@
+import importlib
 import random
 
 import pytest
 
 from diffmerge.core import Change, EditScript, InternTable
+from diffmerge.engine import diff_lines
 from diffmerge.merge3 import (
     CONFLICT,
     LEFT,
@@ -388,3 +390,31 @@ def test_merge3_fuzz(options):
         for mine, theirs, want in ((o, right, right), (left, o, left), (left, left, left)):
             one_sided = merge3(o, mine, theirs, options)
             assert one_sided.clean and one_sided.rendered == want, (o, mine, theirs)
+
+
+HISTOGRAM_CONFIGS = [c for c in FUZZ_CONFIGS if c.algorithm == "histogram"]
+
+
+@pytest.mark.parametrize(
+    "options", HISTOGRAM_CONFIGS,
+    ids=[f"{c.style}{'-zealous' if c.zealous else ''}" for c in HISTOGRAM_CONFIGS],
+)
+def test_shared_index_matches_a_fresh_index_per_diff(options, monkeypatch):
+    # the second base diff reuses the ancestor's occurrence index; dropping
+    # it before every diff must give the same regions and bytes
+    rng = random.Random(f"shared-index-{options.style}-{options.zealous}")
+    triples = [_fuzz_triple(rng) for _ in range(300)]
+    shared = [merge3(*triple, options) for triple in triples]
+    reused = 0
+
+    def fresh_index(old, new, algorithm):
+        nonlocal reused
+        reused += old.occurrence_index is not None
+        old.occurrence_index = None
+        return diff_lines(old, new, algorithm)
+
+    monkeypatch.setattr(importlib.import_module("diffmerge.merge3"), "diff_lines", fresh_index)
+    for triple, want in zip(triples, shared):
+        got = merge3(*triple, options)
+        assert (got.regions, got.rendered) == (want.regions, want.rendered), triple
+    assert reused > 100

@@ -305,3 +305,14 @@ def test_slide_work_is_linear_in_a_blank_run():
         # the group slides over all n + 1 positions; the reference, which
         # walks the run again for every split, executes 24M lines here
         assert lines_executed(slide_changed_lines, flags, a, b) <= 200 * n
+
+
+def test_slide_measures_each_split_once():
+    # a one-line group in a blank run: its top and bottom split ranges
+    # overlap in all but one split, so the union is measured and scored
+    # once; measuring and scoring both ranges executes about 102k lines
+    n = 1000
+    old, new = _blank_run(n)
+    for a, b in ((old, new), (new, old)):
+        flags = diff_lines(a, b, "myers")
+        assert lines_executed(slide_changed_lines, flags, a, b) <= 75 * n
