@@ -7,16 +7,8 @@ scores each candidate boundary with the published penalty weights and picks
 the one that reads best.
 """
 
-from diffmerge import (
-    InternTable,
-    diff_lines,
-    flags_to_script,
-    measure_split,
-    render_unified,
-    slidable_range,
-    slide_changed_lines,
-    split_penalty,
-)
+from diffmerge import InternTable, diff_lines, flags_to_script, render_unified, slide_changed_lines
+from diffmerge.slider import slidable_range, split_scores
 
 OLD = b"""\
 def alpha():
@@ -50,10 +42,10 @@ lo, hi = slidable_range(flags.new_flags, new, group)
 print(f"the 4-line insertion can sit at shifts {lo}..{hi} relative to line {group_start}")
 
 print("\npenalties per candidate position (top split + bottom split):")
-for shift in range(lo, hi + 1):
-    top = measure_split(new, group[0] + shift)
-    bottom = measure_split(new, group[1] + shift)
-    total = split_penalty(top) + split_penalty(bottom)
+tops = split_scores(new, group[0] + lo, group[0] + hi)
+bottoms = split_scores(new, group[1] + lo, group[1] + hi)
+for shift, (top, _), (bottom, _) in zip(range(lo, hi + 1), tops, bottoms):
+    total = top + bottom
     first_line = new.raw[group[0] + shift].decode().rstrip() or "(blank)"
     print(f"  shift {shift:+d}: penalty {total:>4}  group starts at {first_line!r}")
 

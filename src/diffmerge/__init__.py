@@ -45,21 +45,11 @@ from .merge3 import (
     MergeOptions,
     MergeOutcome,
     MergeRegion,
-    compute_merge_regions,
     merge3,
-    refine_zealous,
 )
-from .myers import MINIMAL, MYERS, approx_sqrt, diff_myers, preprocess
-from .patience import diff_patience, find_matching_unique_lines, patience_lis
-from .slider import (
-    DEFAULT_WEIGHTS,
-    SplitMeasurement,
-    measure_split,
-    slidable_range,
-    slide_changed_lines,
-    slide_group,
-    split_penalty,
-)
+from .myers import diff_myers
+from .patience import diff_patience
+from .slider import slidable_range, slide_changed_lines
 
 __version__ = "0.1.0"
 
@@ -69,16 +59,14 @@ __all__ = [
     "RangeError", "apply_script", "flags_to_script", "parse_unified", "render_unified", "script_to_flags",
     "split_lines",
     # diff algorithms
-    "ALGORITHMS", "diff_lines", "diff_histogram", "MINIMAL", "MYERS", "approx_sqrt",
-    "diff_myers", "preprocess", "diff_patience", "find_matching_unique_lines", "patience_lis",
+    "ALGORITHMS", "diff_lines", "diff_histogram", "diff_myers", "diff_patience",
     # graph
     "Commit", "CommitGraph", "GraphError", "MergeResult", "MergeStats", "MultiParent", "RebaseResult",
     "UnknownCommit", "build_exponential_graph", "cherry_pick", "graph_from_jsonl", "lowest_common_ancestors",
     "merge_base_recursive", "merge_commits", "rebase", "revert",
     # merge3
     "CONFLICT", "LEFT", "RIGHT", "SAME", "InvariantViolation", "MergeOptions", "MergeOutcome", "MergeRegion",
-    "compute_merge_regions", "merge3", "refine_zealous",
+    "merge3",
     # slider
-    "DEFAULT_WEIGHTS", "SplitMeasurement", "measure_split", "slidable_range",
-    "slide_changed_lines", "slide_group", "split_penalty",
+    "slidable_range", "slide_changed_lines",
 ]

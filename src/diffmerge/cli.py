@@ -44,6 +44,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     old = table.intern(old_data)
     new = table.intern(new_data)
     flags = diff_lines(old, new, args.algorithm)
+    old.occurrence_index = None  # only this one diff reads it; freed before sliding and rendering
     if args.indent_heuristic:
         flags = slide_changed_lines(flags, old, new)
     script = flags_to_script(flags, old, new)

@@ -360,6 +360,11 @@ def merge_commits(
     return _commit_clean(graph, new_id or _DefaultId(f"merge({a},{b})"), (a, b), tree, stats)
 
 
+def _require_one_parent(commit: Commit) -> None:
+    if len(commit.parents) != 1:
+        raise MultiParent(f"{commit.id!r} has {len(commit.parents)} parents")
+
+
 def _apply_change(
     graph: CommitGraph,
     commit: str,
@@ -372,8 +377,7 @@ def _apply_change(
     """Merge the change a single-parent commit made into ``onto``, or with
     ``undo`` the inverse change; the new commit's only parent is ``onto``."""
     changed = graph[commit]
-    if len(changed.parents) != 1:
-        raise MultiParent(f"{commit!r} has {len(changed.parents)} parents")
+    _require_one_parent(changed)
     before, after = graph[changed.parents[0]].tree, changed.tree
     if undo:
         before, after = after, before
@@ -427,7 +431,9 @@ def rebase(
 
     The chain ends at the first commit that is an ancestor of ``onto``.  Its
     generations fall strictly, so one descent from ``onto``, lowered to each
-    chain commit's generation in turn, answers every step."""
+    chain commit's generation in turn, answers every step.  Every chain
+    commit must have one parent, or ``MultiParent`` names the oldest that
+    has not, before any pick adds a commit to the graph."""
     options = options or MergeOptions()
     below_onto = _Descent([graph[onto].id], graph.commits.__getitem__)
     chain = []
@@ -438,6 +444,8 @@ def rebase(
             break
         commit = graph.commits[commit.parents[0]]
     chain.reverse()
+    for cid in chain:
+        _require_one_parent(graph.commits[cid])
 
     tip = onto
     for index, cid in enumerate(chain):

@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .core import ChangedLines, InternedSequence
 from .myers import myers_flags
-
-
-class UniqueMatch(NamedTuple):
-    pos_a: int
-    pos_b: int
 
 
 def _unique_positions(tokens: list[int], lo: int, hi: int) -> dict[int, int]:
@@ -25,34 +19,35 @@ def _unique_positions(tokens: list[int], lo: int, hi: int) -> dict[int, int]:
 
 def find_matching_unique_lines(
     a: list[int], b: list[int], lo_a: int = 0, hi_a: int | None = None, lo_b: int = 0, hi_b: int | None = None
-) -> list[UniqueMatch]:
+) -> list[tuple[int, int]]:
     """Pairs (posA, posB) of lines occurring exactly once in each of
     a[lo_a:hi_a] and b[lo_b:hi_b], by posA; positions index a and b."""
     pos_a = _unique_positions(a, lo_a, len(a) if hi_a is None else hi_a)
     pos_b = _unique_positions(b, lo_b, len(b) if hi_b is None else hi_b)
     # a dict keeps first-insertion order, and a unique line's first position
     # is its only one, so the matches come out ascending in posA
-    return [UniqueMatch(i, pos_b[tok]) for tok, i in pos_a.items() if i >= 0 and pos_b.get(tok, -1) >= 0]
+    return [(i, pos_b[tok]) for tok, i in pos_a.items() if i >= 0 and pos_b.get(tok, -1) >= 0]
 
 
-def patience_lis(matches: list[UniqueMatch]) -> list[UniqueMatch]:
-    """Longest strictly increasing (in pos_b) subsequence via patience sorting.
+def patience_lis(matches: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Longest strictly increasing (in posB) subsequence of (posA, posB)
+    pairs via patience sorting.
 
-    Each entry lands on the leftmost pile whose top is >= its pos_b and
+    Each entry lands on the leftmost pile whose top is >= its posB and
     remembers the previous pile's top; the result is reconstructed from the
     last element of the last pile, so ties resolve to the latest chain.
     """
-    top_pos_b: list[int] = []  # pos_b of each pile's top, ascending
+    top_pos_b: list[int] = []  # posB of each pile's top, ascending
     top: list[int] = []  # index into matches of each pile's top
     previous: list[int] = []  # per match, the index of its predecessor or -1
-    for k, entry in enumerate(matches):
-        pile = bisect_left(top_pos_b, entry.pos_b)
+    for k, (_, pos_b) in enumerate(matches):
+        pile = bisect_left(top_pos_b, pos_b)
         previous.append(top[pile - 1] if pile else -1)
         if pile < len(top):
-            top_pos_b[pile] = entry.pos_b
+            top_pos_b[pile] = pos_b
             top[pile] = k
         else:
-            top_pos_b.append(entry.pos_b)
+            top_pos_b.append(pos_b)
             top.append(k)
     chain = []
     k = top[-1] if top else -1
@@ -91,7 +86,7 @@ def diff_patience(old: InternedSequence, new: InternedSequence) -> ChangedLines:
         # all and every gap between them would be equal again, down to gaps
         # without unique lines that the fallback's prefix trim consumes whole:
         # nothing in an equal gap is ever flagged.
-        lcs.append(UniqueMatch(hi_a, hi_b))
+        lcs.append((hi_a, hi_b))
         prev_a, prev_b = lo_a, lo_b
         for pos_a, pos_b in lcs:
             if pos_a - prev_a != pos_b - prev_b or a[prev_a:pos_a] != b[prev_b:pos_b]:

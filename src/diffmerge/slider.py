@@ -7,43 +7,23 @@ changing what the diff says; this module picks the shift whose two splits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ChangedLines, InternedSequence
 
 _TAB_WIDTH = 8
 _MAX_INDENT = 200
 
-
-@dataclass(frozen=True)
-class IndentWeights:
-    """git's fixed indent-heuristic weights (``xdiff/xdiffi.c``); the slider
-    reads only DEFAULT_WEIGHTS."""
-
-    start_of_file: int = 1
-    end_of_file: int = 21
-    total_blanks: int = -30
-    post_blank: int = 6
-    relative_indent: int = -4
-    relative_indent_with_blank: int = 10
-    relative_outdent: int = 24
-    relative_outdent_with_blank: int = 17
-    relative_dedent: int = 23
-    relative_dedent_with_blank: int = 17
-    total_indent_bias: int = 60
-
-
-DEFAULT_WEIGHTS = IndentWeights()
-
-
-@dataclass(frozen=True)
-class SplitMeasurement:
-    at_end: bool
-    indent: int | None          # None for a blank line or a split at EOF
-    pre_blank: int
-    pre_indent: int | None
-    post_blank: int
-    post_indent: int | None
+# git's indent-heuristic weights (``xdiff/xdiffi.c``)
+START_OF_FILE_PENALTY = 1
+END_OF_FILE_PENALTY = 21
+TOTAL_BLANK_WEIGHT = -30
+POST_BLANK_WEIGHT = 6
+RELATIVE_INDENT_PENALTY = -4
+RELATIVE_INDENT_WITH_BLANK_PENALTY = 10
+RELATIVE_OUTDENT_PENALTY = 24
+RELATIVE_OUTDENT_WITH_BLANK_PENALTY = 17
+RELATIVE_DEDENT_PENALTY = 23
+RELATIVE_DEDENT_WITH_BLANK_PENALTY = 17
+INDENT_WEIGHT = 60
 
 
 def line_indent(record: bytes) -> int | None:
@@ -67,45 +47,66 @@ def line_indent(record: bytes) -> int | None:
     return None
 
 
-def measure_split(seq: InternedSequence, split: int) -> SplitMeasurement:
-    """Measure the split lying between lines split-1 and split."""
-    return _measure_splits(seq, split, split)[0]
+def split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(penalty, effective indent) of each split lo..hi (inclusive, at most
+    len(seq)); split s lies between lines s - 1 and s, and a lower penalty is
+    better.
 
-
-def _measure_splits(seq: InternedSequence, lo: int, hi: int) -> list[SplitMeasurement]:
-    """Measure the splits lo..hi (inclusive, at most len(seq)) in one pass.
-
-    The blank lines above the range and below it are walked once; the
-    blank count and indent above each split are carried forward from the
-    split before it, and those below it backward from the split after it.
+    The blank lines above the range and below it are walked once; the blank
+    count and indent above each split are carried forward from the split
+    before it, and those below it backward from the split after it.  A split
+    at a blank line takes the indent of the first line below its blank run,
+    and a split at the end of the file or above only blank lines indent 0.
     """
     raw = seq.raw
     n = len(raw)
-    indents = [line_indent(raw[i]) for i in range(lo, min(hi + 1, n))]
+    stop = min(hi + 1, n)  # splits lo..stop - 1 lie at a line; split n is at the end
+    indents = [line_indent(raw[i]) for i in range(lo, stop)]
 
-    post_blank, post_indent = _blank_run(raw, range(hi + 1, n))
+    # the lines below split s start at line s + 1
+    post_blank, post_indent = _blank_run(raw, range(stop, n))
     posts = []
-    for s in range(hi, lo - 1, -1):
+    for indent in reversed(indents):
         posts.append((post_blank, post_indent))
-        # the lines below split s - 1 start at line s; none lie below
-        # split n - 1, as none lie below split n
-        if s < n:
-            if indents[s - lo] is None:
-                post_blank += 1
-            else:
-                post_blank, post_indent = 0, indents[s - lo]
+        if indent is None:
+            post_blank += 1
+        else:
+            post_blank, post_indent = 0, indent
     posts.reverse()
 
     pre_blank, pre_indent = _blank_run(raw, range(lo - 1, -1, -1))
-    out = []
-    for s, (post_blank, post_indent) in zip(range(lo, hi + 1), posts):
-        indent = indents[s - lo] if s < n else None
-        out.append(SplitMeasurement(s >= n, indent, pre_blank, pre_indent, post_blank, post_indent))
+    scores = []
+    for indent, (post_blank, post_indent) in zip(indents, posts):
         if indent is None:
+            # inside a blank run, which is at least this line long
+            penalty = TOTAL_BLANK_WEIGHT * (pre_blank + post_blank + 1) + POST_BLANK_WEIGHT * (post_blank + 1)
+            if post_indent is not None and pre_indent is not None:
+                if post_indent > pre_indent:
+                    penalty += RELATIVE_INDENT_WITH_BLANK_PENALTY
+                elif post_indent < pre_indent:
+                    penalty += RELATIVE_DEDENT_WITH_BLANK_PENALTY
+            scores.append((penalty, post_indent or 0))
             pre_blank += 1
-        else:
-            pre_blank, pre_indent = 0, indent
-    return out
+            continue
+        penalty = TOTAL_BLANK_WEIGHT * pre_blank
+        if pre_indent is None:
+            pass
+        elif indent > pre_indent:
+            penalty += RELATIVE_INDENT_WITH_BLANK_PENALTY if pre_blank else RELATIVE_INDENT_PENALTY
+        elif indent < pre_indent:
+            if post_indent is not None and post_indent > indent:
+                penalty += RELATIVE_OUTDENT_WITH_BLANK_PENALTY if pre_blank else RELATIVE_OUTDENT_PENALTY
+            else:
+                penalty += RELATIVE_DEDENT_WITH_BLANK_PENALTY if pre_blank else RELATIVE_DEDENT_PENALTY
+        scores.append((penalty, indent))
+        pre_blank, pre_indent = 0, indent
+    if hi == n:
+        scores.append((END_OF_FILE_PENALTY + TOTAL_BLANK_WEIGHT * pre_blank, 0))
+    if lo == 0:
+        # only split 0 has no line above it
+        penalty, indent = scores[0]
+        scores[0] = penalty + START_OF_FILE_PENALTY, indent
+    return scores
 
 
 def _blank_run(raw: list[bytes], lines: range) -> tuple[int, int | None]:
@@ -118,51 +119,6 @@ def _blank_run(raw: list[bytes], lines: range) -> tuple[int, int | None]:
             return blank, indent
         blank += 1
     return blank, None
-
-
-def split_penalty(m: SplitMeasurement) -> int:
-    """Penalty of one split; lower is better."""
-    w = DEFAULT_WEIGHTS
-    if m.at_end:
-        indent = None
-        total_blank = m.pre_blank
-        post_blank = 0
-    elif m.indent is None:
-        indent = m.post_indent
-        total_blank = m.pre_blank + m.post_blank + 1
-        post_blank = m.post_blank + 1
-    else:
-        indent = m.indent
-        total_blank = m.pre_blank
-        post_blank = 0
-
-    penalty = 0
-    if m.pre_indent is None and m.pre_blank == 0:
-        penalty += w.start_of_file
-    if m.at_end:
-        penalty += w.end_of_file
-    penalty += w.total_blanks * total_blank
-    penalty += w.post_blank * post_blank
-
-    any_blanks = total_blank != 0
-    if indent is None or m.pre_indent is None:
-        pass
-    elif indent > m.pre_indent:
-        penalty += w.relative_indent_with_blank if any_blanks else w.relative_indent
-    elif indent < m.pre_indent:
-        if m.post_indent is not None and m.post_indent > indent:
-            penalty += w.relative_outdent_with_blank if any_blanks else w.relative_outdent
-        else:
-            penalty += w.relative_dedent_with_blank if any_blanks else w.relative_dedent
-    return penalty
-
-
-def split_indent(m: SplitMeasurement) -> int:
-    """Effective indent entering the 60-bias comparison; undefined counts zero."""
-    if m.at_end:
-        return 0
-    indent = m.indent if m.indent is not None else m.post_indent
-    return indent if indent is not None else 0
 
 
 def _groups(flags: list[bool]) -> list[tuple[int, int]]:
@@ -211,11 +167,6 @@ def slidable_range(flags: list[bool], seq: InternedSequence, group: tuple[int, i
     return min_shift, max_shift
 
 
-def _split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int]]:
-    """(split_penalty, split_indent) of each split lo..hi."""
-    return [(split_penalty(m), split_indent(m)) for m in _measure_splits(seq, lo, hi)]
-
-
 def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
     """Move one group to its best position; returns the new (start, end).
 
@@ -231,11 +182,11 @@ def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]
     size = end - start
     if size <= hi - lo:
         # the top and bottom split ranges overlap: score their union once
-        tops = _split_scores(seq, start + lo, end + hi)
+        tops = split_scores(seq, start + lo, end + hi)
         bottoms = tops[size:]
     else:
-        tops = _split_scores(seq, start + lo, start + hi)
-        bottoms = _split_scores(seq, end + lo, end + hi)
+        tops = split_scores(seq, start + lo, start + hi)
+        bottoms = split_scores(seq, end + lo, end + hi)
     best_shift = lo  # the loop compares shift lo with itself, which changes nothing
     best_penalty = tops[0][0] + bottoms[0][0]
     best_indent = tops[0][1] + bottoms[0][1]
@@ -244,9 +195,9 @@ def slide_group(flags: list[bool], seq: InternedSequence, group: tuple[int, int]
         indent = top_indent + bottom_indent
         a_score, b_score = penalty, best_penalty
         if indent > best_indent:
-            a_score += DEFAULT_WEIGHTS.total_indent_bias
+            a_score += INDENT_WEIGHT
         elif best_indent > indent:
-            b_score += DEFAULT_WEIGHTS.total_indent_bias
+            b_score += INDENT_WEIGHT
         if a_score < b_score:
             best_shift, best_penalty, best_indent = shift, penalty, indent
 

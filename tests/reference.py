@@ -7,31 +7,25 @@ rebase that tests each chain commit for ancestry with a walk of its own, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the line-by-line flag scans, the frequent-line rule that rescans a
 block around each of its lines, the indent heuristic that rescans the
-blank lines around each split, and the line split and intern loop that
-handle one line at a time in Python.  Tests require the package to give
-the same answers; none of this code ships in ``src/``.
+blank lines around each split into a record and scores the record's
+fields, and the line split and intern loop that handle one line at a time
+in Python.  Tests require the package to give the same answers; none of
+this code ships in ``src/``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, EditScript, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
 from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
 from diffmerge.oracle import SizeGuard
-from diffmerge.patience import UniqueMatch, patience_lis
-from diffmerge.slider import (
-    DEFAULT_WEIGHTS,
-    SplitMeasurement,
-    _groups,
-    line_indent,
-    slidable_range,
-    split_indent,
-    split_penalty,
-)
+from diffmerge.patience import patience_lis
+from diffmerge.slider import _groups, line_indent, slidable_range
 
 _MEMO_LIMIT = 600
 _LIS_LIMIT = 15
@@ -122,7 +116,8 @@ def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
 
 def rebase_reference(graph, branch_head: str, onto: str, options=None):
     """graph.rebase as it was before its one-walk chain: one is_ancestor walk
-    per first-parent commit, then the same picks."""
+    per first-parent commit, then the same parent check of every chain
+    commit, oldest first, and the same picks."""
     chain = []
     cur = branch_head
     while not graph.is_ancestor(cur, onto):
@@ -132,6 +127,10 @@ def rebase_reference(graph, branch_head: str, onto: str, options=None):
             break
         cur = commit.parents[0]
     chain.reverse()
+    for cid in chain:
+        parents = graph[cid].parents
+        if len(parents) != 1:
+            raise graph_mod.MultiParent(f"{cid!r} has {len(parents)} parents")
 
     tip = onto
     for index, cid in enumerate(chain):
@@ -233,17 +232,17 @@ def histogram_reference(old: InternedSequence, new: InternedSequence) -> Changed
     return ChangedLines(of, nf)
 
 
-def patience_lis_reference(matches: list[UniqueMatch]) -> list[UniqueMatch]:
+def patience_lis_reference(matches: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Patience sorting as first written, with the predecessor of each match
     in a dict keyed by the frozen match itself; the reference
     ``patience.patience_lis`` is tested against."""
-    pile_tops: list[UniqueMatch] = []
-    previous: dict[UniqueMatch, UniqueMatch | None] = {}
+    pile_tops: list[tuple[int, int]] = []
+    previous: dict[tuple[int, int], tuple[int, int] | None] = {}
     for entry in matches:
         lo, hi = 0, len(pile_tops)
         while lo < hi:
             mid = (lo + hi) // 2
-            if pile_tops[mid].pos_b < entry.pos_b:
+            if pile_tops[mid][1] < entry[1]:
                 lo = mid + 1
             else:
                 hi = mid
@@ -255,7 +254,7 @@ def patience_lis_reference(matches: list[UniqueMatch]) -> list[UniqueMatch]:
     if not pile_tops:
         return []
     chain = []
-    node: UniqueMatch | None = pile_tops[-1]
+    node: tuple[int, int] | None = pile_tops[-1]
     while node is not None:
         chain.append(node)
         node = previous[node]
@@ -306,7 +305,7 @@ def validate_merge_regions(regions, o: list[int], left: list[int], right: list[i
     return problems
 
 
-def find_matching_unique_lines_reference(a: list[int], b: list[int]) -> list[UniqueMatch]:
+def find_matching_unique_lines_reference(a: list[int], b: list[int]) -> list[tuple[int, int]]:
     """Pairs (posA, posB) of lines occurring exactly once in each file, by posA,
     counted with two Counters over the whole lists."""
     count_a = Counter(a)
@@ -315,7 +314,7 @@ def find_matching_unique_lines_reference(a: list[int], b: list[int]) -> list[Uni
     matches = []
     for i, tok in enumerate(a):
         if count_a[tok] == 1 and tok in pos_b:
-            matches.append(UniqueMatch(i, pos_b[tok]))
+            matches.append((i, pos_b[tok]))
     return matches
 
 
@@ -352,8 +351,8 @@ def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> Cha
 
         # recurse on the segments between matched unique lines
         prev_a, prev_b = lo_a, lo_b
-        for m in lcs:
-            abs_a, abs_b = lo_a + m.pos_a, lo_b + m.pos_b
+        for pos_a, pos_b in lcs:
+            abs_a, abs_b = lo_a + pos_a, lo_b + pos_b
             work.append((prev_a, abs_a, prev_b, abs_b))
             prev_a, prev_b = abs_a + 1, abs_b + 1
         work.append((prev_a, hi_a, prev_b, hi_b))
@@ -628,8 +627,35 @@ def block_qualifies_reference(unmatched: list[bool], frequent: list[bool], i: in
     return fr_total * 4 < fr_total + un_total
 
 
+# git's indent-heuristic weights (``xdiff/xdiffi.c``), written out here so
+# the reference scorer does not read the package's constants
+START_OF_FILE = 1
+END_OF_FILE = 21
+TOTAL_BLANKS = -30
+POST_BLANK = 6
+RELATIVE_INDENT = -4
+RELATIVE_INDENT_WITH_BLANK = 10
+RELATIVE_OUTDENT = 24
+RELATIVE_OUTDENT_WITH_BLANK = 17
+RELATIVE_DEDENT = 23
+RELATIVE_DEDENT_WITH_BLANK = 17
+TOTAL_INDENT_BIAS = 60
+
+
+@dataclass(frozen=True)
+class SplitMeasurement:
+    """What the indent heuristic reads around one split, as first recorded."""
+
+    at_end: bool
+    indent: int | None          # None for a blank line or a split at EOF
+    pre_blank: int
+    pre_indent: int | None
+    post_blank: int
+    post_indent: int | None
+
+
 def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasurement:
-    """``slider.measure_split`` as first written: walks the blank lines around one split."""
+    """The measurement of one split as first written: walks the blank lines around one split."""
     n = len(seq)
     if split >= n:
         at_end, indent = True, None
@@ -655,13 +681,62 @@ def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasureme
     return SplitMeasurement(at_end, indent, pre_blank, pre_indent, post_blank, post_indent)
 
 
-def slide_group_reference(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
-    """``slider.slide_group`` as first written, measuring each shift's splits alone."""
-    start, end = group
-    lo, hi = slidable_range(flags, seq, group)
-    if lo == hi == 0:
-        return group
+def split_penalty(m: SplitMeasurement) -> int:
+    """Penalty of one measured split, as first written; lower is better."""
+    if m.at_end:
+        indent = None
+        total_blank = m.pre_blank
+        post_blank = 0
+    elif m.indent is None:
+        indent = m.post_indent
+        total_blank = m.pre_blank + m.post_blank + 1
+        post_blank = m.post_blank + 1
+    else:
+        indent = m.indent
+        total_blank = m.pre_blank
+        post_blank = 0
 
+    penalty = 0
+    if m.pre_indent is None and m.pre_blank == 0:
+        penalty += START_OF_FILE
+    if m.at_end:
+        penalty += END_OF_FILE
+    penalty += TOTAL_BLANKS * total_blank
+    penalty += POST_BLANK * post_blank
+
+    any_blanks = total_blank != 0
+    if indent is None or m.pre_indent is None:
+        pass
+    elif indent > m.pre_indent:
+        penalty += RELATIVE_INDENT_WITH_BLANK if any_blanks else RELATIVE_INDENT
+    elif indent < m.pre_indent:
+        if m.post_indent is not None and m.post_indent > indent:
+            penalty += RELATIVE_OUTDENT_WITH_BLANK if any_blanks else RELATIVE_OUTDENT
+        else:
+            penalty += RELATIVE_DEDENT_WITH_BLANK if any_blanks else RELATIVE_DEDENT
+    return penalty
+
+
+def split_indent(m: SplitMeasurement) -> int:
+    """Effective indent entering the 60-bias comparison; undefined counts zero."""
+    if m.at_end:
+        return 0
+    indent = m.indent if m.indent is not None else m.post_indent
+    return indent if indent is not None else 0
+
+
+def split_scores_reference(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(split_penalty, split_indent) of each split lo..hi, each measured alone."""
+    scores = []
+    for split in range(lo, hi + 1):
+        m = measure_split_reference(seq, split)
+        scores.append((split_penalty(m), split_indent(m)))
+    return scores
+
+
+def best_shift_reference(seq: InternedSequence, group: tuple[int, int], lo: int, hi: int) -> int:
+    """The shift in lo..hi whose two splits score best, ties to the lowest."""
+    start, end = group
     best_shift = None
     best_penalty = 0
     best_indent = 0
@@ -675,13 +750,23 @@ def slide_group_reference(flags: list[bool], seq: InternedSequence, group: tuple
             continue
         a_score, b_score = penalty, best_penalty
         if indent > best_indent:
-            a_score += DEFAULT_WEIGHTS.total_indent_bias
+            a_score += TOTAL_INDENT_BIAS
         elif best_indent > indent:
-            b_score += DEFAULT_WEIGHTS.total_indent_bias
+            b_score += TOTAL_INDENT_BIAS
         if a_score < b_score:
             best_shift, best_penalty, best_indent = shift, penalty, indent
-
     assert best_shift is not None
+    return best_shift
+
+
+def slide_group_reference(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
+    """``slider.slide_group`` as first written, measuring each shift's splits alone."""
+    start, end = group
+    lo, hi = slidable_range(flags, seq, group)
+    if lo == hi == 0:
+        return group
+
+    best_shift = best_shift_reference(seq, group, lo, hi)
     if best_shift:
         for i in range(start, end):
             flags[i] = False

@@ -17,7 +17,7 @@ from diffmerge.graph import build_exponential_graph, merge_commits, rebase, Comm
 from diffmerge.histogram import diff_histogram
 from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, LEFT, RIGHT, merge3
 from diffmerge.myers import MINIMAL, MYERS, diff_myers
-from diffmerge.patience import UniqueMatch, diff_patience, patience_lis
+from diffmerge.patience import diff_patience, patience_lis
 from diffmerge.slider import slide_changed_lines
 
 import reference
@@ -87,14 +87,14 @@ def test_criterion_2_minimality_against_dp_oracle():
 
 def test_criterion_3_patience_lis():
     with criterion(3, "patience LIS: worked example and 1k permutations"):
-        matches = [UniqueMatch(i, v) for i, v in enumerate([5, 4, 7, 8, 1, 3, 9, 6])]
-        assert [m.pos_b for m in patience_lis(matches)] == [4, 7, 8, 9]
+        matches = list(enumerate([5, 4, 7, 8, 1, 3, 9, 6]))
+        assert [m[1] for m in patience_lis(matches)] == [4, 7, 8, 9]
         rng = random.Random(3)
         for _ in range(1_000):
             n = rng.randrange(1, 13)
             perm = list(range(n))
             rng.shuffle(perm)
-            got = tuple(m.pos_b for m in patience_lis([UniqueMatch(i, v) for i, v in enumerate(perm)]))
+            got = tuple(m[1] for m in patience_lis(list(enumerate(perm))))
             assert got in reference.all_lis(perm), perm
 
 
@@ -298,7 +298,7 @@ def test_criterion_12_indent_heuristic():
 
         # classic slidable insertion: the added function slides to the
         # position chosen by evaluating the published penalty weights
-        from diffmerge.slider import measure_split, slidable_range, split_indent, split_penalty, DEFAULT_WEIGHTS
+        from diffmerge.slider import slidable_range
 
         old_b = b"def alpha():\n    return 1\n\n\ndef omega():\n    return 9\n"
         new_b = (
@@ -313,28 +313,7 @@ def test_criterion_12_indent_heuristic():
         group = (start, start + 4)
         lo, hi = slidable_range(flags.new_flags, new, group)
         assert hi - lo >= 2
-
-        def scored(shift):
-            top = measure_split(new, group[0] + shift)
-            bottom = measure_split(new, group[1] + shift)
-            return (
-                split_penalty(top) + split_penalty(bottom),
-                split_indent(top) + split_indent(bottom),
-            )
-
-        best_shift, best_p, best_i = None, 0, 0
-        for shift in range(lo, hi + 1):
-            p, ind = scored(shift)
-            if best_shift is None:
-                best_shift, best_p, best_i = shift, p, ind
-                continue
-            a_score, b_score = p, best_p
-            if ind > best_i:
-                a_score += DEFAULT_WEIGHTS.total_indent_bias
-            elif best_i > ind:
-                b_score += DEFAULT_WEIGHTS.total_indent_bias
-            if a_score < b_score:
-                best_shift, best_p, best_i = shift, p, ind
+        best_shift = reference.best_shift_reference(new, group, lo, hi)
 
         slid = slide_changed_lines(flags, old, new)
         chosen = min(i for i, f in enumerate(slid.new_flags) if f)

@@ -192,7 +192,39 @@ def test_rebase_matches_per_step_ancestry_reference(shape):
         got = _rebase_outcome(rebase, g, head, onto)
         assert got == _rebase_outcome(reference.rebase_reference, g, head, onto), (head, onto)
         kinds.add(got[0])
-    assert {"clean", "conflict"} <= kinds
+    # in disjoint-roots each chain whose picks conflict also holds a merge or
+    # a root, and either stops the rebase before its first pick
+    assert {"clean", "multi-parent" if shape == "disjoint-roots" else "conflict"} <= kinds
+
+
+def test_rebase_with_a_merge_on_its_chain_adds_no_commit():
+    # b1 would pick cleanly onto o; the merge b2 above it stops the rebase
+    # before that pick
+    g = CommitGraph()
+    g.add_commit("r", (), {"f": b"r\n"})
+    g.add_commit("o", ("r",), {"f": b"r\n", "g": b"o\n"})
+    g.add_commit("x", ("r",), {"f": b"r\n", "h": b"x\n"})
+    g.add_commit("b1", ("r",), {"f": b"b1\n"})
+    g.add_commit("b2", ("b1", "x"), {"f": b"b1\n", "h": b"x\n"})
+    g.add_commit("b3", ("b2",), {"f": b"b3\n", "h": b"x\n"})
+    before = set(g.commits)
+    with pytest.raises(MultiParent, match="'b2' has 2 parents"):
+        rebase(g, "b3", "o")
+    assert set(g.commits) == before
+
+    raised = 0
+    for shape in sorted(SHAPES):
+        rng = random.Random(f"rebase/{shape}")
+        g = random_dag(rng, **SHAPES[shape], edit=_edit_one_line)
+        before = set(g.commits)
+        for head, onto in query_pairs(rng, g, 40):
+            try:
+                rebase(g, head, onto)
+            except MultiParent:
+                raised += 1
+                assert set(g.commits) == before, (shape, head, onto)
+            before = set(g.commits)
+    assert raised > 20
 
 
 def test_rebase_walks_the_mainline_once():

@@ -4,12 +4,7 @@ import pytest
 
 from diffmerge.core import InternedSequence, InternTable
 from diffmerge.myers import MYERS, diff_myers
-from diffmerge.patience import (
-    UniqueMatch,
-    diff_patience,
-    find_matching_unique_lines,
-    patience_lis,
-)
+from diffmerge.patience import diff_patience, find_matching_unique_lines, patience_lis
 
 import reference
 from conftest import random_file
@@ -20,16 +15,12 @@ def toks(s):
 
 
 def test_unique_matches_all_unique():
-    assert find_matching_unique_lines(toks("abc"), toks("abc")) == [
-        UniqueMatch(0, 0),
-        UniqueMatch(1, 1),
-        UniqueMatch(2, 2),
-    ]
+    assert find_matching_unique_lines(toks("abc"), toks("abc")) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_unique_matches_skips_repeats():
     # a repeats in the first file, so only b qualifies
-    assert find_matching_unique_lines(toks("aab"), toks("ba")) == [UniqueMatch(2, 0)]
+    assert find_matching_unique_lines(toks("aab"), toks("ba")) == [(2, 0)]
 
 
 def test_unique_matches_empty():
@@ -37,8 +28,7 @@ def test_unique_matches_empty():
 
 
 def _lis_of(seq):
-    matches = [UniqueMatch(i, v) for i, v in enumerate(seq)]
-    return [m.pos_b for m in patience_lis(matches)]
+    return [pos_b for _, pos_b in patience_lis(list(enumerate(seq)))]
 
 
 def test_patience_lis_worked_example():
@@ -80,9 +70,9 @@ def test_unique_lis_lines_never_flagged(intern_pair):
     o, n = intern_pair(b"one\nx\ntwo\nx\nthree\n", b"zero\none\ntwo\nx\nx\nthree\n")
     flags = diff_patience(o, n)
     matches = patience_lis(find_matching_unique_lines(o.tokens, n.tokens))
-    for m in matches:
-        assert not flags.old_flags[m.pos_a]
-        assert not flags.new_flags[m.pos_b]
+    for pos_a, pos_b in matches:
+        assert not flags.old_flags[pos_a]
+        assert not flags.new_flags[pos_b]
 
 
 def test_permutation_flag_count_is_twice_lis_deficit():
@@ -119,7 +109,7 @@ def test_patience_lis_matches_reference_chain():
     for _ in range(400):
         n = rng.randrange(0, 60)
         span = rng.choice((3, n + 1, 4 * n + 1))
-        matches = [UniqueMatch(i, rng.randrange(span)) for i in range(n)]
+        matches = [(i, rng.randrange(span)) for i in range(n)]
         got = patience_lis(matches)
         assert got == reference.patience_lis_reference(matches)
     matches = find_matching_unique_lines(*(list(rng.sample(range(5000), 3000)) for _ in range(2)))
@@ -190,5 +180,5 @@ def test_unique_matches_on_a_range_match_the_sliced_reference():
         hi_b = rng.randrange(lo_b, len(new) + 1)
         got = find_matching_unique_lines(old, new, lo_a, hi_a, lo_b, hi_b)
         want = reference.find_matching_unique_lines_reference(old[lo_a:hi_a], new[lo_b:hi_b])
-        assert got == [UniqueMatch(m.pos_a + lo_a, m.pos_b + lo_b) for m in want]
-        assert all(type(m) is UniqueMatch for m in got)
+        assert got == [(pos_a + lo_a, pos_b + lo_b) for pos_a, pos_b in want]
+        assert all(type(m) is tuple for m in got)

@@ -4,20 +4,10 @@ import pytest
 
 from diffmerge.core import InternTable, apply_script, flags_to_script
 from diffmerge.engine import diff_lines
-from diffmerge.slider import (
-    DEFAULT_WEIGHTS,
-    SplitMeasurement,
-    _groups,
-    line_indent,
-    measure_split,
-    slidable_range,
-    slide_changed_lines,
-    slide_group,
-    split_indent,
-    split_penalty,
-)
+from diffmerge.slider import _groups, line_indent, slidable_range, slide_changed_lines, slide_group, split_scores
 
 import reference
+from reference import SplitMeasurement, measure_split_reference, split_indent, split_penalty
 from conftest import lines_executed, random_file
 
 
@@ -30,35 +20,45 @@ def test_line_indent_tabs_and_blanks():
     assert line_indent(b"\n") is None
 
 
+# The scorer as first written, on hand-made measurements, and the same
+# splits in files through split_scores.
+
+
 def test_split_penalty_start_of_file():
     m = SplitMeasurement(at_end=False, indent=0, pre_blank=0, pre_indent=None, post_blank=0, post_indent=0)
     assert split_penalty(m) == 1
+    # split 0 of a file whose first two lines sit at indent 0
+    assert split_scores(InternTable().intern(b"a\nb\n"), 0, 0) == [(1, 0)]
 
 
 def test_split_penalty_end_of_file():
     m = SplitMeasurement(at_end=True, indent=None, pre_blank=0, pre_indent=0, post_blank=0, post_indent=None)
     assert split_penalty(m) == 21
+    assert split_scores(InternTable().intern(b"a\n"), 1, 1) == [(21, 0)]
 
 
 def test_split_penalty_blank_terms():
     # split at a blank line with one blank above: 2 blanks around, 1 after
     m = SplitMeasurement(at_end=False, indent=None, pre_blank=1, pre_indent=4, post_blank=0, post_indent=4)
     assert split_penalty(m) == 2 * -30 + 1 * 6
+    assert split_scores(InternTable().intern(b"    a\n\n\n    b\n"), 2, 2) == [(2 * -30 + 1 * 6, 4)]
 
 
 def test_measure_split_blank_line_inherits_following_indent():
     seq = InternTable().intern(b"a\n\n    b\n")
-    m = measure_split(seq, 1)
+    m = measure_split_reference(seq, 1)
     assert m.indent is None
     assert m.post_indent == 4
     assert split_indent(m) == 4
+    assert split_scores(seq, 1, 1)[0][1] == 4
 
 
 def test_measure_split_blank_run_to_eof_is_undefined():
     seq = InternTable().intern(b"a\n\n\n")
-    m = measure_split(seq, 1)
+    m = measure_split_reference(seq, 1)
     assert m.indent is None and m.post_indent is None
     assert split_indent(m) == 0
+    assert split_scores(seq, 1, 1)[0][1] == 0
 
 
 def test_slidable_range_distinct_borders():
@@ -117,34 +117,10 @@ def test_function_boundary_insertion_prefers_boundary_split():
     lo, hi = slidable_range(flags.new_flags, new, group)
     assert hi - lo >= 2  # genuinely ambiguous position
 
-    # independent oracle: evaluate the penalty sum for every allowed shift
-    def score(shift):
-        top = measure_split(new, group[0] + shift)
-        bottom = measure_split(new, group[1] + shift)
-        return (
-            split_penalty(top) + split_penalty(bottom),
-            split_indent(top) + split_indent(bottom),
-        )
-
-    candidates = []
-    for shift in range(lo, hi + 1):
-        candidates.append((shift, *score(shift)))
-
-    def better(x, y):
-        (_, px, ix), (_, py, iy) = x, y
-        if ix > iy:
-            px += DEFAULT_WEIGHTS.total_indent_bias
-        elif iy > ix:
-            py += DEFAULT_WEIGHTS.total_indent_bias
-        return px < py
-
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if better(cand, best):
-            best = cand
-
+    # the reference scorer evaluates the penalty sum for every allowed shift
+    best = reference.best_shift_reference(new, group, lo, hi)
     chosen = slide_group(list(flags.new_flags), new, group)
-    assert chosen == (group[0] + best[0], group[1] + best[0])
+    assert chosen == (group[0] + best, group[1] + best)
     # the chosen split starts the group at the function boundary: the line at
     # the top split is "def middle():"
     assert new.raw[chosen[0]] == b"def middle():\n"
@@ -179,8 +155,7 @@ def test_tied_shifts_pick_lowest_shift():
     assert lo < hi
     for shift in range(lo, hi + 1):
         for split in (group[0] + shift, group[1] + shift):
-            assert split_penalty(measure_split(new, split)) == 0
-            assert split_indent(measure_split(new, split)) == 0
+            assert split_scores(new, split, split) == [(0, 0)]
     chosen = slide_group(list(flags.new_flags), new, group)
     assert chosen == (group[0] + lo, group[1] + lo)
 
@@ -222,13 +197,13 @@ def test_penalty_ordering_invariant_under_constant_indent():
         b"x\n"
     )
     shifted = b"".join(b"  " + line if line.strip() else line for line in base.splitlines(keepends=True))
-    for split in range(6):
-        m1 = measure_split(InternTable().intern(base), split)
-        m2 = measure_split(InternTable().intern(shifted), split)
+    scores1 = split_scores(InternTable().intern(base), 0, 5)
+    scores2 = split_scores(InternTable().intern(shifted), 0, 5)
+    for (penalty1, indent1), (penalty2, indent2) in zip(scores1, scores2):
         # relation categories unchanged => identical penalty
-        assert split_penalty(m1) == split_penalty(m2)
+        assert penalty1 == penalty2
         # the bias side compares totals, which shift together
-        assert split_indent(m2) >= split_indent(m1)
+        assert indent2 >= indent1
 
 
 def test_groups_match_reference():
@@ -284,8 +259,12 @@ def test_slide_and_measure_match_reference(algorithm):
             got = slide_changed_lines(flags, a, b)
             assert got == reference.slide_changed_lines_reference(flags, a, b)
             moved += got != flags
-        for split in range(len(new) + 1):
-            assert measure_split(new, split) == reference.measure_split_reference(new, split)
+        want = reference.split_scores_reference(new, 0, len(new))
+        assert split_scores(new, 0, len(new)) == want
+        for _ in range(10):
+            lo = rng.randrange(len(new) + 1)
+            hi = rng.randrange(lo, len(new) + 1)
+            assert split_scores(new, lo, hi) == want[lo:hi + 1], (lo, hi)
     assert moved > 100
 
 
