@@ -22,5 +22,7 @@ for n in range(0, 13):
 print()
 print("Commit count grows linearly (6n + 4) while merge calls double per")
 print("block; real repositories hit the same wall when criss-cross merges")
-print("stack up, because every pair of merge bases is itself merged with a")
-print("freshly computed (and possibly multiple) base.")
+print("stack up, because every pair of merge bases is itself merged over")
+print("its own (possibly multiple) bases. Within one merge those bases are")
+print("looked up once per distinct query, 2n + 1 walks, but the merges of")
+print("the virtual bases still double.")

@@ -15,6 +15,13 @@ question is one _Descent from the descendant, stopped at the
 generation of the candidate ancestor.  Both pop commits highest generation
 first, so a walk covers only the commits between the heads and that
 generation.
+
+Within one merge, each merge-base answer is remembered.  A virtual commit
+is never an ancestor of a real one, and the other operand of every lookup
+is real, so the bases of a virtual commit and a real one are those of the
+real commits it folds and the real one: in the exponential family 2n + 1
+walks answer all 2**n + 1 recursive calls.  The call count itself still
+doubles per block, as in git, and the memo ends with its merge.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ class UnknownCommit(GraphError):
 
 
 class MultiParent(GraphError):
-    """Operation requires a commit with exactly one parent."""
+    """Operation cannot take a merge commit, one with several parents."""
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,18 @@ def graph_from_jsonl(text: str) -> CommitGraph:
 
 
 class _MergeContext:
-    """Per-merge scratch state: virtual commits live here, not in the graph."""
+    """Per-merge scratch state: virtual commits and the merge-base memo live
+    here, not in the graph."""
 
     def __init__(self, graph: CommitGraph, stats: MergeStats, options: MergeOptions):
         self.graph = graph
         self.stats = stats
         self.options = options
         self.virtual: dict[str, Commit] = {}
+        # virtual id -> the real commits it folds
+        self.folded: dict[str, frozenset[str]] = {}
+        # (a, or the real commits a folds, b) -> _lca(a, b)
+        self.bases: dict[tuple[str | frozenset[str], str], list[str]] = {}
 
     # The entry points reject unknown heads, and every id a walk reaches is
     # a parent of a known commit, so this reads the maps directly.
@@ -226,9 +238,11 @@ class _MergeContext:
 
     def new_virtual(self, parents: tuple[str, str], tree: dict[str, bytes]) -> str:
         cid = f"virtual:{len(self.virtual)}"
-        bases = [self.commit(p) for p in parents]
-        ts = max(c.timestamp for c in bases)
-        self.virtual[cid] = Commit(cid, parents, tree, ts, 1 + max(c.generation for c in bases))
+        left, right = parents
+        p, q = self.commit(left), self.commit(right)
+        ts, generation = max(p.timestamp, q.timestamp), 1 + max(p.generation, q.generation)
+        self.virtual[cid] = Commit(cid, parents, tree, ts, generation)
+        self.folded[cid] = self.folded.get(left, frozenset((left,))) | self.folded.get(right, frozenset((right,)))
         return cid
 
 
@@ -241,9 +255,14 @@ def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
 
 
 def _lca(ctx: _MergeContext, a: str, b: str) -> list[str]:
-    bases = _merge_bases(a, b, ctx.commit)
-    # descending creation time; id breaks ties deterministically
-    return sorted(bases, key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+    # b is real, so a virtual a has the bases of the real commits it folds
+    key = (ctx.folded.get(a, a), b)
+    bases = ctx.bases.get(key)
+    if bases is None:
+        # descending creation time; id breaks ties deterministically
+        bases = sorted(_merge_bases(a, b, ctx.commit), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+        ctx.bases[key] = bases
+    return bases
 
 
 def _merge_tree_pair(
@@ -361,7 +380,8 @@ def merge_commits(
 
 
 def _require_one_parent(commit: Commit) -> None:
-    if len(commit.parents) != 1:
+    """A root commit has one parent, the empty tree; a merge has too many."""
+    if len(commit.parents) > 1:
         raise MultiParent(f"{commit.id!r} has {len(commit.parents)} parents")
 
 
@@ -374,11 +394,13 @@ def _apply_change(
     *,
     undo: bool,
 ) -> MergeResult:
-    """Merge the change a single-parent commit made into ``onto``, or with
-    ``undo`` the inverse change; the new commit's only parent is ``onto``."""
+    """Merge the change a non-merge commit made into ``onto``, or with
+    ``undo`` the inverse change; the new commit's only parent is ``onto``.
+    A root commit's change is the addition of its whole tree."""
     changed = graph[commit]
     _require_one_parent(changed)
-    before, after = graph[changed.parents[0]].tree, changed.tree
+    before = graph[changed.parents[0]].tree if changed.parents else {}
+    after = changed.tree
     if undo:
         before, after = after, before
     tree, conflicts = _merge_tree_pair(options or MergeOptions(), before, after, graph[onto].tree)
@@ -431,9 +453,10 @@ def rebase(
 
     The chain ends at the first commit that is an ancestor of ``onto``.  Its
     generations fall strictly, so one descent from ``onto``, lowered to each
-    chain commit's generation in turn, answers every step.  Every chain
-    commit must have one parent, or ``MultiParent`` names the oldest that
-    has not, before any pick adds a commit to the graph."""
+    chain commit's generation in turn, answers every step.  A branch with no
+    ancestor of ``onto`` replays down to its root, which adds its tree.  A
+    merge commit on the chain raises ``MultiParent``, naming the oldest one,
+    before any pick adds a commit to the graph."""
     options = options or MergeOptions()
     below_onto = _Descent([graph[onto].id], graph.commits.__getitem__)
     chain = []

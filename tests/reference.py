@@ -129,7 +129,7 @@ def rebase_reference(graph, branch_head: str, onto: str, options=None):
     chain.reverse()
     for cid in chain:
         parents = graph[cid].parents
-        if len(parents) != 1:
+        if len(parents) > 1:
             raise graph_mod.MultiParent(f"{cid!r} has {len(parents)} parents")
 
     tip = onto

@@ -6,7 +6,17 @@ import tracemalloc
 import pytest
 
 from diffmerge import graph as graph_mod
-from diffmerge.graph import CommitGraph, MergeStats, MultiParent, UnknownCommit, lowest_common_ancestors, merge_commits, rebase
+from diffmerge.graph import (
+    CommitGraph,
+    MergeStats,
+    MultiParent,
+    UnknownCommit,
+    build_exponential_graph,
+    lowest_common_ancestors,
+    merge_base_recursive,
+    merge_commits,
+    rebase,
+)
 from diffmerge.merge3 import MergeOptions
 
 import reference
@@ -151,6 +161,76 @@ def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
     assert max(outcome[4] for outcome in got) > 2
 
 
+def _checked_lca(monkeypatch):
+    """Make every graph._lca call compare the memo's answer with the walk's
+    from frozensets as it runs; returns the list of the calls' (a, b)."""
+    calls = []
+    memo_lca = graph_mod._lca
+
+    def lca(ctx, a, b):
+        got = memo_lca(ctx, a, b)
+        assert got == _reference_lca(ctx, a, b), (a, b)
+        calls.append((a, b))
+        return got
+
+    monkeypatch.setattr(graph_mod, "_lca", lca)
+    return calls
+
+
+def test_remembered_merge_bases_equal_the_walk_call_by_call(monkeypatch):
+    calls = _checked_lca(monkeypatch)
+    for shape in sorted(SHAPES):
+        rng = random.Random(f"memo/{shape}")
+        g = random_dag(rng, **SHAPES[shape], edit=_edit_one_line)
+        for a, b in query_pairs(rng, g, 30, last=30):
+            merge_commits(g.copy(), a, b)
+            merge_base_recursive(g, a, b)
+    # wide-fan-in reaches lookups from virtual commits
+    assert sum(a.startswith("virtual:") for a, _b in calls) >= 10
+
+
+def test_remembered_merge_bases_equal_the_walk_on_the_exponential_family(monkeypatch):
+    calls = _checked_lca(monkeypatch)
+    for n in range(11):
+        g, a, b = build_exponential_graph(n)
+        before = len(calls)
+        assert merge_commits(g.copy(), a, b).stats.merge_calls == 2**n + 1
+        # one lookup per recursive call
+        assert len(calls) - before == 2**n + 1
+        merge_base_recursive(g, a, b)
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    walk = graph_mod._merge_bases
+
+    def counted(a, b, commit_of):
+        walks.append((a, b))
+        return walk(a, b, commit_of)
+
+    monkeypatch.setattr(graph_mod, "_merge_bases", counted)
+    return walks
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_exponential_family_walks_once_per_distinct_base_query(monkeypatch, n):
+    walks = _count_walks(monkeypatch)
+    g, a, b = build_exponential_graph(n)
+    result = merge_commits(g, a, b)
+    assert result.kind == "clean"
+    assert result.stats.merge_calls == 2**n + 1
+    assert len(walks) == (2 * n + 1 if n else 2)
+
+    # a second merge on the grown graph walks again from scratch: the memo
+    # ended with the first merge
+    g.add_commit("X", (a,), {"file": b"changed\n"})
+    del walks[:]
+    got = _merge_outcome(g, "X", b)
+    assert len(walks) == (2 * n + 1 if n else 2)
+    monkeypatch.setattr(graph_mod, "_lca", _reference_lca)
+    assert got == _merge_outcome(g, "X", b)
+
+
 def test_long_chain_memory_stays_linear():
     tracemalloc.start()
     try:
@@ -192,8 +272,9 @@ def test_rebase_matches_per_step_ancestry_reference(shape):
         got = _rebase_outcome(rebase, g, head, onto)
         assert got == _rebase_outcome(reference.rebase_reference, g, head, onto), (head, onto)
         kinds.add(got[0])
-    # in disjoint-roots each chain whose picks conflict also holds a merge or
-    # a root, and either stops the rebase before its first pick
+    # every shape reaches clean picks; disjoint-roots must also reach a merge
+    # on a chain, which stops the rebase before its first pick, and the
+    # other shapes a conflicting pick
     assert {"clean", "multi-parent" if shape == "disjoint-roots" else "conflict"} <= kinds
 
 

@@ -140,6 +140,16 @@ def test_cherry_pick_rejects_merge_commits():
         cherry_pick(g, "m", "onto")
 
 
+def test_cherry_pick_of_a_root_adds_its_files():
+    g = CommitGraph()
+    g.add_commit("root", (), {"f": b"root\n", "g": b"g\n"})
+    g.add_commit("onto", (), {"h": b"h\n"})
+    result = cherry_pick(g, "root", "onto")
+    assert result.kind == "clean"
+    assert result.commit.parents == ("onto",)
+    assert result.commit.tree == {"f": b"root\n", "g": b"g\n", "h": b"h\n"}
+
+
 def test_revert_head_restores_parent_tree():
     g = CommitGraph()
     g.add_commit("p", (), {"f": b"a\n"})
@@ -169,6 +179,16 @@ def test_revert_conflicts_when_lines_were_edited_later():
     assert result.kind == "conflict"
 
 
+def test_revert_of_a_root_conflicts_with_a_later_edit():
+    # reverting the root deletes f, which the descendant modified
+    g = CommitGraph()
+    g.add_commit("root", (), {"f": b"a\n"})
+    g.add_commit("head", ("root",), {"f": b"b\n"})
+    result = revert(g, "root", "head")
+    assert result.kind == "conflict"
+    assert sorted(result.conflicts) == ["f"]
+
+
 def test_rebase_onto_own_ancestor_reproduces_trees():
     g = CommitGraph()
     g.add_commit("r", (), {"f": b"0\n"})
@@ -189,6 +209,21 @@ def test_rebase_empty_branch_returns_onto():
     result = rebase(g, "c1", "c2")
     assert result.kind == "clean"
     assert result.head == "c2"
+
+
+def test_rebase_of_an_unrelated_branch_replays_its_root_first():
+    g = CommitGraph()
+    g.add_commit("o", (), {"f": b"o\n"})
+    g.add_commit("b1", (), {"g": b"1\n"})
+    g.add_commit("b2", ("b1",), {"g": b"1\n2\n", "h": b"h\n"})
+    result = rebase(g, "b2", "o")
+    assert result.kind == "clean"
+    tip = g[result.head]
+    assert tip.tree == {"f": b"o\n", "g": b"1\n2\n", "h": b"h\n"}
+    first = g[tip.parents[0]]
+    assert first.id == "rebase(b1@o)"
+    assert first.parents == ("o",)
+    assert first.tree == {"f": b"o\n", "g": b"1\n"}
 
 
 def test_rebase_non_commutativity_minimal_example():
