@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("b", metavar=name_b)
         p.set_defaults(func=cmd_graph)
     p_expo = graph_sub.add_parser("expo-demo")
-    p_expo.add_argument("max_n", type=int)
+    p_expo.add_argument("max_n", type=non_negative_int)
     p_expo.set_defaults(func=cmd_graph)
 
     return parser

@@ -3,8 +3,8 @@
 Commits carry a tree (path -> blob bytes), ordered parents and an integer
 timestamp used to order merge bases by descending creation time.  When two
 heads have several lowest common ancestors those are folded pairwise into
-virtual commits, recursing for each pairwise base; every invocation of the
-recursive merge function is counted in MergeStats.
+one virtual merge base, a tree, recursing for each pairwise base; every
+invocation of the recursive merge function is counted in MergeStats.
 
 Every commit carries its generation number, 1 + the largest generation of
 its parents (git's commit-graph topological level), so the graph holds O(N)
@@ -16,12 +16,12 @@ generation of the candidate ancestor.  Both pop commits highest generation
 first, so a walk covers only the commits between the heads and that
 generation.
 
-Within one merge, each merge-base answer is remembered.  A virtual commit
-is never an ancestor of a real one, and the other operand of every lookup
-is real, so the bases of a virtual commit and a real one are those of the
-real commits it folds and the real one: in the exponential family 2n + 1
-walks answer all 2**n + 1 recursive calls.  The call count itself still
-doubles per block, as in git, and the memo ends with its merge.
+A virtual base is never an ancestor of a real commit, so the merge bases
+of the bases folded so far and the next one are those of the real commits
+folded: one walk paints them all as its start.  Within one merge each
+answer is remembered, so in the exponential family 2n + 1 walks answer all
+2**n + 1 recursive calls.  The call count itself still doubles per block,
+as in git, and the memo ends with its merge.
 """
 
 from __future__ import annotations
@@ -118,11 +118,11 @@ class CommitGraph:
 
     def ancestors_of(self, cid: str) -> frozenset[str]:
         """Ancestors including the commit itself."""
-        return frozenset(_Descent([self[cid].id], self.commits.__getitem__).lower(0))
+        return frozenset(_Descent([self[cid].id], self.commits).lower(0))
 
     def is_ancestor(self, a: str, b: str) -> bool:
         """Whether a is b or one of its ancestors; an unknown a is no ancestor."""
-        descent = _Descent([self[b].id], self.commits.__getitem__)
+        descent = _Descent([self[b].id], self.commits)
         return a in self.commits and a in descent.lower(self.commits[a].generation)
 
 
@@ -136,40 +136,41 @@ class _Descent:
     reachable commits.  A later call with a lower floor resumes where this
     one stopped."""
 
-    def __init__(self, starts, commit_of) -> None:
-        self.commit_of = commit_of
+    def __init__(self, starts, commits: dict[str, Commit]) -> None:
+        self.commits = commits
         self.seen = set(starts)
-        self.queue = [(-commit_of(cid).generation, cid) for cid in self.seen]
+        self.queue = [(-commits[cid].generation, cid) for cid in self.seen]
         heapq.heapify(self.queue)
 
     def lower(self, floor: int) -> set[str]:
-        queue, seen, commit_of = self.queue, self.seen, self.commit_of
+        queue, seen, commits = self.queue, self.seen, self.commits
         while queue and -queue[0][0] > floor:
-            for p in commit_of(heapq.heappop(queue)[1]).parents:
+            for p in commits[heapq.heappop(queue)[1]].parents:
                 if p not in seen:
                     seen.add(p)
-                    heapq.heappush(queue, (-commit_of(p).generation, p))
+                    heapq.heappush(queue, (-commits[p].generation, p))
         return seen
 
 
 _PARENT1, _PARENT2, _STALE = 1, 2, 4
 
 
-def _merge_bases(a: str, b: str, commit_of) -> list[str]:
-    """Lowest common ancestors of a and b: git's paint_down_to_common.
+def _merge_bases(starts, b: str, commits: dict[str, Commit]) -> list[str]:
+    """Lowest common ancestors of the start commits, taken together, and b:
+    git's paint_down_to_common.
 
-    Ancestors of a are painted PARENT1 and those of b PARENT2.  A commit
-    painted both is a candidate, and everything below it is STALE; the walk
-    ends when only stale commits are queued.  Commits leave the queue
-    highest generation first, and every descendant has a higher generation,
-    so a commit's paint is final when it is popped.  In particular a
-    candidate is popped before its ancestors and paints them STALE first,
-    so no candidate is an ancestor of another and git's remove_redundant
-    check is not needed.
+    Ancestors of the starts are painted PARENT1 and those of b PARENT2.  A
+    commit painted both is a candidate, and everything below it is STALE;
+    the walk ends when only stale commits are queued.  Commits leave the
+    queue highest generation first, and every descendant has a higher
+    generation, so a commit's paint is final when it is popped.  In
+    particular a candidate is popped before its ancestors and paints them
+    STALE first, so no candidate is an ancestor of another and git's
+    remove_redundant check is not needed.
     """
-    paint = {a: _PARENT1}
+    paint = dict.fromkeys(starts, _PARENT1)
     paint[b] = paint.get(b, 0) | _PARENT2
-    queue = [(-commit_of(cid).generation, cid) for cid in paint]
+    queue = [(-commits[cid].generation, cid) for cid in paint]
     heapq.heapify(queue)
     nonstale = len(queue)  # queued commits not painted STALE
     candidates = []
@@ -181,14 +182,14 @@ def _merge_bases(a: str, b: str, commit_of) -> list[str]:
         if flags == _PARENT1 | _PARENT2:
             candidates.append(cid)
             flags |= _STALE
-        for p in commit_of(cid).parents:
+        for p in commits[cid].parents:
             # p is below cid, so it is still queued if it was painted at all
             old = paint.get(p, 0)
             if old | flags == old:
                 continue
             paint[p] = old | flags
             if not old:
-                heapq.heappush(queue, (-commit_of(p).generation, p))
+                heapq.heappush(queue, (-commits[p].generation, p))
                 if not flags & _STALE:
                     nonstale += 1
             elif flags & _STALE and not old & _STALE:
@@ -197,7 +198,9 @@ def _merge_bases(a: str, b: str, commit_of) -> list[str]:
 
 
 def graph_from_jsonl(text: str) -> CommitGraph:
-    """Build a graph from JSON-lines records {id, parents, files, ts}."""
+    """Build a graph from JSON-lines records {id, parents, files, ts}: a
+    string id, a list of parent ids, an object of path -> text and an
+    optional integer timestamp."""
     graph = CommitGraph()
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -205,45 +208,39 @@ def graph_from_jsonl(text: str) -> CommitGraph:
             continue
         try:
             rec = json.loads(line)
-            cid = rec["id"]
-            parents = tuple(rec.get("parents", ()))
+            _check_record(rec)
             files = {path: content.encode() for path, content in rec.get("files", {}).items()}
-            ts = rec.get("ts")
-        except (json.JSONDecodeError, KeyError, AttributeError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise GraphError(f"bad graph record on line {line_no}: {exc}") from exc
-        graph.add_commit(cid, parents, files, ts)
+        graph.add_commit(rec["id"], rec.get("parents", ()), files, rec.get("ts"))
     return graph
 
 
+def _check_record(rec) -> None:
+    """Raise TypeError unless rec has the field types graph_from_jsonl reads."""
+    if not isinstance(rec, dict):
+        raise TypeError("a record must be a JSON object")
+    parents, files, ts = rec.get("parents", []), rec.get("files", {}), rec.get("ts")
+    if not isinstance(rec.get("id"), str):
+        raise TypeError("id must be a string")
+    if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+        raise TypeError("parents must be a list of strings")
+    # JSON object keys are always strings
+    if not isinstance(files, dict) or not all(isinstance(c, str) for c in files.values()):
+        raise TypeError("files must map paths to strings")
+    if ts is not None and type(ts) is not int:  # bool is an int subclass
+        raise TypeError("ts must be an integer")
+
+
+@dataclass
 class _MergeContext:
-    """Per-merge scratch state: virtual commits and the merge-base memo live
-    here, not in the graph."""
+    """Per-merge scratch state: the merge-base memo lives here, not in the graph."""
 
-    def __init__(self, graph: CommitGraph, stats: MergeStats, options: MergeOptions):
-        self.graph = graph
-        self.stats = stats
-        self.options = options
-        self.virtual: dict[str, Commit] = {}
-        # virtual id -> the real commits it folds
-        self.folded: dict[str, frozenset[str]] = {}
-        # (a, or the real commits a folds, b) -> _lca(a, b)
-        self.bases: dict[tuple[str | frozenset[str], str], list[str]] = {}
-
-    # The entry points reject unknown heads, and every id a walk reaches is
-    # a parent of a known commit, so this reads the maps directly.
-    def commit(self, cid: str) -> Commit:
-        if cid in self.virtual:
-            return self.virtual[cid]
-        return self.graph.commits[cid]
-
-    def new_virtual(self, parents: tuple[str, str], tree: dict[str, bytes]) -> str:
-        cid = f"virtual:{len(self.virtual)}"
-        left, right = parents
-        p, q = self.commit(left), self.commit(right)
-        ts, generation = max(p.timestamp, q.timestamp), 1 + max(p.generation, q.generation)
-        self.virtual[cid] = Commit(cid, parents, tree, ts, generation)
-        self.folded[cid] = self.folded.get(left, frozenset((left,))) | self.folded.get(right, frozenset((right,)))
-        return cid
+    graph: CommitGraph
+    stats: MergeStats
+    options: MergeOptions
+    # (a, b) -> _lca(ctx, a, b)
+    bases: dict[tuple[frozenset[str], str], list[str]] = field(default_factory=dict)
 
 
 def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
@@ -251,17 +248,19 @@ def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
     for cid in (a, b):
         if cid not in graph:
             raise UnknownCommit(cid)
-    return set(_merge_bases(a, b, graph.commits.__getitem__))
+    return set(_merge_bases((a,), b, graph.commits))
 
 
-def _lca(ctx: _MergeContext, a: str, b: str) -> list[str]:
-    # b is real, so a virtual a has the bases of the real commits it folds
-    key = (ctx.folded.get(a, a), b)
-    bases = ctx.bases.get(key)
+def _lca(ctx: _MergeContext, a: frozenset[str], b: str) -> list[str]:
+    """Merge bases of the commits a, taken together, and b, newest first.
+    The entry points reject unknown heads, and every id a walk reaches is a
+    parent of a known commit, so this reads the commit map directly."""
+    bases = ctx.bases.get((a, b))
     if bases is None:
+        commits = ctx.graph.commits
         # descending creation time; id breaks ties deterministically
-        bases = sorted(_merge_bases(a, b, ctx.commit), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
-        ctx.bases[key] = bases
+        bases = sorted(_merge_bases(a, b, commits), key=lambda cid: (-commits[cid].timestamp, cid))
+        ctx.bases[a, b] = bases
     return bases
 
 
@@ -294,25 +293,24 @@ def _merge_tree_pair(
 
 
 def _merge_recursive(
-    ctx: _MergeContext, a: str, b: str, bases: list[str]
+    ctx: _MergeContext, left: dict[str, bytes], right: dict[str, bytes], bases: list[str]
 ) -> tuple[dict[str, bytes], dict[str, bytes]]:
-    """The recursive merge function over the ordered merge bases of a and b;
-    every invocation counts."""
+    """The recursive merge function: two trees over their ordered merge
+    bases; every invocation counts."""
     ctx.stats.merge_calls += 1
-    base_tree = _fold_bases(ctx, bases)
-    return _merge_tree_pair(ctx.options, base_tree, ctx.commit(a).tree, ctx.commit(b).tree)
+    return _merge_tree_pair(ctx.options, _fold_bases(ctx, bases), left, right)
 
 
 def _fold_bases(ctx: _MergeContext, bases: list[str]) -> dict[str, bytes]:
-    """Tree of the merge bases folded pairwise, in order, into one virtual commit."""
+    """Tree of the merge bases folded pairwise, in order, into one virtual base."""
     if not bases:
         return {}
-    current = bases[0]
-    for nxt in bases[1:]:
-        tree, _conflicts = _merge_recursive(ctx, current, nxt, _lca(ctx, current, nxt))
-        # conflict markers, if any, stay in the virtual blobs
-        current = ctx.new_virtual((current, nxt), tree)
-    return ctx.commit(current).tree
+    commits = ctx.graph.commits
+    tree = commits[bases[0]].tree
+    for i, nxt in enumerate(bases[1:], 1):
+        # conflict markers, if any, stay in the virtual base's blobs
+        tree, _conflicts = _merge_recursive(ctx, tree, commits[nxt].tree, _lca(ctx, frozenset(bases[:i]), nxt))
+    return tree
 
 
 def merge_base_recursive(
@@ -326,7 +324,7 @@ def merge_base_recursive(
     ctx = _MergeContext(graph, stats if stats is not None else MergeStats(), options or MergeOptions())
     if a not in graph or b not in graph:
         raise UnknownCommit(a if a not in graph else b)
-    return _fold_bases(ctx, _lca(ctx, a, b))
+    return _fold_bases(ctx, _lca(ctx, frozenset((a,)), b))
 
 
 class _DefaultId(str):
@@ -365,14 +363,14 @@ def merge_commits(
         raise UnknownCommit(a if a not in graph else b)
     stats = MergeStats()
     ctx = _MergeContext(graph, stats, options or MergeOptions())
-    bases = _lca(ctx, a, b)
+    bases = _lca(ctx, frozenset((a,)), b)
     # a head among the merge bases is an ancestor of the other head
     if a in bases:
         return MergeResult("fast-forward", graph.commits[b], {}, stats)
     if b in bases:
         return MergeResult("fast-forward", graph.commits[a], {}, stats)
 
-    tree, conflicts = _merge_recursive(ctx, a, b, bases)
+    tree, conflicts = _merge_recursive(ctx, graph.commits[a].tree, graph.commits[b].tree, bases)
     if conflicts:
         stats.conflict_paths = sorted(conflicts)
         return MergeResult("conflict", None, conflicts, stats)
@@ -458,7 +456,7 @@ def rebase(
     merge commit on the chain raises ``MultiParent``, naming the oldest one,
     before any pick adds a commit to the graph."""
     options = options or MergeOptions()
-    below_onto = _Descent([graph[onto].id], graph.commits.__getitem__)
+    below_onto = _Descent([graph[onto].id], graph.commits)
     chain = []
     commit = graph[branch_head]
     while commit.id not in below_onto.lower(commit.generation):
@@ -485,7 +483,7 @@ def build_exponential_graph(n: int) -> tuple[CommitGraph, str, str]:
 
     The two heads sit on a short chain of paired merge bases; below it, each
     block contributes a base triple {A_i, B_i, C_i} whose members all have to
-    be folded into a virtual commit, and both fold steps recurse into the
+    be folded into a virtual base, and both fold steps recurse into the
     next triple, doubling the work per block.  The graph has 6n + 4 commits,
     every one carrying the same single-file tree.
     """
@@ -516,7 +514,7 @@ def build_exponential_graph(n: int) -> tuple[CommitGraph, str, str]:
         q2 = add("Q'", bottom)
     else:
         # triples from the bottom block up; C is oldest, A newest, so the
-        # descending-time fold merges (A, B) first and the virtual result
+        # descending-time fold merges (A, B) first and their virtual base
         # with C second
         level = n - 1
         c = add(f"C{level}", bottom)

@@ -4,6 +4,7 @@ Each is either a brute-force answer (LCS by memoised recursion, every LIS
 by enumeration, frozenset ancestry) or the first, simpler form of code that
 was later rewritten for speed: the per-subproblem histogram rescan, the
 rebase that tests each chain commit for ancestry with a walk of its own, the
+recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the line-by-line flag scans, the frequent-line rule that rescans a
 block around each of its lines, the indent heuristic that rescans the
@@ -16,12 +17,13 @@ this code ships in ``src/``.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass
 
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, EditScript, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
+from diffmerge.merge3 import MergeOptions
 from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
@@ -139,6 +141,73 @@ def rebase_reference(graph, branch_head: str, onto: str, options=None):
             return graph_mod.RebaseResult("conflict", None, index, result.conflicts)
         tip = result.commit.id
     return graph_mod.RebaseResult("clean", tip)
+
+
+class VirtualMergeContext:
+    """graph._MergeContext as it was when each fold step made a virtual
+    ``Commit``: a synthetic id, the newer parent's timestamp and a
+    generation above both parents'.  ``commits`` looks up real and virtual
+    commits alike."""
+
+    def __init__(self, graph, stats, options):
+        self.graph, self.stats, self.options = graph, stats, options
+        self.virtual: dict[str, graph_mod.Commit] = {}
+        self.commits = ChainMap(self.virtual, graph.commits)
+
+    def new_virtual(self, parents: tuple[str, str], tree: dict[str, bytes]) -> str:
+        cid = f"virtual:{len(self.virtual)}"
+        p, q = (self.commits[parent] for parent in parents)
+        ts, generation = max(p.timestamp, q.timestamp), 1 + max(p.generation, q.generation)
+        self.virtual[cid] = graph_mod.Commit(cid, parents, tree, ts, generation)
+        return cid
+
+
+def virtual_lca(ctx: VirtualMergeContext, a: str, b: str) -> list[str]:
+    """Merge bases of a, real or virtual, and the real b: one walk from a
+    itself, through the virtual commits above the real ones, every time."""
+    bases = graph_mod._merge_bases((a,), b, ctx.commits)
+    return sorted(bases, key=lambda cid: (-ctx.commits[cid].timestamp, cid))
+
+
+def _merge_recursive_virtual(ctx: VirtualMergeContext, a: str, b: str, bases: list[str]):
+    ctx.stats.merge_calls += 1
+    base_tree = _fold_bases_virtual(ctx, bases)
+    return graph_mod._merge_tree_pair(ctx.options, base_tree, ctx.commits[a].tree, ctx.commits[b].tree)
+
+
+def _fold_bases_virtual(ctx: VirtualMergeContext, bases: list[str]) -> dict[str, bytes]:
+    if not bases:
+        return {}
+    current = bases[0]
+    for nxt in bases[1:]:
+        tree, _conflicts = _merge_recursive_virtual(ctx, current, nxt, virtual_lca(ctx, current, nxt))
+        current = ctx.new_virtual((current, nxt), tree)
+    return ctx.commits[current].tree
+
+
+def merge_base_recursive_reference(graph, a: str, b: str, stats=None, options=None) -> dict[str, bytes]:
+    """graph.merge_base_recursive through virtual commits."""
+    stats = stats if stats is not None else graph_mod.MergeStats()
+    ctx = VirtualMergeContext(graph, stats, options or MergeOptions())
+    return _fold_bases_virtual(ctx, virtual_lca(ctx, a, b))
+
+
+def merge_commits_reference(graph, a: str, b: str, options=None, new_id=None):
+    """graph.merge_commits through virtual commits: the same fast-forward
+    rule, recursive merge and commit of a clean result."""
+    stats = graph_mod.MergeStats()
+    ctx = VirtualMergeContext(graph, stats, options or MergeOptions())
+    bases = virtual_lca(ctx, a, b)
+    if a in bases:
+        return graph_mod.MergeResult("fast-forward", graph[b], {}, stats)
+    if b in bases:
+        return graph_mod.MergeResult("fast-forward", graph[a], {}, stats)
+    tree, conflicts = _merge_recursive_virtual(ctx, a, b, bases)
+    if conflicts:
+        stats.conflict_paths = sorted(conflicts)
+        return graph_mod.MergeResult("conflict", None, conflicts, stats)
+    new_id = new_id or graph_mod._DefaultId(f"merge({a},{b})")
+    return graph_mod._commit_clean(graph, new_id, (a, b), tree, stats)
 
 
 def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo2: int, hi2: int) -> Region | None:

@@ -79,7 +79,7 @@ def test_ancestry_matches_frozenset_reference(shape, seed):
         want = reference.lca_reference(ref.__getitem__, a, b)
         assert lowest_common_ancestors(g, a, b) == want, (a, b)
         ordered = sorted(want, key=lambda cid: (-g[cid].timestamp, cid))
-        assert graph_mod._lca(ctx, a, b) == ordered, (a, b)
+        assert graph_mod._lca(ctx, frozenset((a,)), b) == ordered, (a, b)
 
 
 def test_disjoint_components_have_no_common_ancestor():
@@ -102,15 +102,19 @@ def test_unknown_commits():
 
 
 def _reference_lca(ctx, a, b):
-    """graph._lca computed from frozensets, virtual commits included."""
+    """graph._lca computed from frozensets: the ancestors of the commits a
+    folds, taken together, against those of b."""
+    commits = ctx.graph.commits
     memo = {}
 
     def ancestors_of(cid):
+        if isinstance(cid, frozenset):
+            return frozenset().union(*map(ancestors_of, cid))
         if cid not in memo:
-            memo[cid] = frozenset({cid}).union(*(ancestors_of(p) for p in ctx.commit(cid).parents))
+            memo[cid] = frozenset({cid}).union(*(ancestors_of(p) for p in commits[cid].parents))
         return memo[cid]
 
-    return sorted(reference.lca_reference(ancestors_of, a, b), key=lambda cid: (-ctx.commit(cid).timestamp, cid))
+    return sorted(reference.lca_reference(ancestors_of, a, b), key=lambda cid: (-commits[cid].timestamp, cid))
 
 
 def _edit_one_line(rng, cid, parent_tree):
@@ -124,10 +128,12 @@ def _edit_one_line(rng, cid, parent_tree):
     return tree
 
 
-def _merge_outcome(g, a, b):
-    result = merge_commits(g.copy(), a, b)
-    commit_id, tree = (result.commit.id, result.commit.tree) if result.commit is not None else (None, None)
-    return result.kind, commit_id, tree, result.conflicts, result.stats.merge_calls, result.stats.conflict_paths
+def _merge_outcome(g, a, b, merge=merge_commits):
+    result = merge(g.copy(), a, b)
+    commit = result.commit
+    commit_id, parents, tree = (commit.id, commit.parents, commit.tree) if commit is not None else (None, None, None)
+    return (result.kind, commit_id, parents, tree, result.conflicts, result.stats.merge_calls,
+            result.stats.conflict_paths)
 
 
 def ancestor_pairs(rng, g, ref, count):
@@ -139,14 +145,28 @@ def ancestor_pairs(rng, g, ref, count):
     return pairs
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
+def _crisscross_dag(seed):
+    """A criss-crossed DAG with distinct trees, its ancestor sets and head
+    pairs to merge."""
     rng = random.Random(seed)
     g = random_dag(rng, n=60, merge_p=0.6, window=5, crisscross_p=0.6, shuffle_ts=seed % 2 == 1,
                    edit=_edit_one_line)
     ref = reference.ancestors_reference(g)
     # heads near the tip share the most criss-crossed history
     pairs = query_pairs(rng, g, 60, last=20) + ancestor_pairs(rng, g, ref, 10)
+    return g, ref, pairs
+
+
+def _shape_dag(shape):
+    """A SHAPES DAG with distinct trees and head pairs near its tip."""
+    rng = random.Random(f"memo/{shape}")
+    g = random_dag(rng, **SHAPES[shape], edit=_edit_one_line)
+    return g, query_pairs(rng, g, 30, last=30)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
+    g, ref, pairs = _crisscross_dag(seed)
     got = [_merge_outcome(g, a, b) for a, b in pairs]
     monkeypatch.setattr(graph_mod, "_lca", _reference_lca)
     want = [_merge_outcome(g, a, b) for a, b in pairs]
@@ -158,12 +178,13 @@ def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
         else:
             assert kind != "fast-forward" and merge_calls >= 1, (a, b)
     # the random DAGs do reach the recursive virtual-base path
-    assert max(outcome[4] for outcome in got) > 2
+    assert max(outcome[5] for outcome in got) > 2
 
 
 def _checked_lca(monkeypatch):
     """Make every graph._lca call compare the memo's answer with the walk's
-    from frozensets as it runs; returns the list of the calls' (a, b)."""
+    from frozensets as it runs; returns the list of the calls' (a, b), a
+    being the set of real commits folded so far."""
     calls = []
     memo_lca = graph_mod._lca
 
@@ -180,13 +201,12 @@ def _checked_lca(monkeypatch):
 def test_remembered_merge_bases_equal_the_walk_call_by_call(monkeypatch):
     calls = _checked_lca(monkeypatch)
     for shape in sorted(SHAPES):
-        rng = random.Random(f"memo/{shape}")
-        g = random_dag(rng, **SHAPES[shape], edit=_edit_one_line)
-        for a, b in query_pairs(rng, g, 30, last=30):
+        g, pairs = _shape_dag(shape)
+        for a, b in pairs:
             merge_commits(g.copy(), a, b)
             merge_base_recursive(g, a, b)
-    # wide-fan-in reaches lookups from virtual commits
-    assert sum(a.startswith("virtual:") for a, _b in calls) >= 10
+    # wide-fan-in reaches lookups from two or more folded bases
+    assert sum(len(a) > 1 for a, _b in calls) >= 10
 
 
 def test_remembered_merge_bases_equal_the_walk_on_the_exponential_family(monkeypatch):
@@ -200,13 +220,75 @@ def test_remembered_merge_bases_equal_the_walk_on_the_exponential_family(monkeyp
         merge_base_recursive(g, a, b)
 
 
+def _fold_outcomes(g, pairs, merge=merge_commits, merge_base=merge_base_recursive):
+    """Each pair's merge outcome, and its merge base tree with the stats of
+    that fold."""
+    outcomes = []
+    for a, b in pairs:
+        stats = MergeStats()
+        base_tree = merge_base(g, a, b, stats)
+        outcomes.append((_merge_outcome(g, a, b, merge), base_tree, stats))
+    return outcomes
+
+
+def _check_fold_against_virtual_commits(g, pairs):
+    got = _fold_outcomes(g, pairs)
+    assert got == _fold_outcomes(g, pairs, reference.merge_commits_reference,
+                                 reference.merge_base_recursive_reference)
+
+
+@pytest.mark.parametrize("kind, name", [("shape", shape) for shape in sorted(SHAPES)]
+                         + [("crisscross", seed) for seed in range(6)])
+def test_tree_fold_matches_the_virtual_commit_fold(kind, name):
+    if kind == "shape":
+        g, pairs = _shape_dag(name)
+    else:
+        g, _ref, pairs = _crisscross_dag(name)
+    _check_fold_against_virtual_commits(g, pairs)
+
+
+def test_tree_fold_matches_the_virtual_commit_fold_on_the_exponential_family():
+    for n in range(11):
+        g, a, b = build_exponential_graph(n)
+        _check_fold_against_virtual_commits(g, [(a, b)])
+
+
+def _distinct_tree_family(n):
+    """build_exponential_graph(n) with the same DAG and timestamps, but each
+    commit rewrites one line, so the folds merge differing trees."""
+    family, a, b = build_exponential_graph(n)
+    rng = random.Random(f"family/{n}")
+    g = CommitGraph()
+    for cid, commit in family.commits.items():
+        parent_tree = g[commit.parents[0]].tree if commit.parents else {}
+        g.add_commit(cid, commit.parents, _edit_one_line(rng, cid, parent_tree), commit.timestamp)
+    return g, a, b
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_distinct_tree_family_folds_like_virtual_commits(monkeypatch, n):
+    g, a, b = _distinct_tree_family(n)
+    calls = _checked_lca(monkeypatch)
+    merged = []
+    merge3 = graph_mod.merge3
+    monkeypatch.setattr(graph_mod, "merge3", lambda *args: merged.append(args) or merge3(*args))
+    result = merge_commits(g.copy(), a, b)
+    assert result.kind == ("conflict" if n in (3, 6) else "clean")
+    assert result.stats.merge_calls == len(calls) == 2**n + 1
+    # lookups from a fold of two or more bases: one per (A, B) -> C step
+    assert sum(len(folded) > 1 for folded, _b in calls) == 2 ** (n - 1) - 1
+    # the outer merge has three paths, so more merge3 calls come from folds
+    assert len(merged) > 3 or n == 1
+    _check_fold_against_virtual_commits(g, [(a, b)])
+
+
 def _count_walks(monkeypatch):
     walks = []
     walk = graph_mod._merge_bases
 
-    def counted(a, b, commit_of):
-        walks.append((a, b))
-        return walk(a, b, commit_of)
+    def counted(starts, b, commits):
+        walks.append((starts, b))
+        return walk(starts, b, commits)
 
     monkeypatch.setattr(graph_mod, "_merge_bases", counted)
     return walks

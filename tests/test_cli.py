@@ -189,6 +189,33 @@ def test_graph_expo_demo_counts(tmp_path, capsys):
     assert all(r["commits"] == 6 * r["n"] + 4 for r in rows)
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_graph_expo_demo_rejects_a_bad_max_n(capsys, value):
+    assert main(["graph", "expo-demo", value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_n" in captured.err
+
+
+@pytest.mark.parametrize("record", [
+    '{"id": "a", "ts": "soon"}',
+    '{"id": "a", "ts": true}',
+    '{"id": ["x"]}',
+    '{"parents": []}',
+    '{"id": "b", "parents": "ab"}',
+    '{"id": "b", "parents": [1]}',
+    '{"id": "b", "files": ["f"]}',
+    '{"id": "b", "files": {"f": 1}}',
+    '["a"]',
+])
+def test_graph_mistyped_record_exit_three(tmp_path, capsys, record):
+    script = write(tmp_path, "bad.jsonl", b'{"id": "a"}\n{"id": "b", "parents": ["a"]}\n' + record.encode() + b"\n")
+    assert main(["graph", "merge", script, "a", "b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad graph record on line 3: ")
+
+
 def test_graph_malformed_script_exit_three(tmp_path, capsys):
     script = write(tmp_path, "bad.jsonl", b"this is not json\n")
     assert main(["graph", "merge", script, "a", "b"]) == 3

@@ -298,6 +298,37 @@ def test_graph_from_jsonl_and_errors():
         graph_from_jsonl("not json\n")
 
 
+@pytest.mark.parametrize("record, problem", [
+    ('{"id": "a", "ts": "soon"}', "ts must be an integer"),
+    ('{"id": "a", "ts": false}', "ts must be an integer"),
+    ('{"id": "a", "ts": 1.5}', "ts must be an integer"),
+    ('{"id": ["x"]}', "id must be a string"),
+    ('{"files": {}}', "id must be a string"),
+    ('{"id": "a", "parents": "ab"}', "parents must be a list of strings"),
+    ('{"id": "a", "parents": [["b"]]}', "parents must be a list of strings"),
+    ('{"id": "a", "files": "f"}', "files must map paths to strings"),
+    ('{"id": "a", "files": {"f": null}}', "files must map paths to strings"),
+    ('"a"', "a record must be a JSON object"),
+])
+def test_graph_from_jsonl_rejects_mistyped_records(record, problem):
+    # the bad record comes after two good ones, so line 4 counts the blank line
+    with pytest.raises(GraphError) as info:
+        graph_from_jsonl('{"id": "b"}\n\n{"id": "c", "parents": ["b"], "ts": 7}\n' + record + "\n")
+    assert type(info.value) is GraphError
+    assert str(info.value) == f"bad graph record on line 4: {problem}"
+
+
+def test_graph_from_jsonl_rejects_text_that_cannot_be_encoded():
+    with pytest.raises(GraphError, match="^bad graph record on line 1: .*surrogate"):
+        graph_from_jsonl('{"id": "a", "files": {"f": "\\ud800"}}\n')
+
+
+def test_graph_from_jsonl_reads_optional_fields():
+    g = graph_from_jsonl('{"id": "a", "ts": null}\n{"id": "b", "parents": ["a"], "files": {"f": "x"}, "ts": 5}\n')
+    assert (g["a"].parents, g["a"].tree, g["a"].timestamp) == ((), {}, 0)
+    assert (g["b"].parents, g["b"].tree, g["b"].timestamp) == (("a",), {"f": b"x"}, 5)
+
+
 def test_acyclicity_by_construction():
     g = CommitGraph()
     g.add_commit("a", (), {})
