@@ -39,8 +39,8 @@ out = merge3(BASE, LEFT2, RIGHT2)
 print(out.rendered.decode())
 print(f"{out.conflict_count} conflict(s), {out.conflict_line_count} conflicting lines\n")
 
-print("=== diff3 style shows the ancestor text (zealous off) ===")
-out = merge3(BASE, LEFT2, RIGHT2, MergeOptions(style="diff3", zealous=False))
+print("=== diff3 style shows the ancestor text ===")
+out = merge3(BASE, LEFT2, RIGHT2, MergeOptions(style="diff3"))
 print(out.rendered.decode())
 
 print("=== zdiff3 trims line runs shared by all three versions ===")

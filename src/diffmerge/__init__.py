@@ -4,7 +4,6 @@ from .core import (
     Change,
     ChangedLines,
     DiffError,
-    EditScript,
     InternedSequence,
     InternTable,
     InvalidFlags,
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # core
-    "Change", "ChangedLines", "DiffError", "EditScript", "InternedSequence", "InternTable", "InvalidFlags",
+    "Change", "ChangedLines", "DiffError", "InternedSequence", "InternTable", "InvalidFlags",
     "RangeError", "apply_script", "flags_to_script", "parse_unified", "render_unified", "script_to_flags",
     "split_lines",
     # diff algorithms

@@ -49,7 +49,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         flags = slide_changed_lines(flags, old, new)
     script = flags_to_script(flags, old, new)
 
-    if len(script):
+    if script:
         header = f"--- {args.old}\n+++ {args.new}\n".encode()
         sys.stdout.buffer.write(header + render_unified(old, new, script, args.context))
         sys.stdout.buffer.flush()
@@ -67,7 +67,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
                 )
                 return EXIT_VERIFY_FAILED
 
-    return EXIT_DIFFERENCES if len(script) else EXIT_CLEAN
+    return EXIT_DIFFERENCES if script else EXIT_CLEAN
 
 
 def cmd_merge_file(args: argparse.Namespace) -> int:

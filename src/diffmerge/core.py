@@ -98,18 +98,7 @@ class Change:
             raise RangeError(f"malformed change {self}")
 
 
-@dataclass(frozen=True)
-class EditScript:
-    changes: tuple[Change, ...] = field(default_factory=tuple)
-
-    def __iter__(self):
-        return iter(self.changes)
-
-    def __len__(self) -> int:
-        return len(self.changes)
-
-
-def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> EditScript:
+def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> tuple[Change, ...]:
     """Convert changed-line flags into hunks.
 
     Maximal runs of flagged lines at one alignment point become one Change.
@@ -153,12 +142,12 @@ def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSeq
                     j = m
             changes.append(Change(start_old, i, start_new, j))
         elif i == n and j == m:
-            return EditScript(tuple(changes))
+            return tuple(changes)
         else:
             raise InvalidFlags("unflagged tail of one file has no counterpart")
 
 
-def script_to_flags(script: EditScript, old_len: int, new_len: int) -> ChangedLines:
+def script_to_flags(script: tuple[Change, ...], old_len: int, new_len: int) -> ChangedLines:
     """Inverse of flags_to_script."""
     of = [False] * old_len
     nf = [False] * new_len
@@ -172,7 +161,7 @@ def script_to_flags(script: EditScript, old_len: int, new_len: int) -> ChangedLi
     return ChangedLines(of, nf)
 
 
-def apply_script(old: InternedSequence, script: EditScript, new: InternedSequence) -> bytes:
+def apply_script(old: InternedSequence, script: tuple[Change, ...], new: InternedSequence) -> bytes:
     """Apply a script produced by diffing old against new.
 
     Replaced regions are taken from ``new``; everything else from ``old``.
@@ -206,7 +195,7 @@ def _emit(out: list[bytes], prefix: bytes, seq: InternedSequence, index: int) ->
 def render_unified(
     old: InternedSequence,
     new: InternedSequence,
-    script: EditScript,
+    script: tuple[Change, ...],
     context_lines: int = 3,
 ) -> bytes:
     """Render hunks in unified-diff format (headers only, no ---/+++ lines).
@@ -256,7 +245,7 @@ def _hunk_header(old_lo: int, old_hi: int, new_lo: int, new_hi: int) -> bytes:
     return b"@@ -" + fmt(old_lo, old_hi) + b" +" + fmt(new_lo, new_hi) + b" @@\n"
 
 
-def parse_unified(patch: bytes) -> EditScript:
+def parse_unified(patch: bytes) -> tuple[Change, ...]:
     """Parse output of render_unified back into an edit script."""
     changes: list[Change] = []
     old_pos = new_pos = 0
@@ -292,7 +281,7 @@ def parse_unified(patch: bytes) -> EditScript:
             new_pos += 1
         # "\ No newline at end of file" and blank tail lines need no action
     flush_run(run_old, run_new)
-    return EditScript(tuple(changes))
+    return tuple(changes)
 
 
 def _parse_range(part: bytes) -> int:

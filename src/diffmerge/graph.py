@@ -57,7 +57,6 @@ class Commit:
 @dataclass
 class MergeStats:
     merge_calls: int = 0
-    conflict_paths: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -200,7 +199,7 @@ def _merge_bases(starts, b: str, commits: dict[str, Commit]) -> list[str]:
 def graph_from_jsonl(text: str) -> CommitGraph:
     """Build a graph from JSON-lines records {id, parents, files, ts}: a
     string id, a list of parent ids, an object of path -> text and an
-    optional integer timestamp."""
+    optional integer timestamp; no other key is allowed."""
     graph = CommitGraph()
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -210,16 +209,22 @@ def graph_from_jsonl(text: str) -> CommitGraph:
             rec = json.loads(line)
             _check_record(rec)
             files = {path: content.encode() for path, content in rec.get("files", {}).items()}
-        except (ValueError, TypeError) as exc:
-            raise GraphError(f"bad graph record on line {line_no}: {exc}") from exc
-        graph.add_commit(rec["id"], rec.get("parents", ()), files, rec.get("ts"))
+            graph.add_commit(rec["id"], rec.get("parents", ()), files, rec.get("ts"))
+        except (ValueError, TypeError, GraphError) as exc:
+            # an unknown parent stays an UnknownCommit
+            error = type(exc) if isinstance(exc, GraphError) else GraphError
+            raise error(f"bad graph record on line {line_no}: {exc}") from exc
     return graph
 
 
 def _check_record(rec) -> None:
-    """Raise TypeError unless rec has the field types graph_from_jsonl reads."""
+    """Raise TypeError unless rec has only the keys graph_from_jsonl reads,
+    with their types."""
     if not isinstance(rec, dict):
         raise TypeError("a record must be a JSON object")
+    unknown = rec.keys() - {"id", "parents", "files", "ts"}
+    if unknown:
+        raise TypeError(f"unknown keys {sorted(unknown)}")
     parents, files, ts = rec.get("parents", []), rec.get("files", {}), rec.get("ts")
     if not isinstance(rec.get("id"), str):
         raise TypeError("id must be a string")
@@ -372,7 +377,6 @@ def merge_commits(
 
     tree, conflicts = _merge_recursive(ctx, graph.commits[a].tree, graph.commits[b].tree, bases)
     if conflicts:
-        stats.conflict_paths = sorted(conflicts)
         return MergeResult("conflict", None, conflicts, stats)
     return _commit_clean(graph, new_id or _DefaultId(f"merge({a},{b})"), (a, b), tree, stats)
 
@@ -402,10 +406,9 @@ def _apply_change(
     if undo:
         before, after = after, before
     tree, conflicts = _merge_tree_pair(options or MergeOptions(), before, after, graph[onto].tree)
-    stats = MergeStats(conflict_paths=sorted(conflicts))
     if conflicts:
-        return MergeResult("conflict", None, conflicts, stats)
-    return _commit_clean(graph, new_id, (onto,), tree, stats)
+        return MergeResult("conflict", None, conflicts, MergeStats())
+    return _commit_clean(graph, new_id, (onto,), tree, MergeStats())
 
 
 def cherry_pick(

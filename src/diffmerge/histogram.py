@@ -143,14 +143,13 @@ def find_split(
     """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``index`` is
     ``scan_a`` over the whole old file.
 
-    Returns None when the files share no usable region; raises FallbackSignal when
+    Returns None when the ranges share no line; raises FallbackSignal when
     common lines exist but all of them occur more than 64 times in old.
     """
     occ = index.occurrences
     whole = lo1 == 0 and hi1 == len(a)
     counts: list[int] | None = None
     sub_counts: dict[int, int] | None = None
-    has_common = False
     lowest = math.inf
     gate = math.inf  # max(lowest, MAX_OCCURRENCES)
     best: tuple[int, int, int, int, int] | None = None
@@ -163,12 +162,11 @@ def find_split(
         if positions and not whole:
             positions = positions[bisect_left(positions, lo1):bisect_left(positions, hi1)]
         if positions:
-            has_common = True
             if best is None and len(positions) > MAX_OCCURRENCES and not _any_rare(b[b_ptr:hi2], occ, lo1, hi1, whole):
                 # No earlier line of b occurs in old[lo1:hi1], or it would
-                # have seeded a region, so every region lies in b[b_ptr:hi2];
-                # with no line there at or below the cap, every record count
-                # is above it and the call must end in the fallback.
+                # have seeded a region, so every region lies in b[b_ptr:hi2]
+                # with all its record counts above the cap.  Past this check
+                # a region holding a line at or below the cap always wins.
                 raise FallbackSignal
             # Seeds rarer than the cap are always worth expanding; comparing
             # against the running lowest count instead would hide the better
@@ -220,8 +218,6 @@ def find_split(
                     region_end = end1
         b_ptr = b_next
 
-    if has_common and lowest > MAX_OCCURRENCES:
-        raise FallbackSignal
     return None if best is None else Region(*best)
 
 

@@ -1,16 +1,17 @@
 """Three-way merge: region computation, zealous refinement, and rendering.
 
 The pipeline diffs the ancestor against each side, walks the two hunk lists
-through a six-case loop to build merge regions, optionally refines conflicts
-with a two-way diff of their sides, and renders with conflict markers in
-merge, diff3 or zdiff3 style.
+through a six-case loop to build merge regions, shrinks conflicts as far as
+the style allows (zealous: merge splits them along a diff of their sides,
+zdiff3 trims common ends, diff3 keeps them whole as git's xdl_do_merge does)
+and renders them with conflict markers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import Change, EditScript, InternedSequence, InternTable, flags_to_script
+from .core import Change, InternedSequence, InternTable, flags_to_script
 from .engine import diff_lines
 
 LEFT = "left-change"
@@ -48,16 +49,10 @@ class MergeOptions:
     style: str = "merge"
     zealous: bool = True
     labels: tuple[str, str, str] = ("ours", "base", "theirs")
-    # Compatibility switch: skip the false-conflict re-check that runs after
-    # neighbouring conflicts are rejoined, reproducing the historical
-    # behaviour where a rejoined conflict can end up with identical sides.
-    skip_remerge_recheck: bool = False
 
     def __post_init__(self) -> None:
         if self.style not in STYLES:
             raise MergeError(f"unknown style {self.style!r}")
-        if self.style == "diff3" and self.zealous:
-            raise MergeError("zealous refinement is not compatible with the diff3 style")
 
 
 @dataclass
@@ -73,8 +68,8 @@ class MergeOutcome:
 
 
 def compute_merge_regions(
-    changes_l: EditScript,
-    changes_r: EditScript,
+    changes_l: tuple[Change, ...],
+    changes_r: tuple[Change, ...],
     left: InternedSequence,
     right: InternedSequence,
     len_o: int,
@@ -180,7 +175,7 @@ def refine_zealous(
     )
     flags = diff_lines(sub_l, sub_r, algorithm)
     script = flags_to_script(flags, sub_l, sub_r)
-    if not len(script):
+    if not script:
         return [replace(region, kind=SAME)]
 
     pieces = []
@@ -309,9 +304,7 @@ def merge_regions_pipeline(
                     refined[-1] = replace(prev, end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
                 else:
                     refined.append(piece)
-        if not options.skip_remerge_recheck:
-            refined = [_demote_equal_sides(r, left, right) for r in refined]
-        regions = refined
+        regions = [_demote_equal_sides(r, left, right) for r in refined]
     elif options.style == "zdiff3" and options.zealous:
         regions = [
             _trim_zdiff3(r, o, left, right) if r.kind == CONFLICT else r

@@ -21,7 +21,7 @@ from collections import ChainMap, Counter
 from dataclasses import dataclass
 
 from diffmerge import graph as graph_mod
-from diffmerge.core import Change, ChangedLines, EditScript, InternedSequence, InvalidFlags
+from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
 from diffmerge.merge3 import MergeOptions
 from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
@@ -204,7 +204,6 @@ def merge_commits_reference(graph, a: str, b: str, options=None, new_id=None):
         return graph_mod.MergeResult("fast-forward", graph[a], {}, stats)
     tree, conflicts = _merge_recursive_virtual(ctx, a, b, bases)
     if conflicts:
-        stats.conflict_paths = sorted(conflicts)
         return graph_mod.MergeResult("conflict", None, conflicts, stats)
     new_id = new_id or graph_mod._DefaultId(f"merge({a},{b})")
     return graph_mod._commit_clean(graph, new_id, (a, b), tree, stats)
@@ -577,7 +576,7 @@ def split_reference(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int,
         ec += 1
 
 
-def flags_to_script_reference(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> EditScript:
+def flags_to_script_reference(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> tuple[Change, ...]:
     """``core.flags_to_script`` as first written, one line at a time.
 
     Maximal runs of flagged lines at one alignment point become one Change.
@@ -605,7 +604,7 @@ def flags_to_script_reference(flags: ChangedLines, old: InternedSequence, new: I
             j += 1
         else:
             raise InvalidFlags("unflagged tail of one file has no counterpart")
-    return EditScript(tuple(changes))
+    return tuple(changes)
 
 
 def groups_reference(flags: list[bool]) -> list[tuple[int, int]]:

@@ -248,7 +248,7 @@ def test_criterion_10_rebase_non_commutativity():
 
 
 def test_criterion_11_zealous_false_conflict_elimination():
-    with criterion(11, "no equal-sided conflicts by default; compat witness"):
+    with criterion(11, "no equal-sided conflicts; rejoin witness merges cleanly"):
         rng = random.Random(0xFEED)
         checked = 0
         for _ in range(100_000):
@@ -266,18 +266,9 @@ def test_criterion_11_zealous_false_conflict_elimination():
                     assert ll.tokens[reg.start_l:reg.end_l] != rr.tokens[reg.start_r:reg.end_r], (o, left, right)
         assert checked > 10_000  # the scan really exercised conflicts
 
-        # compatibility flag: the historical behaviour emits a conflict whose
-        # sides are identical after close conflicts are rejoined
+        # rejoining close conflicts leaves one whose sides are identical here;
+        # the check after rejoining makes it a same-change
         o, left, right = b"a\na\na\nb\nb\nb\nb\n", b"b\nb\na\na\nb\n", b"b\nb\na\na\nb\na\n"
-        compat = merge3(o, left, right, MergeOptions(algorithm="myers", skip_remerge_recheck=True))
-        table = InternTable()
-        oo, ll, rr = table.intern(o), table.intern(left), table.intern(right)
-        equal_sided = [
-            reg for reg in compat.regions
-            if reg.kind == CONFLICT
-            and ll.tokens[reg.start_l:reg.end_l] == rr.tokens[reg.start_r:reg.end_r]
-        ]
-        assert equal_sided
         fixed = merge3(o, left, right, MergeOptions(algorithm="myers"))
         assert fixed.clean
 

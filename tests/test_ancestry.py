@@ -133,7 +133,7 @@ def _merge_outcome(g, a, b, merge=merge_commits):
     commit = result.commit
     commit_id, parents, tree = (commit.id, commit.parents, commit.tree) if commit is not None else (None, None, None)
     return (result.kind, commit_id, parents, tree, result.conflicts, result.stats.merge_calls,
-            result.stats.conflict_paths)
+            sorted(result.conflicts))
 
 
 def ancestor_pairs(rng, g, ref, count):

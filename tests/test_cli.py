@@ -77,6 +77,33 @@ def test_diff_minimal_verify_above_the_oracle_guard_is_an_error(tmp_path, monkey
     assert err.startswith("error: ") and "guard" in err
 
 
+def test_diff_verify_fails_on_a_diff_that_is_not_minimal(tmp_path, monkeypatch, capsys):
+    from diffmerge import cli
+    from diffmerge.core import ChangedLines
+
+    def flag_everything(old, new, algorithm):
+        return ChangedLines([True] * len(old), [True] * len(new))
+
+    old = write(tmp_path, "old", b"a\nb\nc\n")
+    new = write(tmp_path, "new", b"a\nB\nc\n")
+    monkeypatch.setattr(cli, "diff_lines", flag_everything)
+    assert main(["diff", old, new, "--algorithm=minimal", "--verify"]) == 2
+    err = capsys.readouterr().err
+    assert err == "verify: minimal diff has 6 flags, oracle says 2\n"
+    # the same flags round-trip, so only the minimality check can fail
+    assert main(["diff", old, new, "--algorithm=myers", "--verify"]) == 1
+
+
+def test_diff_verify_fails_on_a_broken_round_trip(tmp_path, monkeypatch, capsys):
+    from diffmerge import cli
+
+    old = write(tmp_path, "old", b"a\n")
+    new = write(tmp_path, "new", b"b\n")
+    monkeypatch.setattr(cli, "apply_script", lambda old, script, new: b"")
+    assert main(["diff", old, new, "--verify"]) == 2
+    assert capsys.readouterr().err == "verify: round-trip failed\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "x"])
 def test_diff_rejects_a_bad_context(tmp_path, capsys, value):
     a = write(tmp_path, "a", b"x\n")
@@ -122,15 +149,35 @@ def test_merge_file_swapped_inputs_change_middle_line(tmp_path, capsys):
     assert middle(second).startswith("A")
 
 
-def test_merge_file_diff3_requires_no_zealous(tmp_path, capsys):
+def test_merge_file_diff3_ignores_no_zealous(tmp_path, capsys):
     base = write(tmp_path, "base", b"b\n")
     left = write(tmp_path, "left", b"l\n")
     right = write(tmp_path, "right", b"r\n")
-    assert main(["merge-file", left, base, right, "--style=diff3"]) == 3
-    capsys.readouterr()
+    assert main(["merge-file", left, base, right, "--style=diff3"]) == 1
+    zealous = capsys.readouterr().out
     assert main(["merge-file", left, base, right, "--style=diff3", "--no-zealous"]) == 1
     out = capsys.readouterr().out
     assert "||||||| base" in out
+    assert zealous == out
+
+
+# Written by git 2.39.5 from the three files of the test below:
+#   git merge-file -p --diff3 -L mine -L orig -L yours left base right
+GIT_MERGE_FILE_DIFF3 = (
+    b"one\nTWO\nthree\n"
+    b"<<<<<<< mine\nL4\nshared\nL5\n||||||| orig\nfour\nfive\n=======\nR4\nshared\nR5\n>>>>>>> yours\n"
+    b"six\nseven\neight\n"
+)
+
+
+@pytest.mark.parametrize("zealous", [[], ["--no-zealous"]], ids=["zealous", "no-zealous"])
+def test_merge_file_diff3_labels_match_git(tmp_path, capsysbinary, zealous):
+    base = write(tmp_path, "base", b"one\ntwo\nthree\nfour\nfive\nsix\nseven\n")
+    left = write(tmp_path, "left", b"one\nTWO\nthree\nL4\nshared\nL5\nsix\nseven\neight\n")
+    right = write(tmp_path, "right", b"one\nTWO\nthree\nR4\nshared\nR5\nsix\nseven\n")
+    args = ["merge-file", left, base, right, "--style=diff3", "--labels", "mine", "orig", "yours"]
+    assert main(args + zealous) == 1
+    assert capsysbinary.readouterr().out == GIT_MERGE_FILE_DIFF3
 
 
 def test_graph_merge_and_stats(tmp_path, capsys):
@@ -182,6 +229,36 @@ def test_graph_rebase_both_directions(tmp_path, capsys):
     assert bad["failed_pick"] == 1
 
 
+PICK_SCRIPT = (
+    b'{"id": "o", "parents": [], "files": {"f": "a\\nb\\nc\\n"}, "ts": 0}\n'
+    b'{"id": "x", "parents": ["o"], "files": {"f": "a\\nB\\nc\\n"}, "ts": 1}\n'
+    b'{"id": "y", "parents": ["o"], "files": {"f": "a\\nb\\nc\\n", "g": "new\\n"}, "ts": 2}\n'
+    b'{"id": "z", "parents": ["o"], "files": {"f": "a\\nZ\\nc\\n"}, "ts": 3}\n'
+)
+
+
+def test_graph_cherry_pick(tmp_path, capsys):
+    script = write(tmp_path, "pick.jsonl", PICK_SCRIPT)
+    assert main(["graph", "cherry-pick", script, "x", "y"]) == 0
+    ok = json.loads(capsys.readouterr().out)
+    assert ok == {"result": "clean", "commit": "pick(x@y)", "tree": {"f": "a\nB\nc\n", "g": "new\n"},
+                  "conflicts": {}, "merge_calls": 0}
+    assert main(["graph", "cherry-pick", script, "x", "z"]) == 1
+    bad = json.loads(capsys.readouterr().out)
+    assert (bad["result"], bad["commit"], bad["tree"]) == ("conflict", None, None)
+    # the picked change is the merge's left side, the commit it lands on the right
+    assert bad["conflicts"] == {"f": "a\n<<<<<<< ours\nB\n=======\nZ\n>>>>>>> theirs\nc\n"}
+
+
+def test_graph_revert(tmp_path, capsys):
+    script = write(tmp_path, "revert.jsonl", PICK_SCRIPT)
+    assert main(["graph", "revert", script, "x", "x"]) == 0
+    ok = json.loads(capsys.readouterr().out)
+    assert (ok["result"], ok["commit"], ok["tree"]) == ("clean", "revert(x@x)", {"f": "a\nb\nc\n"})
+    assert main(["graph", "revert", script, "x", "z"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == "conflict"
+
+
 def test_graph_expo_demo_counts(tmp_path, capsys):
     assert main(["graph", "expo-demo", "8"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -207,6 +284,9 @@ def test_graph_expo_demo_rejects_a_bad_max_n(capsys, value):
     '{"id": "b", "files": ["f"]}',
     '{"id": "b", "files": {"f": 1}}',
     '["a"]',
+    '{"id": "c", "parent": ["a"]}',
+    '{"id": "a"}',
+    '{"id": "c", "parents": ["nope"]}',
 ])
 def test_graph_mistyped_record_exit_three(tmp_path, capsys, record):
     script = write(tmp_path, "bad.jsonl", b'{"id": "a"}\n{"id": "b", "parents": ["a"]}\n' + record.encode() + b"\n")

@@ -5,10 +5,10 @@ import pytest
 from diffmerge.core import (
     Change,
     ChangedLines,
-    EditScript,
     InternedSequence,
     InternTable,
     InvalidFlags,
+    RangeError,
     apply_script,
     flags_to_script,
     parse_unified,
@@ -21,6 +21,31 @@ from diffmerge.slider import slide_changed_lines
 
 import reference
 from conftest import random_file
+
+
+@pytest.mark.parametrize("bounds", [(2, 1, 0, 0), (0, 0, 3, 2), (-1, 0, 0, 0), (0, 0, -1, 0)])
+def test_change_rejects_a_malformed_range(bounds):
+    with pytest.raises(RangeError, match="malformed change"):
+        Change(*bounds)
+
+
+@pytest.mark.parametrize("change", [Change(0, 3, 0, 0), Change(0, 0, 0, 2)])
+def test_script_to_flags_rejects_a_change_past_the_file(change):
+    with pytest.raises(RangeError, match="outside file bounds"):
+        script_to_flags((change,), 2, 1)
+
+
+@pytest.mark.parametrize("script", [
+    (Change(0, 3, 0, 0),),  # past the end of old
+    (Change(0, 1, 0, 2),),  # past the end of new
+    (Change(0, 2, 0, 0), Change(1, 2, 0, 1)),  # overlapping
+    (Change(1, 2, 0, 0), Change(0, 1, 0, 1)),  # out of order
+])
+def test_apply_script_rejects_a_script_that_does_not_fit(script):
+    table = InternTable()
+    old, new = table.intern(b"p\nq\n"), table.intern(b"r\n")
+    with pytest.raises(RangeError, match="does not fit old file of length 2"):
+        apply_script(old, script, new)
 
 
 def test_split_lines_basics():
@@ -105,7 +130,7 @@ def test_flags_to_script_single_substitution():
     new = table.intern(b"a\nX\nc\n")
     flags = ChangedLines([False, True, False], [False, True, False])
     script = flags_to_script(flags, old, new)
-    assert script.changes == (Change(1, 2, 1, 2),)
+    assert script == (Change(1, 2, 1, 2),)
 
 
 def test_flags_to_script_pure_deletion():
@@ -114,7 +139,7 @@ def test_flags_to_script_pure_deletion():
     new = table.intern(b"b\n")
     flags = ChangedLines([True, False], [False])
     script = flags_to_script(flags, old, new)
-    assert script.changes == (Change(0, 1, 0, 0),)
+    assert script == (Change(0, 1, 0, 0),)
 
 
 def test_flags_to_script_rejects_mismatched_survivors():
@@ -139,7 +164,7 @@ def test_script_flags_round_trip():
 def test_apply_identity():
     table = InternTable()
     old = table.intern(b"p\nq\n")
-    assert apply_script(old, EditScript(), old) == b"p\nq\n"
+    assert apply_script(old, (), old) == b"p\nq\n"
 
 
 def test_apply_abab_extension():
@@ -167,7 +192,7 @@ def test_apply_random_round_trip_all_engines():
 def test_render_unified_identical_is_empty():
     table = InternTable()
     old = table.intern(b"same\n")
-    assert render_unified(old, old, EditScript()) == b""
+    assert render_unified(old, old, ()) == b""
 
 
 def test_render_unified_single_line_change():
@@ -309,7 +334,7 @@ def test_flags_to_script_matches_reference():
         got = _script_or_error(flags_to_script, flags, o, n)
         assert got == _script_or_error(reference.flags_to_script_reference, flags, o, n), (old, new, of, nf)
         if trial % 2:
-            assert isinstance(got, EditScript)
+            assert type(got) is tuple and all(type(c) is Change for c in got)
     o, n = InternedSequence([1, 2], []), InternedSequence([1], [])
     flags = ChangedLines([False], [False])
     assert _script_or_error(flags_to_script, flags, o, n) == "InvalidFlags: flag arrays do not match file lengths"

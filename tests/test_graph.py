@@ -93,7 +93,7 @@ def test_conflicting_merge_reports_paths():
     g.add_commit("r", ("base",), {"f": b"right\n"})
     result = merge_commits(g, "l", "r")
     assert result.kind == "conflict"
-    assert result.stats.conflict_paths == ["f"]
+    assert sorted(result.conflicts) == ["f"]
     assert b"<<<<<<<" in result.conflicts["f"]
 
 
@@ -309,6 +309,9 @@ def test_graph_from_jsonl_and_errors():
     ('{"id": "a", "files": "f"}', "files must map paths to strings"),
     ('{"id": "a", "files": {"f": null}}', "files must map paths to strings"),
     ('"a"', "a record must be a JSON object"),
+    ('{"id": "a", "parent": ["b"]}', "unknown keys ['parent']"),
+    ('{"id": "a", "tree": {}, "ts": 1, "message": "m"}', "unknown keys ['message', 'tree']"),
+    ('{"id": "b", "ts": 3}', "duplicate commit id 'b'"),
 ])
 def test_graph_from_jsonl_rejects_mistyped_records(record, problem):
     # the bad record comes after two good ones, so line 4 counts the blank line
@@ -316,6 +319,12 @@ def test_graph_from_jsonl_rejects_mistyped_records(record, problem):
         graph_from_jsonl('{"id": "b"}\n\n{"id": "c", "parents": ["b"], "ts": 7}\n' + record + "\n")
     assert type(info.value) is GraphError
     assert str(info.value) == f"bad graph record on line 4: {problem}"
+
+
+def test_graph_from_jsonl_puts_the_line_on_an_unknown_parent():
+    with pytest.raises(UnknownCommit) as info:
+        graph_from_jsonl('{"id": "a"}\n{"id": "x", "parents": ["a", "nope"]}\n')
+    assert str(info.value) == "bad graph record on line 2: parent 'nope' of 'x' does not exist"
 
 
 def test_graph_from_jsonl_rejects_text_that_cannot_be_encoded():

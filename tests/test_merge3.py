@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diffmerge.core import Change, EditScript, InternTable
+from diffmerge.core import Change, InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.merge3 import (
     CONFLICT,
@@ -27,22 +27,35 @@ def interned(*files):
     return tuple(table.intern(f) for f in files)
 
 
-def test_options_reject_diff3_with_zealous():
+def test_options_reject_an_unknown_style():
     with pytest.raises(MergeError):
-        MergeOptions(style="diff3", zealous=True)
-    MergeOptions(style="diff3", zealous=False)  # fine
+        MergeOptions(style="diff2")
+
+
+def test_diff3_renders_the_same_with_either_zealous():
+    # diff3 shows each conflict's whole ancestor range: zealous has nothing to shrink
+    assert MergeOptions(style="diff3").zealous
+    rng = random.Random("diff3-zealous")
+    conflicts = 0
+    for _ in range(300):
+        triple = _fuzz_triple(rng)
+        zealous = merge3(*triple, MergeOptions(style="diff3"))
+        plain = merge3(*triple, MergeOptions(style="diff3", zealous=False))
+        assert (zealous.regions, zealous.rendered) == (plain.regions, plain.rendered), triple
+        conflicts += zealous.conflict_count
+    assert conflicts > 100
 
 
 def test_empty_scripts_give_no_regions():
     o, l, r = interned(b"a\n", b"a\n", b"a\n")
-    assert compute_merge_regions(EditScript(), EditScript(), l, r, 1) == []
+    assert compute_merge_regions((), (), l, r, 1) == []
 
 
 def test_one_sided_left_change_lookback():
     # O: a b c, L: a X c (change at line 1), R: a b c d (appended d)
     o, l, r = interned(b"a\nb\nc\n", b"a\nX\nc\n", b"a\nb\nc\nd\n")
-    sl = EditScript((Change(1, 2, 1, 2),))
-    sr = EditScript((Change(3, 3, 3, 4),))
+    sl = (Change(1, 2, 1, 2),)
+    sr = (Change(3, 3, 3, 4),)
     regions = compute_merge_regions(sl, sr, l, r, 3)
     assert regions[0] == MergeRegion(1, 2, 1, 2, 1, 2, LEFT)
     assert regions[1].kind == RIGHT
@@ -51,8 +64,8 @@ def test_one_sided_left_change_lookback():
 
 def test_identical_change_is_applied_silently():
     o, l, r = interned(b"a\nb\nc\n", b"a\nX\nc\n", b"a\nX\nc\n")
-    sl = EditScript((Change(1, 2, 1, 2),))
-    sr = EditScript((Change(1, 2, 1, 2),))
+    sl = (Change(1, 2, 1, 2),)
+    sr = (Change(1, 2, 1, 2),)
     regions = compute_merge_regions(sl, sr, l, r, 3)
     assert regions == []
     out = merge3(b"a\nb\nc\n", b"a\nX\nc\n", b"a\nX\nc\n")
@@ -80,8 +93,8 @@ def test_conflict_region_covers_both_changes_all_sign_combinations():
         o = table.intern(b"".join(base))
         l = table.intern(b"".join(left_lines))
         r = table.intern(b"".join(right_lines))
-        sl = EditScript((Change(s1, e1, s1, s1 + len(ins1)),))
-        sr = EditScript((Change(s2, e2, s2, s2 + len(ins2)),))
+        sl = (Change(s1, e1, s1, s1 + len(ins1)),)
+        sr = (Change(s2, e2, s2, s2 + len(ins2)),)
         regions = compute_merge_regions(sl, sr, l, r, o_len)
         problems = reference.validate_merge_regions(regions, o.tokens, l.tokens, r.tokens)
         assert not problems, (base, left_lines, right_lines, regions, problems)
@@ -294,22 +307,13 @@ def test_default_merge_never_emits_equal_sided_conflicts():
 RESIDUAL_WITNESS = (b"a\na\na\nb\nb\nb\nb\n", b"b\nb\na\na\nb\n", b"b\nb\na\na\nb\na\n")
 
 
-def test_compat_flag_reproduces_residual_equal_sided_conflict():
+def test_rejoined_equal_sided_conflict_is_demoted():
+    # zealous pieces rejoined across a short gap can end with equal sides;
+    # the check after rejoining makes that conflict a same-change
     o, left, right = RESIDUAL_WITNESS
-    compat = MergeOptions(algorithm="myers", skip_remerge_recheck=True)
-    out = merge3(o, left, right, compat)
-    table = InternTable()
-    oo, ll, rr = table.intern(o), table.intern(left), table.intern(right)
-    equal_sided = [
-        reg
-        for reg in out.regions
-        if reg.kind == CONFLICT
-        and ll.tokens[reg.start_l:reg.end_l] == rr.tokens[reg.start_r:reg.end_r]
-    ]
-    assert equal_sided
-
     fixed = merge3(o, left, right, MergeOptions(algorithm="myers"))
     assert fixed.clean and fixed.rendered == right
+    assert fixed.regions[0] == MergeRegion(0, 6, 0, 2, 0, 2, SAME)
 
 
 # Each of these made region coalescing keep an end that the earlier piece
@@ -345,7 +349,9 @@ _FUZZ_LINES = (
 FUZZ_CONFIGS = [
     MergeOptions(algorithm=algorithm, style=style, zealous=zealous)
     for algorithm in ("myers", "minimal", "patience", "histogram")
-    for style, zealous in (("merge", True), ("merge", False), ("diff3", False), ("zdiff3", True), ("zdiff3", False))
+    for style, zealous in (
+        ("merge", True), ("merge", False), ("diff3", True), ("diff3", False), ("zdiff3", True), ("zdiff3", False)
+    )
 ]
 
 

@@ -20,6 +20,14 @@ def test_line_indent_tabs_and_blanks():
     assert line_indent(b"\n") is None
 
 
+def test_line_indent_is_capped_at_200_columns():
+    assert line_indent(b" " * 199 + b"x\n") == 199
+    assert line_indent(b" " * 250 + b"x\n") == 200
+    assert line_indent(b"\t" * 30 + b"x\n") == 200
+    # the walk stops at the cap, so a longer blank line reads as indented
+    assert line_indent(b" " * 250 + b"\n") == 200
+
+
 # The scorer as first written, on hand-made measurements, and the same
 # splits in files through split_scores.
 
