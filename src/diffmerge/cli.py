@@ -23,7 +23,7 @@ from .graph import (
     rebase,
     revert,
 )
-from .merge3 import MergeError, MergeOptions, merge3
+from .merge3 import STYLES, MergeError, MergeOptions, merge3
 from .slider import slide_changed_lines
 
 EXIT_CLEAN = 0
@@ -78,7 +78,7 @@ def cmd_merge_file(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         style=args.style,
         zealous=not args.no_zealous,
-        labels=tuple(args.labels) if args.labels else ("ours", "base", "theirs"),
+        labels=tuple(args.labels),
     )
     outcome = merge3(base, left, right, options)
     sys.stdout.buffer.write(outcome.rendered)
@@ -175,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("left")
     p_merge.add_argument("base")
     p_merge.add_argument("right")
-    p_merge.add_argument("--style", choices=("merge", "diff3", "zdiff3"), default="merge")
-    p_merge.add_argument("--algorithm", choices=ALGORITHMS, default="histogram")
-    p_merge.add_argument("--labels", nargs=3, metavar=("LEFT", "BASE", "RIGHT"))
+    p_merge.add_argument("--style", choices=STYLES, default=MergeOptions.style)
+    p_merge.add_argument("--algorithm", choices=ALGORITHMS, default=MergeOptions.algorithm)
+    p_merge.add_argument("--labels", nargs=3, metavar=("LEFT", "BASE", "RIGHT"), default=MergeOptions.labels)
     p_merge.add_argument("--no-zealous", action="store_true")
     p_merge.set_defaults(func=cmd_merge_file)
 

@@ -12,10 +12,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .histogram import OccurrenceIndex
 
 
 class DiffError(Exception):
@@ -41,8 +37,8 @@ class InternedSequence:
 
     tokens: list[int]
     raw: list[bytes]
-    # histogram's occurrence index, built by the first diff from this file
-    occurrence_index: OccurrenceIndex | None = field(default=None, init=False, repr=False, compare=False)
+    # histogram's index (token -> ascending positions), built by the first diff from this file
+    occurrence_index: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)

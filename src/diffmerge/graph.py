@@ -250,10 +250,7 @@ class _MergeContext:
 
 def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
     """All common ancestors not dominated by another common ancestor."""
-    for cid in (a, b):
-        if cid not in graph:
-            raise UnknownCommit(cid)
-    return set(_merge_bases((a,), b, graph.commits))
+    return set(_merge_bases((graph[a].id,), graph[b].id, graph.commits))
 
 
 def _lca(ctx: _MergeContext, a: frozenset[str], b: str) -> list[str]:
@@ -327,9 +324,7 @@ def merge_base_recursive(
 ) -> dict[str, bytes]:
     """Tree of the (possibly virtual) merge base of a and b."""
     ctx = _MergeContext(graph, stats if stats is not None else MergeStats(), options or MergeOptions())
-    if a not in graph or b not in graph:
-        raise UnknownCommit(a if a not in graph else b)
-    return _fold_bases(ctx, _lca(ctx, frozenset((a,)), b))
+    return _fold_bases(ctx, _lca(ctx, frozenset((graph[a].id,)), graph[b].id))
 
 
 class _DefaultId(str):
@@ -364,18 +359,17 @@ def merge_commits(
     default id returns that commit again.  Conflicts are reported per path
     with the rendered conflict blobs, and nothing is committed.
     """
-    if a not in graph or b not in graph:
-        raise UnknownCommit(a if a not in graph else b)
+    head_a, head_b = graph[a], graph[b]
     stats = MergeStats()
     ctx = _MergeContext(graph, stats, options or MergeOptions())
     bases = _lca(ctx, frozenset((a,)), b)
     # a head among the merge bases is an ancestor of the other head
     if a in bases:
-        return MergeResult("fast-forward", graph.commits[b], {}, stats)
+        return MergeResult("fast-forward", head_b, {}, stats)
     if b in bases:
-        return MergeResult("fast-forward", graph.commits[a], {}, stats)
+        return MergeResult("fast-forward", head_a, {}, stats)
 
-    tree, conflicts = _merge_recursive(ctx, graph.commits[a].tree, graph.commits[b].tree, bases)
+    tree, conflicts = _merge_recursive(ctx, head_a.tree, head_b.tree, bases)
     if conflicts:
         return MergeResult("conflict", None, conflicts, stats)
     return _commit_clean(graph, new_id or _DefaultId(f"merge({a},{b})"), (a, b), tree, stats)
@@ -398,6 +392,7 @@ def _apply_change(
 ) -> MergeResult:
     """Merge the change a non-merge commit made into ``onto``, or with
     ``undo`` the inverse change; the new commit's only parent is ``onto``.
+    As in git, ``onto`` is the merge's ours side and the change its theirs.
     A root commit's change is the addition of its whole tree."""
     changed = graph[commit]
     _require_one_parent(changed)
@@ -405,7 +400,7 @@ def _apply_change(
     after = changed.tree
     if undo:
         before, after = after, before
-    tree, conflicts = _merge_tree_pair(options or MergeOptions(), before, after, graph[onto].tree)
+    tree, conflicts = _merge_tree_pair(options or MergeOptions(), before, graph[onto].tree, after)
     if conflicts:
         return MergeResult("conflict", None, conflicts, MergeStats())
     return _commit_clean(graph, new_id, (onto,), tree, MergeStats())

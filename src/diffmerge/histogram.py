@@ -8,15 +8,16 @@ far.  Lines occurring more than 64 times in the old file are never used as
 seeds, and if every common line is that frequent the whole subproblem falls
 back to the myers engine.
 
-One occurrence index over the whole old file serves every subproblem of a diff
-and is kept on the old sequence for later diffs from it, such as a merge's
-second base diff.  A line's positions inside old[lo1:hi1] are a bisected slice
-of its ascending position list.  Runs are extended a few lines one by one,
-then by list-slice compares of doubling and halving length.  A candidate's
-record count (its least occurrence count) is taken only when it can change the
-choice: at the whole file as a C-level ``min`` over per-line counts, below it
-from bisected counts cached for the call.  The flags, regions and record
-counts equal those of the per-subproblem rescan kept as the test reference
+One occurrence index, a plain dict from each token to its ascending positions
+in the whole old file, serves every subproblem of a diff and is kept, never
+changed, on the old sequence for later diffs from it, such as a merge's second
+base diff.  A line's positions inside old[lo1:hi1] are a bisected slice of its
+position list.  Runs are extended a few lines one by one, then by list-slice
+compares of doubling and halving length.  A candidate's record count (its
+least occurrence count inside old[lo1:hi1]) is taken only when it can change
+the choice, one line at a time from counts cached for the call, stopping at
+the first line that occurs once.  The flags, regions and record counts equal
+those of the per-subproblem rescan kept as the test reference
 ``histogram_reference``.  A call whose first seed already occurs more than 64
 times, with no rarer common line after it, falls back at once.
 """
@@ -35,21 +36,6 @@ MAX_OCCURRENCES = 64
 _GALLOP = 8
 
 
-@dataclass
-class OccurrenceIndex:
-    """Ascending positions of each token within the old file."""
-
-    occurrences: dict[int, list[int]]
-    # occurrence count of each line of the old file, built on first use
-    counts: list[int] | None = None
-
-    def line_counts(self, tokens: list[int]) -> list[int]:
-        if self.counts is None:
-            occ = self.occurrences
-            self.counts = [len(occ[t]) for t in tokens]
-        return self.counts
-
-
 @dataclass(frozen=True)
 class Region:
     """A maximal run of pairwise-equal lines; bounds are inclusive."""
@@ -65,13 +51,13 @@ class FallbackSignal(Exception):
     pass
 
 
-def scan_a(tokens: list[int]) -> OccurrenceIndex:
+def scan_a(tokens: list[int]) -> dict[int, list[int]]:
     """Map each token to its ascending positions within the old file."""
     occ: dict[int, list[int]] = {}
     add = occ.setdefault
     for i, tok in enumerate(tokens):
         add(tok, []).append(i)
-    return OccurrenceIndex(occ)
+    return occ
 
 
 def _run_forward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
@@ -138,18 +124,16 @@ def find_split(
     hi1: int,
     lo2: int,
     hi2: int,
-    index: OccurrenceIndex,
+    occ: dict[int, list[int]],
 ) -> Region | None:
-    """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``index`` is
+    """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``occ`` is
     ``scan_a`` over the whole old file.
 
     Returns None when the ranges share no line; raises FallbackSignal when
     common lines exist but all of them occur more than 64 times in old.
     """
-    occ = index.occurrences
     whole = lo1 == 0 and hi1 == len(a)
-    counts: list[int] | None = None
-    sub_counts: dict[int, int] | None = None
+    counts: dict[int, int] = {}  # occurrences of a token inside old[lo1:hi1]
     lowest = math.inf
     gate = math.inf  # max(lowest, MAX_OCCURRENCES)
     best: tuple[int, int, int, int, int] | None = None
@@ -192,24 +176,16 @@ def find_split(
                     # a record count is at least 1, so once the lowest is 1
                     # only a longer candidate can win
                     if longer or lowest > 1:
-                        if counts is None:
-                            counts = index.line_counts(a)
-                        record_count = min(counts[begin1:end1 + 1])
-                        if not whole and record_count > 1:
-                            # counts inside old[lo1:hi1] are at most the index's
-                            # counts and at least 1, so a 1 above stays exact
-                            if sub_counts is None:
-                                sub_counts = {}
-                            record_count = math.inf
-                            for tok in a[begin1:end1 + 1]:
-                                c = sub_counts.get(tok)
-                                if c is None:
-                                    p = occ[tok]
-                                    c = sub_counts[tok] = bisect_left(p, hi1) - bisect_left(p, lo1)
-                                if c < record_count:
-                                    record_count = c
-                                    if c == 1:
-                                        break
+                        record_count = math.inf
+                        for tok in a[begin1:end1 + 1]:
+                            c = counts.get(tok)
+                            if c is None:
+                                p = occ[tok]
+                                c = counts[tok] = len(p) if whole else bisect_left(p, hi1) - bisect_left(p, lo1)
+                            if c < record_count:
+                                record_count = c
+                                if c == 1:
+                                    break
                         if longer or record_count < lowest:
                             best = (begin1, end1, begin2, end2, record_count)
                             best_len = end1 - begin1
@@ -225,7 +201,9 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
     a, b = old.tokens, new.tokens
     of = [False] * len(a)
     nf = [False] * len(b)
-    index = old.occurrence_index = old.occurrence_index or scan_a(a)
+    if old.occurrence_index is None:
+        old.occurrence_index = scan_a(a)
+    occ = old.occurrence_index
     work = [(0, len(a), 0, len(b))]
     while work:
         lo1, hi1, lo2, hi2 = work.pop()
@@ -236,7 +214,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
             of[lo1:hi1] = [True] * (hi1 - lo1)
             continue
         try:
-            split = find_split(a, b, lo1, hi1, lo2, hi2, index)
+            split = find_split(a, b, lo1, hi1, lo2, hi2, occ)
         except FallbackSignal:
             sub = myers_flags(a[lo1:hi1], b[lo2:hi2])
             of[lo1:hi1] = sub.old_flags

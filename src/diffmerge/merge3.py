@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import Change, InternedSequence, InternTable, flags_to_script
-from .engine import diff_lines
+from .engine import ALGORITHMS, diff_lines
 
 LEFT = "left-change"
 RIGHT = "right-change"
@@ -29,7 +29,7 @@ class MergeError(Exception):
 
 
 class InvariantViolation(MergeError):
-    """Computed merge regions are not ordered and non-overlapping."""
+    """Computed merge regions are inverted, out of order or overlapping."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class MergeOptions:
     def __post_init__(self) -> None:
         if self.style not in STYLES:
             raise MergeError(f"unknown style {self.style!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise MergeError(f"unknown diff algorithm {self.algorithm!r}")
 
 
 @dataclass
@@ -144,9 +146,13 @@ def compute_merge_regions(
 
 
 def _check_ordering(regions: list[MergeRegion]) -> None:
-    for prev, cur in zip(regions, regions[1:]):
-        if cur.start_a < prev.end_a or cur.start_l < prev.end_l or cur.start_r < prev.end_r:
-            raise InvariantViolation(f"regions overlap: {prev} then {cur}")
+    """Each region ends at or after its start in all three files and starts
+    at or after the previous region's end; hunks given out of order break it."""
+    end_a = end_l = end_r = 0
+    for r in regions:
+        if not (end_a <= r.start_a <= r.end_a and end_l <= r.start_l <= r.end_l and end_r <= r.start_r <= r.end_r):
+            raise InvariantViolation(f"region inverted or out of order: {r}")
+        end_a, end_l, end_r = r.end_a, r.end_l, r.end_r
 
 
 def refine_zealous(

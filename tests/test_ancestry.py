@@ -6,16 +6,19 @@ import tracemalloc
 import pytest
 
 from diffmerge import graph as graph_mod
+from diffmerge.core import split_lines
 from diffmerge.graph import (
     CommitGraph,
     MergeStats,
     MultiParent,
     UnknownCommit,
     build_exponential_graph,
+    cherry_pick,
     lowest_common_ancestors,
     merge_base_recursive,
     merge_commits,
     rebase,
+    revert,
 )
 from diffmerge.merge3 import MergeOptions
 
@@ -409,3 +412,70 @@ def test_rebase_walks_the_mainline_once():
         head = g[head.parents[0]]
     assert head.id == f"m{n - 1}"
     assert work <= 20 * (n + k), work
+
+
+# History operations on hostile blobs: CR/LF, NUL, conflict-marker text and a
+# missing final newline, with paths that are empty or absent.
+_HOSTILE_LINES = (b"a\r\n", b"\r\n", b"\x00\n", b"b\x00c\n", b"<<<<<<< ours\n", b"=======\n",
+                  b">>>>>>> theirs\n", b"||||||| base\n", b"x\n", b"y\n")
+
+
+def _hostile_edit(rng, cid, parent_tree):
+    """Each path is left alone, removed, emptied or edited at one spot; an
+    edited blob sometimes loses its final newline."""
+    tree = dict(parent_tree)
+    for path in ("f", "g", "h"):
+        roll = rng.random()
+        if roll < 0.1:
+            tree.pop(path, None)
+        elif roll < 0.2:
+            tree[path] = b""
+        elif roll < 0.6:
+            lines = split_lines(tree.get(path, b""))
+            at = rng.randrange(len(lines) + 1)
+            lines[at:at + rng.randrange(3)] = rng.choices(_HOSTILE_LINES, k=rng.randrange(4))
+            blob = b"".join(lines)
+            tree[path] = blob[:-1] if blob.endswith(b"\n") and rng.random() < 0.2 else blob
+    return tree
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_history_operations_on_hostile_blobs(seed):
+    rng = random.Random(f"hostile/{seed}")
+    g = random_dag(rng, n=40, merge_p=0.3, window=6, crisscross_p=0.3, edit=_hostile_edit)
+    trees = [c.tree for c in g.commits.values()]
+    # the DAG holds every hostile shape
+    assert any(b"" in t.values() for t in trees) and any(len(t) < 3 for t in trees)
+    assert any(b"\x00" in blob for t in trees for blob in t.values())
+    assert any(blob and not blob.endswith(b"\n") for t in trees for blob in t.values())
+    ids = list(g.commits)
+    picks = merges = 0
+    for commit, onto in query_pairs(rng, g, 60):
+        if len(g[commit].parents) > 1:
+            continue
+        work = g.copy()
+        pick = cherry_pick(work, commit, onto)
+        if pick.kind == "clean":
+            picks += 1
+            # reverting the pick on top of itself gives back onto's tree,
+            # an empty blob staying a file and an absent path staying out
+            undo = revert(work, pick.commit.id, pick.commit.id)
+            assert undo.kind == "clean" and undo.commit.tree == g[onto].tree, (commit, onto)
+    for a, b in query_pairs(rng, g, 60):
+        if a in g.ancestors_of(b):
+            a, b = b, a
+        ancestor = rng.choice(sorted(g.ancestors_of(a)))
+        for heads in ((a, ancestor), (ancestor, a)):
+            result = merge_commits(g, *heads)
+            assert (result.kind, result.commit.id) == ("fast-forward", a), heads
+        if b in g.ancestors_of(a):
+            continue
+        work = g.copy()
+        first = merge_commits(work, a, b)
+        if first.kind == "clean":
+            merges += 1
+            size = len(work)
+            again = merge_commits(work, a, b)
+            assert again.kind == "clean" and again.commit is first.commit and len(work) == size, (a, b)
+    assert picks >= 10 and merges >= 5, (picks, merges)
+    assert ids == list(g.commits)

@@ -246,8 +246,9 @@ def test_graph_cherry_pick(tmp_path, capsys):
     assert main(["graph", "cherry-pick", script, "x", "z"]) == 1
     bad = json.loads(capsys.readouterr().out)
     assert (bad["result"], bad["commit"], bad["tree"]) == ("conflict", None, None)
-    # the picked change is the merge's left side, the commit it lands on the right
-    assert bad["conflicts"] == {"f": "a\n<<<<<<< ours\nB\n=======\nZ\n>>>>>>> theirs\nc\n"}
+    # as in git 2.39.5, where `git cherry-pick x` on z gives
+    # a <<<<<<< HEAD Z ======= B >>>>>>> x c: the commit picked onto is ours
+    assert bad["conflicts"] == {"f": "a\n<<<<<<< ours\nZ\n=======\nB\n>>>>>>> theirs\nc\n"}
 
 
 def test_graph_revert(tmp_path, capsys):

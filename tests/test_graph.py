@@ -179,6 +179,19 @@ def test_revert_conflicts_when_lines_were_edited_later():
     assert result.kind == "conflict"
 
 
+def test_revert_conflict_puts_the_current_commit_on_ours():
+    # as `git revert z` on y, whose conflict is a <<<<<<< HEAD Y ======= b
+    # >>>>>>> parent of z c in git 2.39.5: ours is the current commit, theirs
+    # the reverted commit's parent
+    g = CommitGraph()
+    g.add_commit("o", (), {"f": b"a\nb\nc\n"})
+    g.add_commit("z", ("o",), {"f": b"a\nZ\nc\n"})
+    g.add_commit("y", ("z",), {"f": b"a\nY\nc\n"})
+    result = revert(g, "z", "y")
+    assert result.kind == "conflict"
+    assert result.conflicts == {"f": b"a\n<<<<<<< ours\nY\n=======\nb\n>>>>>>> theirs\nc\n"}
+
+
 def test_revert_of_a_root_conflicts_with_a_later_edit():
     # reverting the root deletes f, which the descendant modified
     g = CommitGraph()

@@ -10,6 +10,7 @@ from diffmerge.merge3 import (
     LEFT,
     RIGHT,
     SAME,
+    InvariantViolation,
     MergeError,
     MergeOptions,
     MergeRegion,
@@ -32,6 +33,11 @@ def test_options_reject_an_unknown_style():
         MergeOptions(style="diff2")
 
 
+def test_options_reject_an_unknown_algorithm():
+    with pytest.raises(MergeError, match="bogus"):
+        MergeOptions(algorithm="bogus")
+
+
 def test_diff3_renders_the_same_with_either_zealous():
     # diff3 shows each conflict's whole ancestor range: zealous has nothing to shrink
     assert MergeOptions(style="diff3").zealous
@@ -49,6 +55,13 @@ def test_diff3_renders_the_same_with_either_zealous():
 def test_empty_scripts_give_no_regions():
     o, l, r = interned(b"a\n", b"a\n", b"a\n")
     assert compute_merge_regions((), (), l, r, 1) == []
+
+
+def test_hunks_out_of_order_raise_invariant_violation():
+    # the later hunk first: emit joins the earlier one into an inverted region
+    l, r = interned(b"a\nb\nc\nd\ne\n", b"a\nb\nc\nd\ne\n")
+    with pytest.raises(InvariantViolation):
+        compute_merge_regions((Change(3, 4, 3, 4), Change(1, 2, 1, 2)), (), l, r, 5)
 
 
 def test_one_sided_left_change_lookback():
