@@ -1,4 +1,5 @@
-"""Line interning, diff representations, patch application and unified rendering.
+"""Line interning, common runs, diff representations, patch application and
+unified rendering.
 
 A diff problem (two or three files) shares one :class:`InternTable` so that
 equal line content gets equal integer tokens across all files involved.
@@ -6,6 +7,11 @@ Lines are byte strings split on LF only; CR and the other line breaks of
 ``bytes.splitlines`` are ordinary content.  A final line without a trailing
 newline is still one line, and its token differs from the same content with
 a newline (as unified diff's ``\\ No newline at end of file`` marks).
+
+How many lines match from a point on, or back from it, is measured one way:
+Myers' end trims, histogram's region extension and the zdiff3 trim all call
+:func:`common_prefix` or :func:`common_suffix`, which compare a few lines one
+by one and then gallop by list-slice compares.
 """
 
 from __future__ import annotations
@@ -141,6 +147,56 @@ def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSeq
             return tuple(changes)
         else:
             raise InvalidFlags("unflagged tail of one file has no counterpart")
+
+
+# Lines compared one by one before a run is extended by slice compares.
+_GALLOP = 8
+
+
+def common_prefix(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """The largest k <= limit with a[i:i+k] == b[j:j+k]."""
+    k = 0
+    while k < limit:
+        if a[i + k] != b[j + k]:
+            return k
+        k += 1
+        if k == _GALLOP:
+            break
+    if k == limit:
+        return k
+    # the run is at least _GALLOP long: double the step while slices match,
+    # then halve it; the rest of the run is always shorter than the step
+    step = _GALLOP
+    while k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
+        k += step
+        step += step
+    while step > 1:
+        step >>= 1
+        if k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
+            k += step
+    return k
+
+
+def common_suffix(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """The largest k <= limit with a[i-k:i] == b[j-k:j]."""
+    k = 0
+    while k < limit:
+        if a[i - 1 - k] != b[j - 1 - k]:
+            return k
+        k += 1
+        if k == _GALLOP:
+            break
+    if k == limit:
+        return k
+    step = _GALLOP
+    while k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
+        k += step
+        step += step
+    while step > 1:
+        step >>= 1
+        if k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
+            k += step
+    return k
 
 
 def script_to_flags(script: tuple[Change, ...], old_len: int, new_len: int) -> ChangedLines:

@@ -12,11 +12,11 @@ One occurrence index, a plain dict from each token to its ascending positions
 in the whole old file, serves every subproblem of a diff and is kept, never
 changed, on the old sequence for later diffs from it, such as a merge's second
 base diff.  A line's positions inside old[lo1:hi1] are a bisected slice of its
-position list.  Runs are extended a few lines one by one, then by list-slice
-compares of doubling and halving length.  A candidate's record count (its
-least occurrence count inside old[lo1:hi1]) is taken only when it can change
-the choice, one line at a time from counts cached for the call, stopping at
-the first line that occurs once.  The flags, regions and record counts equal
+position list.  Runs are extended by ``core.common_prefix`` and
+``common_suffix``.  A candidate's record count (its least occurrence count
+inside old[lo1:hi1]) is taken only when it can change the choice, one line at
+a time from counts cached for the call, stopping at the first line that
+occurs once.  The flags, regions and record counts equal
 those of the per-subproblem rescan kept as the test reference
 ``histogram_reference``.  A call whose first seed already occurs more than 64
 times, with no rarer common line after it, falls back at once.
@@ -28,12 +28,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import ChangedLines, InternedSequence
+from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
 from .myers import myers_flags
 
 MAX_OCCURRENCES = 64
-# Lines compared one by one before a run is extended by slice compares.
-_GALLOP = 8
 
 
 @dataclass(frozen=True)
@@ -58,52 +56,6 @@ def scan_a(tokens: list[int]) -> dict[int, list[int]]:
     for i, tok in enumerate(tokens):
         add(tok, []).append(i)
     return occ
-
-
-def _run_forward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
-    """The largest k <= limit with a[i:i+k] == b[j:j+k]."""
-    k = 0
-    while k < limit:
-        if a[i + k] != b[j + k]:
-            return k
-        k += 1
-        if k == _GALLOP:
-            break
-    if k == limit:
-        return k
-    # the run is at least _GALLOP long: double the step while slices match,
-    # then halve it; the rest of the run is always shorter than the step
-    step = _GALLOP
-    while k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
-        k += step
-        step += step
-    while step > 1:
-        step >>= 1
-        if k + step <= limit and a[i + k:i + k + step] == b[j + k:j + k + step]:
-            k += step
-    return k
-
-
-def _run_backward(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
-    """The largest k <= limit with a[i-k:i] == b[j-k:j]."""
-    k = 0
-    while k < limit:
-        if a[i - 1 - k] != b[j - 1 - k]:
-            return k
-        k += 1
-        if k == _GALLOP:
-            break
-    if k == limit:
-        return k
-    step = _GALLOP
-    while k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
-        k += step
-        step += step
-    while step > 1:
-        step >>= 1
-        if k + step <= limit and a[i - k - step:i - k] == b[j - k - step:j - k]:
-            k += step
-    return k
 
 
 def _any_rare(tokens: list[int], occ: dict[int, list[int]], lo1: int, hi1: int, whole: bool) -> bool:
@@ -162,12 +114,12 @@ def find_split(
                         continue
                     begin1, begin2 = apos, b_ptr
                     if apos > lo1 and b_ptr > lo2 and a[apos - 1] == b[b_ptr - 1]:
-                        k = _run_backward(a, apos, b, b_ptr, min(apos - lo1, b_ptr - lo2))
+                        k = common_suffix(a, apos, b, b_ptr, min(apos - lo1, b_ptr - lo2))
                         begin1 -= k
                         begin2 -= k
                     end1, end2 = apos, b_ptr
                     if apos + 1 < hi1 and b_ptr + 1 < hi2 and a[apos + 1] == b[b_ptr + 1]:
-                        k = _run_forward(a, apos + 1, b, b_ptr + 1, min(hi1 - apos, hi2 - b_ptr) - 1)
+                        k = common_prefix(a, apos + 1, b, b_ptr + 1, min(hi1 - apos, hi2 - b_ptr) - 1)
                         end1 += k
                         end2 += k
                     if b_next <= end2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import Change, InternedSequence, InternTable, flags_to_script
+from .core import Change, InternedSequence, InternTable, common_prefix, common_suffix, flags_to_script
 from .engine import ALGORITHMS, diff_lines
 
 LEFT = "left-change"
@@ -163,14 +163,13 @@ def refine_zealous(
 ) -> list[MergeRegion]:
     """Split one conflict along the unchanged runs of a two-way side diff.
 
-    Identical sides demote the whole region to a same-change.  Sub-conflicts
-    inherit the ancestor range on the first piece only; the ranges of later
-    pieces are empty, which is why this refinement cannot feed the diff3
-    renderer.
+    Identical sides demote the whole region to a same-change before any side
+    diff is run.  Sub-conflicts inherit the ancestor range on the first piece
+    only; the ranges of later pieces are empty, which is why this refinement
+    cannot feed the diff3 renderer.
     """
-    if region.kind != CONFLICT:
-        return [region]
-    if region.end_l == region.start_l or region.end_r == region.start_r:
+    region = _demote_equal_sides(region, left, right)
+    if region.kind != CONFLICT or region.end_l == region.start_l or region.end_r == region.start_r:
         return [region]
 
     sub_l = InternedSequence(
@@ -180,13 +179,9 @@ def refine_zealous(
         right.tokens[region.start_r:region.end_r], right.raw[region.start_r:region.end_r]
     )
     flags = diff_lines(sub_l, sub_r, algorithm)
-    script = flags_to_script(flags, sub_l, sub_r)
-    if not script:
-        return [replace(region, kind=SAME)]
-
     pieces = []
     first = True
-    for hunk in script:
+    for hunk in flags_to_script(flags, sub_l, sub_r):
         sa, ea = (region.start_a, region.end_a) if first else (region.end_a, region.end_a)
         first = False
         pieces.append(
@@ -214,29 +209,17 @@ def _demote_equal_sides(region: MergeRegion, left: InternedSequence, right: Inte
 
 
 def _trim_zdiff3(region: MergeRegion, o: InternedSequence, left: InternedSequence, right: InternedSequence) -> MergeRegion:
-    """Drop line runs common to all three files from both ends of a conflict."""
+    """Drop line runs common to all three files from both ends of a conflict.
+
+    A run common to all three is the shorter of the base-left and left-right runs."""
     sa, ea = region.start_a, region.end_a
     sl, el = region.start_l, region.end_l
     sr, er = region.start_r, region.end_r
-    while (
-        sa < ea
-        and sl < el
-        and sr < er
-        and o.tokens[sa] == left.tokens[sl] == right.tokens[sr]
-    ):
-        sa += 1
-        sl += 1
-        sr += 1
-    while (
-        sa < ea
-        and sl < el
-        and sr < er
-        and o.tokens[ea - 1] == left.tokens[el - 1] == right.tokens[er - 1]
-    ):
-        ea -= 1
-        el -= 1
-        er -= 1
-    return MergeRegion(sa, ea, sl, el, sr, er, CONFLICT)
+    a, l, r = o.tokens, left.tokens, right.tokens
+    k = common_prefix(l, sl, r, sr, common_prefix(a, sa, l, sl, min(ea - sa, el - sl, er - sr)))
+    sa, sl, sr = sa + k, sl + k, sr + k
+    k = common_suffix(l, el, r, er, common_suffix(a, ea, l, el, min(ea - sa, el - sl, er - sr)))
+    return MergeRegion(sa, ea - k, sl, el - k, sr, er - k, CONFLICT)
 
 
 class _Writer:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import ChangedLines, InternedSequence
+from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
 
 
 def approx_sqrt(n: int) -> int:
@@ -27,9 +27,6 @@ def approx_sqrt(n: int) -> int:
 
 SNAKE_CNT = 20  # a diagonal run longer than this is a snake
 HEUR_MIN_COST = 256  # steps before the snake cutoff may fire, and the budget's floor
-
-MYERS = False  # the two values of the ``minimal`` argument
-MINIMAL = True
 
 
 def step_budget(n: int) -> int:
@@ -61,12 +58,8 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     """
     a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
-    prefix = 0
-    while prefix < n and prefix < m and a[prefix] == b[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < n - prefix and suffix < m - prefix and a[n - 1 - suffix] == b[m - 1 - suffix]:
-        suffix += 1
+    prefix = common_prefix(a, 0, b, 0, min(n, m))
+    suffix = common_suffix(a, n, b, m, min(n, m) - prefix)
 
     count_a = Counter(a)
     count_b = Counter(b)
@@ -279,18 +272,16 @@ def _recs_cmp(env: _SearchEnv) -> ChangedLines:
     stack = [(0, len(ha1), 0, len(ha2), env.need_min)]
     while stack:
         off1, lim1, off2, lim2, need_min = stack.pop()
-        while off1 < lim1 and off2 < lim2 and ha1[off1] == ha2[off2]:
-            off1 += 1
-            off2 += 1
-        while off1 < lim1 and off2 < lim2 and ha1[lim1 - 1] == ha2[lim2 - 1]:
-            lim1 -= 1
-            lim2 -= 1
+        k = common_prefix(ha1, off1, ha2, off2, min(lim1 - off1, lim2 - off2))
+        off1 += k
+        off2 += k
+        k = common_suffix(ha1, lim1, ha2, lim2, min(lim1 - off1, lim2 - off2))
+        lim1 -= k
+        lim2 -= k
         if off1 == lim1:
-            for j in range(off2, lim2):
-                rchg2[j] = True
+            rchg2[off2:lim2] = [True] * (lim2 - off2)
         elif off2 == lim2:
-            for i in range(off1, lim1):
-                rchg1[i] = True
+            rchg1[off1:lim1] = [True] * (lim1 - off1)
         else:
             i1, i2, min_lo, min_hi = _split(env, off1, lim1, off2, lim2, need_min)
             stack.append((i1, lim1, i2, lim2, min_hi))

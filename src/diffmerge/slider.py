@@ -159,10 +159,11 @@ def slidable_range(flags: list[bool], seq: InternedSequence, group: tuple[int, i
     ):
         max_shift += 1
     # keep at least one unflagged line between groups so a slide never fuses
-    # two groups into one
-    while min_shift < 0 and start + min_shift > 0 and flags[start + min_shift - 1]:
+    # two groups into one; one step back is enough, since the line it steps
+    # back onto passed the unflagged test of the scan above
+    if min_shift < 0 and start + min_shift > 0 and flags[start + min_shift - 1]:
         min_shift += 1
-    while max_shift > 0 and end + max_shift < len(tokens) and flags[end + max_shift]:
+    if max_shift > 0 and end + max_shift < len(tokens) and flags[end + max_shift]:
         max_shift -= 1
     return min_shift, max_shift
 

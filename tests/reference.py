@@ -6,7 +6,8 @@ was later rewritten for speed: the per-subproblem histogram rescan, the
 rebase that tests each chain commit for ancestry with a walk of its own, the
 recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
-split, the line-by-line flag scans, the frequent-line rule that rescans a
+split, the line-by-line flag scans and common-run scans (pairwise, and
+three-way for the zdiff3 trim), the frequent-line rule that rescans a
 block around each of its lines, the indent heuristic that rescans the
 blank lines around each split into a record and scores the record's
 fields, and the line split and intern loop that handle one line at a time
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
-from diffmerge.merge3 import MergeOptions
-from diffmerge.myers import _BIG, MYERS, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
+from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion
+from diffmerge.myers import _BIG, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
 from diffmerge.slider import _groups, line_indent, slidable_range
@@ -281,7 +282,7 @@ def histogram_reference(old: InternedSequence, new: InternedSequence) -> Changed
         try:
             split = histogram_split_reference(a, b, lo1, hi1, lo2, hi2)
         except FallbackSignal:
-            sub = myers_flags(a[lo1:hi1], b[lo2:hi2], MYERS)
+            sub = myers_flags(a[lo1:hi1], b[lo2:hi2], minimal=False)
             for i, flag in enumerate(sub.old_flags):
                 if flag:
                     of[lo1 + i] = True
@@ -408,7 +409,7 @@ def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> Cha
         matches = find_matching_unique_lines_reference(a[lo_a:hi_a], b[lo_b:hi_b])
         lcs = patience_lis(matches)
         if not lcs:
-            sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b], MYERS)
+            sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b], minimal=False)
             for i, flag in enumerate(sub.old_flags):
                 if flag:
                     of[lo_a + i] = True
@@ -622,16 +623,55 @@ def groups_reference(flags: list[bool]) -> list[tuple[int, int]]:
     return groups
 
 
+def common_prefix_reference(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """``core.common_prefix`` as the line-by-line scan that ``myers.preprocess``
+    and ``myers._recs_cmp`` each kept before the galloping primitive."""
+    k = 0
+    while k < limit and a[i + k] == b[j + k]:
+        k += 1
+    return k
+
+
+def common_suffix_reference(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """``core.common_suffix`` as a line-by-line scan."""
+    k = 0
+    while k < limit and a[i - 1 - k] == b[j - 1 - k]:
+        k += 1
+    return k
+
+
+def trim_zdiff3_reference(region: MergeRegion, o: InternedSequence, left: InternedSequence, right: InternedSequence) -> MergeRegion:
+    """``merge3._trim_zdiff3`` as first written: a three-way compare per line, from each end."""
+    sa, ea = region.start_a, region.end_a
+    sl, el = region.start_l, region.end_l
+    sr, er = region.start_r, region.end_r
+    while (
+        sa < ea
+        and sl < el
+        and sr < er
+        and o.tokens[sa] == left.tokens[sl] == right.tokens[sr]
+    ):
+        sa += 1
+        sl += 1
+        sr += 1
+    while (
+        sa < ea
+        and sl < el
+        and sr < er
+        and o.tokens[ea - 1] == left.tokens[el - 1] == right.tokens[er - 1]
+    ):
+        ea -= 1
+        el -= 1
+        er -= 1
+    return MergeRegion(sa, ea, sl, el, sr, er, CONFLICT)
+
+
 def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
     """``myers.preprocess`` as first written: each frequent line rescans its block."""
     a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
-    prefix = 0
-    while prefix < n and prefix < m and a[prefix] == b[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < n - prefix and suffix < m - prefix and a[n - 1 - suffix] == b[m - 1 - suffix]:
-        suffix += 1
+    prefix = common_prefix_reference(a, 0, b, 0, min(n, m))
+    suffix = common_suffix_reference(a, n, b, m, min(n, m) - prefix)
 
     count_a = Counter(a)
     count_b = Counter(b)

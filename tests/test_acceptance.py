@@ -16,7 +16,7 @@ from diffmerge.engine import ALGORITHMS, diff_lines
 from diffmerge.graph import build_exponential_graph, merge_commits, rebase, CommitGraph
 from diffmerge.histogram import diff_histogram
 from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, LEFT, RIGHT, merge3
-from diffmerge.myers import MINIMAL, MYERS, diff_myers
+from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience, patience_lis
 from diffmerge.slider import slide_changed_lines
 
@@ -66,7 +66,7 @@ def test_criterion_2_minimality_against_dp_oracle():
             b = lines(rng, m, rng.randrange(2, 9))
             table = InternTable()
             old, new = table.intern(a), table.intern(b)
-            got = diff_myers(old, new, MINIMAL).flag_count()
+            got = diff_myers(old, new, minimal=True).flag_count()
             want = oracle.min_edit_distance(old.tokens, new.tokens)
             assert got == want, (a, b, got, want)
 
@@ -79,8 +79,8 @@ def test_criterion_2_minimality_against_dp_oracle():
         new_b += b"".join(b"new%d\n" % i for i in range(5, 10)) + star * 9
         table = InternTable()
         old, new = table.intern(old_b), table.intern(new_b)
-        minimal = diff_myers(old, new, MINIMAL).flag_count()
-        myers = diff_myers(old, new, MYERS).flag_count()
+        minimal = diff_myers(old, new, minimal=True).flag_count()
+        myers = diff_myers(old, new, minimal=False).flag_count()
         assert minimal == oracle.min_edit_distance(old.tokens, new.tokens)
         assert myers > minimal
 
@@ -112,7 +112,7 @@ def test_criterion_4_histogram_pathology_and_asymmetry():
             for pair in ((before, after), (after, before)):
                 table = InternTable()
                 o, n = table.intern(pair[0]), table.intern(pair[1])
-                assert diff_myers(o, n, MINIMAL).flag_count() == 2
+                assert diff_myers(o, n, minimal=True).flag_count() == 2
 
 
 def test_criterion_5_patience_beats_histogram_on_reordering():

@@ -10,6 +10,8 @@ from diffmerge.core import (
     InvalidFlags,
     RangeError,
     apply_script,
+    common_prefix,
+    common_suffix,
     flags_to_script,
     parse_unified,
     render_unified,
@@ -338,6 +340,54 @@ def test_flags_to_script_matches_reference():
     o, n = InternedSequence([1, 2], []), InternedSequence([1], [])
     flags = ChangedLines([False], [False])
     assert _script_or_error(flags_to_script, flags, o, n) == "InvalidFlags: flag arrays do not match file lengths"
+
+
+# runs around the galloping start (8), its first doubling (16) and a long one
+_RUN_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 1000)
+
+
+@pytest.mark.parametrize("run", _RUN_LENGTHS)
+def test_common_runs_match_reference(run):
+    # a run of `run` equal lines between random padding, ended by a mismatch;
+    # every limit from 0 to 40 and around the run's length, in both directions
+    rng = random.Random(f"common-run-{run}")
+    for _ in range(3):
+        common = [rng.randrange(4) for _ in range(run)]
+        pad_a = [rng.randrange(4) for _ in range(rng.randrange(5))]
+        pad_b = [rng.randrange(4) for _ in range(rng.randrange(5))]
+        tail_a = [rng.randrange(4) for _ in range(60)]
+        tail_b = [rng.randrange(4) for _ in range(60)]
+        limits = {*range(41), run - 1, run, run + 1, run + 40}
+        # forward: a = pad + common + 4 + tail, b = pad + common + 5 + tail
+        a, b = pad_a + common + [4] + tail_a, pad_b + common + [5] + tail_b
+        i, j = len(pad_a), len(pad_b)
+        for limit in limits:
+            if 0 <= limit <= min(len(a) - i, len(b) - j):
+                want = reference.common_prefix_reference(a, i, b, j, limit)
+                assert want == min(run, limit)
+                assert common_prefix(a, i, b, j, limit) == want, (run, limit)
+        # backward: the mirror image, measured back from the end of the run
+        a, b = tail_a + [4] + common + pad_a, tail_b + [5] + common + pad_b
+        i, j = len(a) - len(pad_a), len(b) - len(pad_b)
+        for limit in limits:
+            if 0 <= limit <= min(i, j):
+                want = reference.common_suffix_reference(a, i, b, j, limit)
+                assert want == min(run, limit)
+                assert common_suffix(a, i, b, j, limit) == want, (run, limit)
+
+
+def test_common_runs_match_reference_on_random_lists():
+    # small alphabets make runs of every length; the start and limit are random
+    rng = random.Random(16)
+    for _ in range(3000):
+        alphabet = rng.choice((1, 2, 3))
+        a = [rng.randrange(alphabet) for _ in range(rng.randrange(80))]
+        b = [rng.randrange(alphabet) for _ in range(rng.randrange(80))]
+        i, j = rng.randrange(len(a) + 1), rng.randrange(len(b) + 1)
+        limit = rng.randrange(min(len(a) - i, len(b) - j) + 1)
+        assert common_prefix(a, i, b, j, limit) == reference.common_prefix_reference(a, i, b, j, limit), (a, i, b, j, limit)
+        limit = rng.randrange(min(i, j) + 1)
+        assert common_suffix(a, i, b, j, limit) == reference.common_suffix_reference(a, i, b, j, limit), (a, i, b, j, limit)
 
 
 def test_star_import_matches_all():

@@ -116,7 +116,11 @@ def test_cherry_pick_matches_direct_merge():
     g.add_commit("cm", ("c1",), {"f": b"other\nshared\n"})
     result = cherry_pick(g, "c2", "cm")
     assert result.kind == "clean"
-    expected = merge3(b"shared\n", b"shared\npicked\n", b"other\nshared\n")
+    # a pick merges with the commit picked onto as ours, as in git; a clean
+    # merge's bytes do not depend on the order of its sides, so the order is
+    # pinned by the conflicting cases test_graph_cherry_pick and
+    # test_revert_conflict_puts_the_current_commit_on_ours
+    expected = merge3(b"shared\n", b"other\nshared\n", b"shared\npicked\n")
     assert result.commit.tree["f"] == expected.rendered
 
 

@@ -5,7 +5,7 @@ import pytest
 from diffmerge.core import InternedSequence, InternTable, apply_script, flags_to_script
 from diffmerge.histogram import FallbackSignal, diff_histogram, find_split, scan_a
 from diffmerge.merge3 import MergeOptions, merge3
-from diffmerge.myers import MINIMAL, diff_myers
+from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience
 
 import reference
@@ -88,10 +88,10 @@ def test_histogram_bad_minimal_two_lines_both_ways():
     table = InternTable()
     before, after = histogram_bad_family(4)
     o, n = table.intern(before), table.intern(after)
-    assert diff_myers(o, n, MINIMAL).flag_count() == 2
+    assert diff_myers(o, n, minimal=True).flag_count() == 2
     table = InternTable()
     o, n = table.intern(after), table.intern(before)
-    assert diff_myers(o, n, MINIMAL).flag_count() == 2
+    assert diff_myers(o, n, minimal=True).flag_count() == 2
 
 
 def test_reordering_where_histogram_exceeds_patience(intern_pair):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diffmerge.core import Change, InternTable
+from diffmerge.core import Change, InternedSequence, InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.merge3 import (
     CONFLICT,
@@ -14,8 +14,10 @@ from diffmerge.merge3 import (
     MergeError,
     MergeOptions,
     MergeRegion,
+    _trim_zdiff3,
     compute_merge_regions,
     merge3,
+    merge_regions_pipeline,
     refine_zealous,
 )
 
@@ -129,6 +131,9 @@ def test_refine_demotes_identical_sides():
     o, l, r = interned(b"x\n", b"s\nt\n", b"s\nt\n")
     region = MergeRegion(0, 1, 0, 2, 0, 2, CONFLICT)
     (got,) = refine_zealous(region, l, r, "histogram")
+    assert got.kind == SAME
+    # both sides empty: the two deletions overlapped without being equal
+    (got,) = refine_zealous(MergeRegion(0, 1, 0, 0, 0, 0, CONFLICT), l, r, "histogram")
     assert got.kind == SAME
 
 
@@ -437,3 +442,26 @@ def test_shared_index_matches_a_fresh_index_per_diff(options, monkeypatch):
         got = merge3(*triple, options)
         assert (got.regions, got.rendered) == (want.regions, want.rendered), triple
     assert reused > 100
+
+
+def test_trim_zdiff3_matches_reference():
+    # the untrimmed conflicts of fuzzed triples, then conflicts whose three
+    # sides share long runs at both ends
+    rng = random.Random("trim-zdiff3")
+    cases = []
+    for _ in range(300):
+        o, left, right = interned(*_fuzz_triple(rng))
+        regions = merge_regions_pipeline(o, left, right, MergeOptions(style="zdiff3", zealous=False))
+        cases += [(r, o, left, right) for r in regions if r.kind == CONFLICT]
+    for _ in range(300):
+        head = [rng.randrange(3) for _ in range(rng.randrange(40))]
+        tail = [rng.randrange(3) for _ in range(rng.randrange(40))]
+        o, left, right = (
+            InternedSequence(head + [rng.randrange(3) for _ in range(rng.randrange(6))] + tail, [])
+            for _ in range(3)
+        )
+        cases.append((MergeRegion(0, len(o), 0, len(left), 0, len(right), CONFLICT), o, left, right))
+    assert len(cases) > 400
+    for region, o, left, right in cases:
+        got = _trim_zdiff3(region, o, left, right)
+        assert got == reference.trim_zdiff3_reference(region, o, left, right), (region, o.tokens, left.tokens, right.tokens)

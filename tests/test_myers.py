@@ -6,8 +6,6 @@ from diffmerge import oracle
 from diffmerge.core import InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.myers import (
-    MINIMAL,
-    MYERS,
     _SearchEnv,
     _recs_cmp,
     approx_sqrt,
@@ -68,8 +66,8 @@ def _frequent_line_family():
 
 def test_frequent_line_marked_in_myers_mode_only(intern_pair):
     old, new = intern_pair(*_frequent_line_family())
-    minimal = diff_myers(old, new, MINIMAL)
-    myers = diff_myers(old, new, MYERS)
+    minimal = diff_myers(old, new, minimal=True)
+    myers = diff_myers(old, new, minimal=False)
     best = oracle.min_edit_distance(old.tokens, new.tokens)
     assert minimal.flag_count() == best
     assert myers.flag_count() > best
@@ -81,13 +79,13 @@ def test_minimal_matches_dp_on_paper_example(intern_pair):
     old = b"".join(c.encode() + b"\n" for c in "ABCABBBA")
     new = b"".join(c.encode() + b"\n" for c in "CCBABAC")
     o, n = intern_pair(old, new)
-    flags = diff_myers(o, n, MINIMAL)
+    flags = diff_myers(o, n, minimal=True)
     assert flags.flag_count() == oracle.min_edit_distance(o.tokens, n.tokens) == 7
 
 
 def test_identical_files_zero_flags(intern_pair):
     o, n = intern_pair(b"q\nw\ne\n", b"q\nw\ne\n")
-    assert diff_myers(o, n, MYERS).flag_count() == 0
+    assert diff_myers(o, n, minimal=False).flag_count() == 0
 
 
 def test_heuristics_inert_below_thresholds():
@@ -100,7 +98,7 @@ def test_heuristics_inert_below_thresholds():
         new = b"".join(b"w%d\n" % rng.randrange(25) for _ in range(m))
         table = InternTable()
         o, w = table.intern(old), table.intern(new)
-        assert diff_myers(o, w, MYERS).flag_count() == diff_myers(o, w, MINIMAL).flag_count()
+        assert diff_myers(o, w, minimal=False).flag_count() == diff_myers(o, w, minimal=True).flag_count()
 
 
 def test_minimal_cost_is_symmetric():
@@ -112,7 +110,7 @@ def test_minimal_cost_is_symmetric():
         o1, n1 = t1.intern(a), t1.intern(b)
         t2 = InternTable()
         o2, n2 = t2.intern(b), t2.intern(a)
-        assert diff_myers(o1, n1, MINIMAL).flag_count() == diff_myers(o2, n2, MINIMAL).flag_count()
+        assert diff_myers(o1, n1, minimal=True).flag_count() == diff_myers(o2, n2, minimal=True).flag_count()
 
 
 def test_heuristic_mode_never_shorter_than_minimal_and_valid():
@@ -122,8 +120,8 @@ def test_heuristic_mode_never_shorter_than_minimal_and_valid():
         b = random_file(rng, 60, 3)
         table = InternTable()
         o, n = table.intern(a), table.intern(b)
-        hrs = diff_myers(o, n, MYERS)
-        mns = diff_myers(o, n, MINIMAL)
+        hrs = diff_myers(o, n, minimal=False)
+        mns = diff_myers(o, n, minimal=True)
         assert reference.check_flags_valid(o.tokens, n.tokens, hrs.old_flags, hrs.new_flags)
         assert hrs.flag_count() >= mns.flag_count()
 
@@ -137,8 +135,8 @@ def test_snake_and_budget_cutoffs_fire_on_large_noisy_input():
     shared = [1000 + i for i in range(60)]
     a = a[:700] + shared + a[700:]
     b = b[:100] + shared + b[100:]
-    cheap = myers_flags(a, b, MYERS)
-    exact = myers_flags(a, b, MINIMAL)
+    cheap = myers_flags(a, b, minimal=False)
+    exact = myers_flags(a, b, minimal=True)
     assert reference.check_flags_valid(a, b, cheap.old_flags, cheap.new_flags)
     assert cheap.flag_count() >= exact.flag_count()
 
@@ -166,11 +164,11 @@ def _small_cutoffs(snake, heur_min):
 SPLIT_CASES = {
     "myers": (
         "split-HeuristicConfig(enable_heuristics=True, snake_length=20, min_steps=256)",
-        lambda old, new: myers_flags(old, new, MYERS),
+        lambda old, new: myers_flags(old, new, minimal=False),
     ),
     "minimal": (
         "split-HeuristicConfig(enable_heuristics=False, snake_length=20, min_steps=256)",
-        lambda old, new: myers_flags(old, new, MINIMAL),
+        lambda old, new: myers_flags(old, new, minimal=True),
     ),
     "snake3-steps4": (
         "split-HeuristicConfig(enable_heuristics=True, snake_length=3, min_steps=4)",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diffmerge.core import InternedSequence, InternTable
-from diffmerge.myers import MYERS, diff_myers
+from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience, find_matching_unique_lines, patience_lis
 
 import reference
@@ -61,7 +61,7 @@ def test_diff_identical_files(intern_pair):
 def test_fallback_equals_myers_when_no_unique_commons(intern_pair):
     o, n = intern_pair(b"b\nc\nb\n", b"c\nb\nc\n")
     got = diff_patience(o, n)
-    want = diff_myers(o, n, MYERS)
+    want = diff_myers(o, n, minimal=False)
     assert got.old_flags == want.old_flags
     assert got.new_flags == want.new_flags
 
