@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code else EXIT_CLEAN
     try:
         return args.func(args)
-    except (OSError, MergeError, GraphError, oracle.SizeGuard) as exc:
+    except (OSError, UnicodeDecodeError, MergeError, GraphError, oracle.SizeGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

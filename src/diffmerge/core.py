@@ -9,9 +9,9 @@ newline is still one line, and its token differs from the same content with
 a newline (as unified diff's ``\\ No newline at end of file`` marks).
 
 How many lines match from a point on, or back from it, is measured one way:
-Myers' end trims, histogram's region extension and the zdiff3 trim all call
-:func:`common_prefix` or :func:`common_suffix`, which compare a few lines one
-by one and then gallop by list-slice compares.
+Myers' end trims and snakes, histogram's region extension and the zdiff3 trim
+all call :func:`common_prefix` or :func:`common_suffix`, which compare a few
+lines one by one and then gallop by list-slice compares.
 """
 
 from __future__ import annotations

@@ -199,9 +199,10 @@ def _merge_bases(starts, b: str, commits: dict[str, Commit]) -> list[str]:
 def graph_from_jsonl(text: str) -> CommitGraph:
     """Build a graph from JSON-lines records {id, parents, files, ts}: a
     string id, a list of parent ids, an object of path -> text and an
-    optional integer timestamp; no other key is allowed."""
+    optional integer timestamp; no other key is allowed.  Records are split
+    on LF only: JSON strings may hold raw U+0085 or U+2028."""
     graph = CommitGraph()
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue

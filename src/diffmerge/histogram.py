@@ -11,13 +11,14 @@ back to the myers engine.
 One occurrence index, a plain dict from each token to its ascending positions
 in the whole old file, serves every subproblem of a diff and is kept, never
 changed, on the old sequence for later diffs from it, such as a merge's second
-base diff.  A line's positions inside old[lo1:hi1] are a bisected slice of its
-position list.  Runs are extended by ``core.common_prefix`` and
-``common_suffix``.  A candidate's record count (its least occurrence count
-inside old[lo1:hi1]) is taken only when it can change the choice, one line at
-a time from counts cached for the call, stopping at the first line that
-occurs once.  The flags, regions and record counts equal
-those of the per-subproblem rescan kept as the test reference
+base diff.  A line's positions inside old[lo1:hi1] are bisected in its
+position list and copied only for a seed the gate (the larger of 64 and the
+lowest record count so far) lets through.  Runs are extended by
+``core.common_prefix`` and ``common_suffix``.  A candidate's record count
+(its least occurrence count inside old[lo1:hi1]) is taken only when it can
+change the choice, one line at a time from counts cached for the call,
+stopping at the first line that occurs once.  The flags, regions and record
+counts equal those of the per-subproblem rescan kept as the test reference
 ``histogram_reference``.  A call whose first seed already occurs more than 64
 times, with no rarer common line after it, falls back at once.
 """
@@ -96,7 +97,9 @@ def find_split(
         b_next = b_ptr + 1
         positions = occ.get(b[b_ptr])
         if positions and not whole:
-            positions = positions[bisect_left(positions, lo1):bisect_left(positions, hi1)]
+            lo, hi = bisect_left(positions, lo1), bisect_left(positions, hi1)
+            # a seed over the gate is skipped below, so it is not copied
+            positions = positions[lo:hi] if hi - lo <= gate else None
         if positions:
             if best is None and len(positions) > MAX_OCCURRENCES and not _any_rare(b[b_ptr:hi2], occ, lo1, hi1, whole):
                 # No earlier line of b occurs in old[lo1:hi1], or it would

@@ -6,7 +6,10 @@ point once a step budget is exhausted.  The ``minimal`` option disables both
 cutoffs and also skips the frequent-line preprocessing step, so its output
 length always equals the true minimal edit distance.  The cutoffs are git's
 fixed constants (``XDL_SNAKE_CNT`` and ``XDL_HEUR_MIN_COST`` in
-``xdiff/xdiffi.c``).
+``xdiff/xdiffi.c``); the snake cutoff fires only under a step budget above
+HEUR_MIN_COST, which searches of more than 65,536 lines together get.  A
+diagonal's first line is compared inline, and a snake that starts there is
+walked by ``core.common_prefix`` (forward) or ``common_suffix`` (backward).
 """
 
 from __future__ import annotations
@@ -150,13 +153,12 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             lower = kvdf[d - 1]
             i1 = lower + 1 if lower >= upper else upper
             upper = lower
-            prev1 = i1
             i2 = i1 - d
-            while i1 < lim1 and i2 < lim2 and ha1[i1] == ha2[i2]:
-                i1 += 1
-                i2 += 1
-            if i1 - prev1 > snake:
-                got_snake = True
+            if i1 < lim1 and i2 < lim2 and ha1[i1] == ha2[i2]:
+                k = common_prefix(ha1, i1, ha2, i2, min(lim1 - i1, lim2 - i2))
+                if k > snake:
+                    got_snake = True
+                i1 += k
             kvdf[d] = i1
             if odd and bmin <= d <= bmax and kvdb[d] <= i1:
                 return i1, i1 - d, True, True
@@ -176,13 +178,12 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             lower = kvdb[d - 1]
             i1 = lower if lower < upper else upper - 1
             upper = lower
-            prev1 = i1
             i2 = i1 - d
-            while i1 > off1 and i2 > off2 and ha1[i1 - 1] == ha2[i2 - 1]:
-                i1 -= 1
-                i2 -= 1
-            if prev1 - i1 > snake:
-                got_snake = True
+            if i1 > off1 and i2 > off2 and ha1[i1 - 1] == ha2[i2 - 1]:
+                k = common_suffix(ha1, i1, ha2, i2, min(i1 - off1, i2 - off2))
+                if k > snake:
+                    got_snake = True
+                i1 -= k
             kvdb[d] = i1
             if not odd and fmin <= d <= fmax and i1 <= kvdf[d]:
                 return i1, i1 - d, True, True
@@ -208,7 +209,7 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
                     and off1 + snake <= i1 < lim1
                     and off2 + snake <= i2 < lim2
                 ):
-                    if all(ha1[i1 - k] == ha2[i2 - k] for k in range(1, snake + 1)):
+                    if ha1[i1 - snake:i1] == ha2[i2 - snake:i2]:
                         best = v
                         spl = (i1, i2)
             if spl is not None:
@@ -227,7 +228,7 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
                     and off1 < i1 <= lim1 - snake
                     and off2 < i2 <= lim2 - snake
                 ):
-                    if all(ha1[i1 + k] == ha2[i2 + k] for k in range(snake)):
+                    if ha1[i1:i1 + snake] == ha2[i2:i2 + snake]:
                         best = v
                         spl = (i1, i2)
             if spl is not None:

@@ -303,6 +303,14 @@ def test_graph_malformed_script_exit_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_graph_script_not_utf8_exit_three(tmp_path, capsys):
+    script = write(tmp_path, "bad.jsonl", b'{"id": "a", "files": {"f": "\xff"}}\n')
+    assert main(["graph", "merge", script, "a", "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
+
 def test_usage_error_exit_three():
     assert main(["diff"]) == 3
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from diffmerge.graph import (
@@ -347,6 +349,17 @@ def test_graph_from_jsonl_puts_the_line_on_an_unknown_parent():
 def test_graph_from_jsonl_rejects_text_that_cannot_be_encoded():
     with pytest.raises(GraphError, match="^bad graph record on line 1: .*surrogate"):
         graph_from_jsonl('{"id": "a", "files": {"f": "\\ud800"}}\n')
+
+
+def test_graph_from_jsonl_splits_records_on_lf_only():
+    # json.dumps(..., ensure_ascii=False) writes these line breaks raw
+    # inside strings; only LF ends a record, and CRLF still does
+    files = {"f": "a\x85b\u2028c\u2029d\x1c\n"}
+    text = json.dumps({"id": "a", "files": files}, ensure_ascii=False) + "\r\n"
+    text += json.dumps({"id": "b", "parents": ["a"]}, ensure_ascii=False) + "\n"
+    g = graph_from_jsonl(text)
+    assert g["a"].tree == {"f": files["f"].encode()}
+    assert g["b"].parents == ("a",)
 
 
 def test_graph_from_jsonl_reads_optional_fields():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diffmerge.core import InternedSequence, InternTable, apply_script, flags_to_script
-from diffmerge.histogram import FallbackSignal, diff_histogram, find_split, scan_a
+from diffmerge.histogram import FallbackSignal, Region, diff_histogram, find_split, scan_a
 from diffmerge.merge3 import MergeOptions, merge3
 from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience
@@ -271,6 +271,22 @@ def test_repeated_blocks_match_reference():
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
         _assert_same_splits(rng, o.tokens, n.tokens, 4)
         _assert_same_splits(rng, n.tokens, o.tokens, 4)
+
+
+def test_gate_above_the_cap_still_expands_seeds_under_it():
+    # 1 occurs 65 times in old, one over the cap.  new opens with it, so the
+    # best so far has record count 65 and the gate rises to 65.  The 1 seed at
+    # new[2] must still be expanded: its region 1 1 2 at old[58:61] wins.  A
+    # search that skipped seeds over MAX_OCCURRENCES instead of over the gate
+    # would return old[53:56], reached from the 2 seed.
+    old = [1] * 55 + [2, 1, 2, 1, 1, 2] + [1] * 7
+    new = [1, 50, 1, 1, 2]
+    for pad in (0, 3):  # the whole old file, and a range inside a longer one
+        a = [2, 7, 1][:pad] + old + [1, 2, 7][:pad]
+        lo1, hi1 = pad, pad + len(old)
+        want = Region(58 + pad, 60 + pad, 2, 4, 3)
+        assert reference.histogram_split_reference(a, new, lo1, hi1, 0, len(new)) == want
+        assert find_split(a, new, lo1, hi1, 0, len(new), scan_a(a)) == want
 
 
 def test_over_cap_corpus_reaches_fallback():

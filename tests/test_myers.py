@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -6,6 +8,8 @@ from diffmerge import oracle
 from diffmerge.core import InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.myers import (
+    HEUR_MIN_COST,
+    SNAKE_CNT,
     _SearchEnv,
     _recs_cmp,
     approx_sqrt,
@@ -207,6 +211,94 @@ def test_myers_flags_match_reference_split(monkeypatch, case):
         assert (flags.old_flags, flags.new_flags) == (want.old_flags, want.new_flags), (old, new)
         if case == "minimal":
             assert flags.flag_count() == oracle.min_edit_distance(old, new)
+
+
+# The same comparison at git's SNAKE_CNT and HEUR_MIN_COST, on files long
+# enough that snakes gallop.  The snake cutoff needs ec > HEUR_MIN_COST while
+# the budget stops the search at ec == mxcost, so it can fire only under a
+# budget above 256; step_budget gives that (512) to pairs of more than 65,536
+# lines together.  These pairs are 4k-6k lines a side and search under that
+# budget, as pairs of more than 32k lines a side would.
+
+
+def _git_constants_pair(rng):
+    """Old lines all distinct; new keeps equal runs of 21-39 lines between
+    clusters of one-line inserts, deletes and replacements, and both files
+    get one 600-line stretch over a 40-line alphabet, where no snake reaches
+    SNAKE_CNT."""
+    fresh = iter(range(10**6, 10**7))
+    old = [next(fresh) for _ in range(rng.randrange(3600, 5000))]
+    new, i, edits = [], 0, 0
+    while i < len(old):
+        run = rng.randrange(21, 40)
+        new += old[i:i + run]
+        i += run
+        for _ in range(rng.randrange(6, 13)):
+            deleted, inserted = rng.choice(((1, 0), (0, 1), (1, 1)))
+            i += deleted
+            new += [next(fresh) for _ in range(inserted)]
+            keep = rng.randrange(5)
+            new += old[i:i + keep]
+            i += keep
+            edits += 1
+    at = rng.randrange(len(old))
+    old[at:at] = [rng.randrange(40) for _ in range(600)]
+    new[at:at] = [rng.randrange(40) for _ in range(600)]
+    return old, new, edits
+
+
+def _cutoff_lines(split):
+    """Source line of each cutoff's return statements in ``split``."""
+    lines, start = inspect.getsourcelines(split)
+    kinds = {}
+    for k, text in enumerate(lines):
+        if text.strip().startswith("return"):
+            if "spl[" in text:
+                kinds[start + k] = "snake"
+            elif "best1" in text:
+                kinds[start + k] = "budget"
+    assert sorted(kinds.values()) == ["budget", "budget", "snake", "snake"]
+    return kinds
+
+
+def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
+    from diffmerge import myers
+
+    real = myers._split
+    kinds = _cutoff_lines(real)
+    fired = set()
+
+    def watched(*args):
+        # the line each call returns from, seen by a profile hook (which,
+        # unlike a line tracer, adds no cost per executed line)
+        returned_at = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is real.__code__:
+                returned_at.append(frame.f_lineno)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = real(*args)
+        finally:
+            sys.setprofile(outer)
+        fired.add(kinds.get(returned_at[-1], "meet"))
+        return result
+
+    rng = random.Random("git-constants")
+    budget = step_budget(65_537)
+    assert budget == 512
+    for _ in range(2):
+        old, new, edits = _git_constants_pair(rng)
+        assert edits >= 600
+        fired.clear()
+        monkeypatch.setattr(myers, "_split", watched)
+        got = _recs_cmp(_SearchEnv(old, new, False, SNAKE_CNT, HEUR_MIN_COST, budget))
+        assert fired == {"meet", "snake", "budget"}
+        monkeypatch.setattr(myers, "_split", reference.split_reference)
+        want = _recs_cmp(_SearchEnv(old, new, False, SNAKE_CNT, HEUR_MIN_COST, budget))
+        assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags)
 
 
 # Differential tests against the frequent-line rule that rescans the block
