@@ -46,7 +46,7 @@ tops = split_scores(new, group[0] + lo, group[0] + hi)
 bottoms = split_scores(new, group[1] + lo, group[1] + hi)
 for shift, (top, _), (bottom, _) in zip(range(lo, hi + 1), tops, bottoms):
     total = top + bottom
-    first_line = new.raw[group[0] + shift].decode().rstrip() or "(blank)"
+    first_line = new.lines[new.tokens[group[0] + shift]].decode().rstrip() or "(blank)"
     print(f"  shift {shift:+d}: penalty {total:>4}  group starts at {first_line!r}")
 
 slid = slide_changed_lines(flags, old, new)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -38,11 +39,11 @@ def _read(path: str) -> bytes:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    old_data = _read(args.old)
-    new_data = _read(args.new)
+    # neither file's bytes outlive their intern call, nor the table's dict the second one
     table = InternTable()
-    old = table.intern(old_data)
-    new = table.intern(new_data)
+    old = table.intern(_read(args.old))
+    new = table.intern(_read(args.new))
+    del table
     flags = diff_lines(old, new, args.algorithm)
     old.occurrence_index = None  # only this one diff reads it; freed before sliding and rendering
     if args.indent_heuristic:
@@ -50,12 +51,13 @@ def cmd_diff(args: argparse.Namespace) -> int:
     script = flags_to_script(flags, old, new)
 
     if script:
-        header = f"--- {args.old}\n+++ {args.new}\n".encode()
+        header = b"--- %s\n+++ %s\n" % (os.fsencode(args.old), os.fsencode(args.new))
         sys.stdout.buffer.write(header + render_unified(old, new, script, args.context))
         sys.stdout.buffer.flush()
 
     if args.verify:
-        if apply_script(old, script, new) != new_data:
+        # against the file itself: new.to_bytes() is built from the same lines
+        if apply_script(old, script, new) != _read(args.new):
             print("verify: round-trip failed", file=sys.stderr)
             return EXIT_VERIFY_FAILED
         if args.algorithm == "minimal":

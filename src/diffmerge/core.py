@@ -2,7 +2,8 @@
 unified rendering.
 
 A diff problem (two or three files) shares one :class:`InternTable` so that
-equal line content gets equal integer tokens across all files involved.
+equal line content gets equal integer tokens across all files involved; the
+table keeps each distinct line's text once, and a file reads it by token.
 Lines are byte strings split on LF only; CR and the other line breaks of
 ``bytes.splitlines`` are ordinary content.  A final line without a trailing
 newline is still one line, and its token differs from the same content with
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 class DiffError(Exception):
@@ -39,10 +41,12 @@ def split_lines(data: bytes) -> list[bytes]:
 
 @dataclass
 class InternedSequence:
-    """A file as interned line tokens plus the original line bytes."""
+    """A file as interned line tokens; ``lines[t]`` is the text of token t.
+
+    ``lines`` is its table's list, shared by the table's files and only appended to."""
 
     tokens: list[int]
-    raw: list[bytes]
+    lines: list[bytes]
     # histogram's index (token -> ascending positions), built by the first diff from this file
     occurrence_index: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -51,24 +55,30 @@ class InternedSequence:
 
     @property
     def missing_final_newline(self) -> bool:
-        return bool(self.raw) and not self.raw[-1].endswith(b"\n")
+        return bool(self.tokens) and not self.lines[self.tokens[-1]].endswith(b"\n")
 
     def to_bytes(self) -> bytes:
-        return b"".join(self.raw)
+        return b"".join(map(self.lines.__getitem__, self.tokens))
 
 
 class InternTable:
-    """Token assignment shared by the files of one diff or merge problem."""
+    """Token assignment shared by the files of one diff or merge problem, which
+    keeps each distinct line once: as a key of its dict and as ``lines[token]``."""
 
     def __init__(self) -> None:
         self._ids: dict[bytes, int] = {}
+        self.lines: list[bytes] = []
 
     def intern(self, data: bytes) -> InternedSequence:
-        records = split_lines(data)
         ids = self._ids
         add = ids.setdefault
+        lines = self.lines
         # len(ids) is read before rec is added, so tokens count first occurrences
-        return InternedSequence([add(rec, len(ids)) for rec in records], records)
+        tokens = [add(rec, len(ids)) for rec in split_lines(data)]
+        if len(ids) > len(lines):
+            # the dict keeps insertion order: its new keys are the new lines, in token order
+            lines += islice(ids, len(lines), None)
+        return InternedSequence(tokens, lines)
 
 
 @dataclass
@@ -221,14 +231,15 @@ def apply_script(old: InternedSequence, script: tuple[Change, ...], new: Interne
     to ``new.to_bytes()``.
     """
     out = []
+    old_line, new_line = old.lines.__getitem__, new.lines.__getitem__
     cursor = 0
     for c in script:
         if c.end_old > len(old) or c.end_new > len(new) or c.start_old < cursor:
             raise RangeError(f"{c} does not fit old file of length {len(old)}")
-        out.extend(old.raw[cursor:c.start_old])
-        out.extend(new.raw[c.start_new:c.end_new])
+        out.extend(map(old_line, old.tokens[cursor:c.start_old]))
+        out.extend(map(new_line, new.tokens[c.start_new:c.end_new]))
         cursor = c.end_old
-    out.extend(old.raw[cursor:])
+    out.extend(map(old_line, old.tokens[cursor:]))
     return b"".join(out)
 
 
@@ -236,7 +247,7 @@ _NO_NEWLINE = b"\n\\ No newline at end of file\n"
 
 
 def _emit(out: list[bytes], prefix: bytes, seq: InternedSequence, index: int) -> None:
-    rec = seq.raw[index]
+    rec = seq.lines[seq.tokens[index]]
     if rec.endswith(b"\n"):
         out.append(prefix + rec)
     else:

@@ -172,12 +172,8 @@ def refine_zealous(
     if region.kind != CONFLICT or region.end_l == region.start_l or region.end_r == region.start_r:
         return [region]
 
-    sub_l = InternedSequence(
-        left.tokens[region.start_l:region.end_l], left.raw[region.start_l:region.end_l]
-    )
-    sub_r = InternedSequence(
-        right.tokens[region.start_r:region.end_r], right.raw[region.start_r:region.end_r]
-    )
+    sub_l = InternedSequence(left.tokens[region.start_l:region.end_l], left.lines)
+    sub_r = InternedSequence(right.tokens[region.start_r:region.end_r], right.lines)
     flags = diff_lines(sub_l, sub_r, algorithm)
     pieces = []
     first = True
@@ -229,7 +225,7 @@ class _Writer:
         self.parts: list[bytes] = []
 
     def lines(self, seq: InternedSequence, start: int, end: int) -> None:
-        self.parts.extend(seq.raw[start:end])
+        self.parts.extend(map(seq.lines.__getitem__, seq.tokens[start:end]))
 
     def marker(self, text: bytes) -> None:
         if self.parts and not self.parts[-1].endswith(b"\n"):
@@ -247,14 +243,15 @@ def render(
     right: InternedSequence,
     options: MergeOptions,
 ) -> bytes:
-    label_l, label_o, label_r = (s.encode() for s in options.labels)
+    # argv's error handler, so a label that is not UTF-8 comes out as the bytes given
+    label_l, label_o, label_r = (s.encode(errors="surrogateescape") for s in options.labels)
     out = _Writer()
     cursor = 0
     for region in regions:
-        out.lines(left, cursor, region.start_l)
         if region.kind in (LEFT, SAME):
-            out.lines(left, region.start_l, region.end_l)
-        elif region.kind == RIGHT:
+            continue  # left's own lines: the next write from cursor takes them
+        out.lines(left, cursor, region.start_l)
+        if region.kind == RIGHT:
             out.lines(right, region.start_r, region.end_r)
         else:
             out.marker(b"<<<<<<<" + (b" " + label_l if label_l else b"") + b"\n")
@@ -315,6 +312,7 @@ def merge3(
     o = table.intern(o_data)
     left = table.intern(left_data)
     right = table.intern(right_data)
+    del table  # its dict is read by intern alone; the sequences keep its lines
 
     regions = merge_regions_pipeline(o, left, right, options)
     rendered = render(regions, o, left, right, options)

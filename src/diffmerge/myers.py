@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
 
@@ -299,21 +301,20 @@ def myers_flags(old_tokens: list[int], new_tokens: list[int], minimal: bool = Fa
 def diff_myers(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
     """Full myers/minimal pipeline: preprocess, search kept lines, map back."""
     cls = preprocess(old, new, minimal=minimal)
-    n, m = len(old), len(new)
+    lo = cls.prefix_len
+    hi_old, hi_new = len(old) - cls.suffix_len, len(new) - cls.suffix_len
     of = cls.old_prechanged
     nf = cls.new_prechanged
 
-    kept_old = [i for i in range(cls.prefix_len, n - cls.suffix_len) if not of[i]]
-    kept_new = [j for j in range(cls.prefix_len, m - cls.suffix_len) if not nf[j]]
+    # the search sees only the lines between the common ends that are not pre-flagged
     sub = myers_flags(
-        [old.tokens[i] for i in kept_old],
-        [new.tokens[j] for j in kept_new],
+        list(compress(old.tokens[lo:hi_old], map(not_, of[lo:hi_old]))),
+        list(compress(new.tokens[lo:hi_new], map(not_, nf[lo:hi_new]))),
         minimal,
     )
-    for i, flag in zip(kept_old, sub.old_flags):
-        if flag:
-            of[i] = True
-    for j, flag in zip(kept_new, sub.new_flags):
-        if flag:
-            nf[j] = True
+    # a pre-flagged line stays flagged; each kept line takes the search's next flag
+    it = iter(sub.old_flags)
+    of[lo:hi_old] = [f or next(it) for f in of[lo:hi_old]]
+    it = iter(sub.new_flags)
+    nf[lo:hi_new] = [f or next(it) for f in nf[lo:hi_new]]
     return ChangedLines(of, nf)

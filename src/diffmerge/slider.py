@@ -58,13 +58,13 @@ def split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int
     at a blank line takes the indent of the first line below its blank run,
     and a split at the end of the file or above only blank lines indent 0.
     """
-    raw = seq.raw
-    n = len(raw)
+    text = seq.lines
+    n = len(seq)
     stop = min(hi + 1, n)  # splits lo..stop - 1 lie at a line; split n is at the end
-    indents = [line_indent(raw[i]) for i in range(lo, stop)]
+    indents = [line_indent(text[t]) for t in seq.tokens[lo:stop]]
 
     # the lines below split s start at line s + 1
-    post_blank, post_indent = _blank_run(raw, range(stop, n))
+    post_blank, post_indent = _blank_run(seq, range(stop, n))
     posts = []
     for indent in reversed(indents):
         posts.append((post_blank, post_indent))
@@ -74,7 +74,7 @@ def split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int
             post_blank, post_indent = 0, indent
     posts.reverse()
 
-    pre_blank, pre_indent = _blank_run(raw, range(lo - 1, -1, -1))
+    pre_blank, pre_indent = _blank_run(seq, range(lo - 1, -1, -1))
     scores = []
     for indent, (post_blank, post_indent) in zip(indents, posts):
         if indent is None:
@@ -109,12 +109,12 @@ def split_scores(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int
     return scores
 
 
-def _blank_run(raw: list[bytes], lines: range) -> tuple[int, int | None]:
+def _blank_run(seq: InternedSequence, lines: range) -> tuple[int, int | None]:
     """Count of blank lines that ``lines`` opens with, and the indent of the
     line after them (None when ``lines`` runs out first)."""
     blank = 0
     for i in lines:
-        indent = line_indent(raw[i])
+        indent = line_indent(seq.lines[seq.tokens[i]])
         if indent is not None:
             return blank, indent
         blank += 1

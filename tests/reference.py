@@ -768,12 +768,12 @@ def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasureme
     if split >= n:
         at_end, indent = True, None
     else:
-        at_end, indent = False, line_indent(seq.raw[split])
+        at_end, indent = False, line_indent(seq.lines[seq.tokens[split]])
 
     pre_blank = 0
     pre_indent = None
     for i in range(split - 1, -1, -1):
-        pre_indent = line_indent(seq.raw[i])
+        pre_indent = line_indent(seq.lines[seq.tokens[i]])
         if pre_indent is not None:
             break
         pre_blank += 1
@@ -781,7 +781,7 @@ def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasureme
     post_blank = 0
     post_indent = None
     for i in range(split + 1, n):
-        post_indent = line_indent(seq.raw[i])
+        post_indent = line_indent(seq.lines[seq.tokens[i]])
         if post_indent is not None:
             break
         post_blank += 1
@@ -904,15 +904,15 @@ def split_lines_reference(data: bytes) -> list[bytes]:
     return records
 
 
-def intern_reference(ids: dict[bytes, int], data: bytes) -> InternedSequence:
-    """``InternTable.intern`` by a per-line lookup; ``ids`` plays the table,
-    shared by every file of one problem."""
-    records = split_lines_reference(data)
+def intern_reference(ids: dict[bytes, int], lines: list[bytes], data: bytes) -> InternedSequence:
+    """``InternTable.intern`` by a per-line lookup; ``ids`` and ``lines``
+    play the table, shared by every file of one problem."""
     tokens = []
-    for rec in records:
+    for rec in split_lines_reference(data):
         tok = ids.get(rec)
         if tok is None:
             tok = len(ids)
             ids[rec] = tok
+            lines.append(rec)
         tokens.append(tok)
-    return InternedSequence(tokens, records)
+    return InternedSequence(tokens, lines)

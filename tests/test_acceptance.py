@@ -150,15 +150,15 @@ def test_criterion_7_duplicated_change():
             script = flags_to_script(diff_lines(old, new, "minimal"), old, new)
             hunks = [
                 c for c in script
-                if marker in b"".join(new.raw[c.start_new:c.end_new])
+                if marker in b"".join(new.lines[t] for t in new.tokens[c.start_new:c.end_new])
             ]
             assert len(hunks) == 1
             return hunks[0], new
 
         cl, lseq = middle_hunk(left, b"B\n")
-        assert lseq.raw[cl.start_new:cl.end_new] == [b"A\n", b"B\n"]  # +AB before old A
+        assert [lseq.lines[t] for t in lseq.tokens[cl.start_new:cl.end_new]] == [b"A\n", b"B\n"]  # +AB before old A
         cr, rseq = middle_hunk(right_same, b"B\n")
-        assert rseq.raw[cr.start_new:cr.end_new] == [b"B\n", b"A\n"]  # +BA after old A
+        assert [rseq.lines[t] for t in rseq.tokens[cr.start_new:cr.end_new]] == [b"B\n", b"A\n"]  # +BA after old A
         assert cl.end_old < cr.start_old
 
         out = merge3(o, left, right_same, opts)
@@ -309,4 +309,4 @@ def test_criterion_12_indent_heuristic():
         slid = slide_changed_lines(flags, old, new)
         chosen = min(i for i, f in enumerate(slid.new_flags) if f)
         assert chosen == group[0] + best_shift
-        assert new.raw[chosen] == b"def middle():\n"
+        assert new.lines[new.tokens[chosen]] == b"def middle():\n"

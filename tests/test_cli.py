@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 
 from diffmerge import oracle
 from diffmerge.cli import main
+from diffmerge.engine import ALGORITHMS
 
 
 def write(tmp_path, name, data):
@@ -31,6 +34,70 @@ def test_diff_different_files_exit_one(tmp_path, capsys):
 def test_diff_missing_file_exit_three(tmp_path):
     a = write(tmp_path, "a", b"x\n")
     assert main(["diff", a, str(tmp_path / "nope")]) == 3
+
+
+def test_diff_header_writes_a_name_that_is_not_utf8_as_its_bytes(tmp_path, capsysbinary):
+    old = write(tmp_path, os.fsdecode(b"old\xff"), b"x\n")
+    new = write(tmp_path, "new", b"y\n")
+    assert main(["diff", old, new]) == 1
+    out = capsysbinary.readouterr().out
+    assert out.startswith(b"--- " + os.fsencode(old) + b"\n+++ " + os.fsencode(new) + b"\n@@ -1 +1 @@\n")
+    assert b"/old\xff\n" in out
+
+
+_WORDS = b"buf len idx node next head tail key val ret err mode size state item entry path data pos end".split()
+
+
+def _source_lines(rng, n):
+    """C-like functions: nested blocks over a pool of identifiers, with the
+    blank lines, closing braces and breaks that make a few lines frequent."""
+    idents = [b"%s_%s%d" % (rng.choice(_WORDS), rng.choice(_WORDS), rng.randrange(10)) for _ in range(200)]
+    out = []
+    while len(out) < n:
+        out.append(b"int %s(struct ctx *c)\n{\n" % rng.choice(idents))
+        depth = 1
+        for _ in range(rng.randrange(4, 30)):
+            pad = b"    " * depth
+            r = rng.random()
+            if r < 0.15 and depth < 4:
+                out.append(pad + b"if (%s != %s) {\n" % (rng.choice(idents), rng.choice(idents)))
+                depth += 1
+            elif r < 0.3 and depth > 1:
+                depth -= 1
+                out.append(b"    " * depth + b"}\n")
+            elif r < 0.4:
+                out.append(b"\n")
+            elif r < 0.45:
+                out.append(pad + b"break;\n")
+            else:
+                out.append(pad + b"%s = %s + %d;\n" % (rng.choice(idents), rng.choice(idents), rng.randrange(64)))
+        out.extend(b"    " * d + b"}\n" for d in range(depth - 1, -1, -1))
+        out.append(b"\n")
+    return out[:n]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_diff_peak_memory_is_a_small_multiple_of_the_input(tmp_path, capsysbinary, algorithm):
+    # each distinct line is kept once and the diff holds neither file's bytes:
+    # a 5k-line pair peaks at 4.1-5.4 times its bytes; keeping a bytes object
+    # per line, the file bytes and the table's dict read 7.6-8.6 times
+    rng = random.Random(5000)
+    old = _source_lines(rng, 5000)
+    new = list(old)
+    for _ in range(50):
+        i = rng.randrange(len(new))
+        new[i:i + rng.randrange(3)] = _source_lines(rng, rng.randrange(1, 4))
+    size = len(b"".join(old)) + len(b"".join(new))
+    argv = ["diff", f"--algorithm={algorithm}", write(tmp_path, "old", b"".join(old)), write(tmp_path, "new", b"".join(new))]
+    assert main(argv) == 1  # builds the parser, which lives for the process
+    capsysbinary.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * size, f"peak {peak / size:.2f} x the input's {size} bytes"
 
 
 def test_diff_histogram_bad_pair_counts(tmp_path, capsys):
@@ -178,6 +245,14 @@ def test_merge_file_diff3_labels_match_git(tmp_path, capsysbinary, zealous):
     args = ["merge-file", left, base, right, "--style=diff3", "--labels", "mine", "orig", "yours"]
     assert main(args + zealous) == 1
     assert capsysbinary.readouterr().out == GIT_MERGE_FILE_DIFF3
+
+
+def test_merge_file_writes_a_label_that_is_not_utf8_as_its_bytes(tmp_path, capsysbinary):
+    base = write(tmp_path, "base", b"b\n")
+    left = write(tmp_path, "left", b"l\n")
+    right = write(tmp_path, "right", b"r\n")
+    assert main(["merge-file", left, base, right, "--labels", os.fsdecode(b"o\xff"), "b", "t\u00e9"]) == 1
+    assert capsysbinary.readouterr().out == b"<<<<<<< o\xff\nl\n=======\nr\n>>>>>>> t\xc3\xa9\n"
 
 
 def test_graph_merge_and_stats(tmp_path, capsys):

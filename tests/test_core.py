@@ -75,11 +75,12 @@ def test_split_and_intern_match_reference():
         ))
     for triple in triples:
         # the three files of one merge share one table
-        table, ids = InternTable(), {}
+        table, ids, lines = InternTable(), {}, []
         for data in triple:
             assert split_lines(data) == reference.split_lines_reference(data), data
-            got, want = table.intern(data), reference.intern_reference(ids, data)
-            assert (got.tokens, got.raw) == (want.tokens, want.raw), triple
+            got, want = table.intern(data), reference.intern_reference(ids, lines, data)
+            assert (got.tokens, got.lines) == (want.tokens, want.lines), triple
+            assert got.lines is table.lines and got.to_bytes() == data, triple
 
 
 def test_intern_empty_input():
@@ -113,9 +114,24 @@ def test_intern_table_shared_across_files():
     assert a.tokens[0] == b.tokens[0]
 
 
+def test_equal_lines_across_files_are_one_object():
+    # the table keeps each distinct line once; its files read it through tokens
+    table = InternTable()
+    a = table.intern(b"x\ny\nx\n")
+    b = table.intern(b"y\nz\nx\n")
+    assert a.lines is b.lines is table.lines
+    assert table.lines == [b"x\n", b"y\n", b"z\n"]
+    texts = [seq.lines[t] for seq in (a, b) for t in seq.tokens]
+    assert len({id(text) for text in texts}) == 3
+    assert (a.to_bytes(), b.to_bytes()) == (b"x\ny\nx\n", b"y\nz\nx\n")
+    # a file that adds no line leaves the list as it was
+    c = table.intern(b"z\n")
+    assert table.lines == [b"x\n", b"y\n", b"z\n"] and c.lines is table.lines
+
+
 def test_cr_is_line_content():
     seq = InternTable().intern(b"a\r\nb\n")
-    assert seq.raw == [b"a\r\n", b"b\n"]
+    assert [seq.lines[t] for t in seq.tokens] == [b"a\r\n", b"b\n"]
 
 
 def test_flags_to_script_all_false():

@@ -390,8 +390,8 @@ def test_each_old_file_gets_its_own_index(monkeypatch):
 def test_cached_index_is_not_part_of_equality_or_repr():
     table = InternTable()
     old, new = table.intern(b"a\nb\n"), table.intern(b"b\nc\n")
-    bare = InternedSequence(list(old.tokens), list(old.raw))
+    bare = InternedSequence(list(old.tokens), list(old.lines))
     diff_histogram(old, new)
     assert old.occurrence_index is not None and bare.occurrence_index is None
     assert old == bare
-    assert repr(old) == repr(bare) == f"InternedSequence(tokens={old.tokens!r}, raw={old.raw!r})"
+    assert repr(old) == repr(bare) == f"InternedSequence(tokens={old.tokens!r}, lines={old.lines!r})"

@@ -137,6 +137,22 @@ def test_refine_demotes_identical_sides():
     assert got.kind == SAME
 
 
+def test_refine_side_sequences_share_the_parents_lines(monkeypatch):
+    seen = []
+
+    def spy(old, new, algorithm):
+        seen.append((old, new))
+        return diff_lines(old, new, algorithm)
+
+    monkeypatch.setattr(importlib.import_module("diffmerge.merge3"), "diff_lines", spy)
+    o, l, r = interned(b"x\n", b"s\nL\nt\n", b"s\nR\nt\n")
+    pieces = refine_zealous(MergeRegion(0, 1, 0, 3, 0, 3, CONFLICT), l, r, "histogram")
+    assert pieces == [MergeRegion(0, 1, 1, 2, 1, 2, CONFLICT)]
+    ((sub_l, sub_r),) = seen
+    assert sub_l.lines is l.lines and sub_r.lines is r.lines
+    assert (sub_l.tokens, sub_r.tokens) == (l.tokens, r.tokens)
+
+
 def test_refine_removes_aa_conflict():
     # mismatched hunks made both sides of this conflict read "a a"
     o, l, r = interned(b"X\na\nY\n", b"X\na\na\nY\n", b"X\na\na\nY\n")

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -130,16 +131,23 @@ def test_heuristic_mode_never_shorter_than_minimal_and_valid():
         assert hrs.flag_count() >= mns.flag_count()
 
 
-def test_snake_and_budget_cutoffs_fire_on_large_noisy_input():
-    # a big scrambled pair forces >256 steps; heuristic diffs must stay valid
+def test_budget_cutoff_fires_on_large_noisy_input(monkeypatch):
+    # a big scrambled pair forces >256 steps; heuristic diffs must stay valid.
+    # Its 3120 lines get step_budget 256, so the budget cutoff ends a search
+    # before the snake cutoff may fire (ec > HEUR_MIN_COST never holds)
+    from diffmerge import myers
+
     rng = random.Random(8)
     a = [rng.randrange(40) for _ in range(1500)]
     b = [rng.randrange(40) for _ in range(1500)]
-    # splice in a long shared run so the snake heuristic has something to find
+    # splice in a long shared run, a snake the search walks through
     shared = [1000 + i for i in range(60)]
     a = a[:700] + shared + a[700:]
     b = b[:100] + shared + b[100:]
+    watched, fired = _watched_split()
+    monkeypatch.setattr(myers, "_split", watched)
     cheap = myers_flags(a, b, minimal=False)
+    assert fired["budget"] > 0 and fired["snake"] == 0, fired
     exact = myers_flags(a, b, minimal=True)
     assert reference.check_flags_valid(a, b, cheap.old_flags, cheap.new_flags)
     assert cheap.flag_count() >= exact.flag_count()
@@ -261,12 +269,14 @@ def _cutoff_lines(split):
     return kinds
 
 
-def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
+def _watched_split():
+    """A wrapper of ``myers._split`` and the counter of its exits by kind:
+    "meet", "snake" (cutoff) or "budget" (cutoff)."""
     from diffmerge import myers
 
     real = myers._split
     kinds = _cutoff_lines(real)
-    fired = set()
+    fired = Counter()
 
     def watched(*args):
         # the line each call returns from, seen by a profile hook (which,
@@ -283,9 +293,16 @@ def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
             result = real(*args)
         finally:
             sys.setprofile(outer)
-        fired.add(kinds.get(returned_at[-1], "meet"))
+        fired[kinds.get(returned_at[-1], "meet")] += 1
         return result
 
+    return watched, fired
+
+
+def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
+    from diffmerge import myers
+
+    watched, fired = _watched_split()
     rng = random.Random("git-constants")
     budget = step_budget(65_537)
     assert budget == 512
@@ -295,7 +312,7 @@ def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
         fired.clear()
         monkeypatch.setattr(myers, "_split", watched)
         got = _recs_cmp(_SearchEnv(old, new, False, SNAKE_CNT, HEUR_MIN_COST, budget))
-        assert fired == {"meet", "snake", "budget"}
+        assert set(fired) == {"meet", "snake", "budget"}
         monkeypatch.setattr(myers, "_split", reference.split_reference)
         want = _recs_cmp(_SearchEnv(old, new, False, SNAKE_CNT, HEUR_MIN_COST, budget))
         assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags)

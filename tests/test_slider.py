@@ -131,7 +131,7 @@ def test_function_boundary_insertion_prefers_boundary_split():
     assert chosen == (group[0] + best, group[1] + best)
     # the chosen split starts the group at the function boundary: the line at
     # the top split is "def middle():"
-    assert new.raw[chosen[0]] == b"def middle():\n"
+    assert new.lines[new.tokens[chosen[0]]] == b"def middle():\n"
 
 
 def test_three_line_insertion_picks_function_boundary():
@@ -148,7 +148,7 @@ def test_three_line_insertion_picks_function_boundary():
     assert hi - lo + 1 >= 2
     slid = slide_changed_lines(flags, old, new)
     chosen = min(i for i, f in enumerate(slid.new_flags) if f)
-    assert new.raw[chosen] == b"def middle():\n"
+    assert new.lines[new.tokens[chosen]] == b"def middle():\n"
 
 
 def test_tied_shifts_pick_lowest_shift():
