@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import dropwhile, islice
 
 
 class DiffError(Exception):
@@ -309,7 +309,7 @@ def _hunk_header(old_lo: int, old_hi: int, new_lo: int, new_hi: int) -> bytes:
 
 
 def parse_unified(patch: bytes) -> tuple[Change, ...]:
-    """Parse output of render_unified back into an edit script."""
+    """Parse render_unified output, after any file header, back into an edit script."""
     changes: list[Change] = []
     old_pos = new_pos = 0
 
@@ -323,7 +323,7 @@ def parse_unified(patch: bytes) -> tuple[Change, ...]:
 
     run_old: list[int] = []
     run_new: list[int] = []
-    for line in patch.split(b"\n"):
+    for line in dropwhile(lambda line: not line.startswith(b"@@"), patch.split(b"\n")):
         if line.startswith(b"@@"):
             flush_run(run_old, run_new)
             run_old, run_new = [], []

@@ -14,13 +14,16 @@ changed, on the old sequence for later diffs from it, such as a merge's second
 base diff.  A line's positions inside old[lo1:hi1] are bisected in its
 position list and copied only for a seed the gate (the larger of 64 and the
 lowest record count so far) lets through.  Runs are extended by
-``core.common_prefix`` and ``common_suffix``.  A candidate's record count
-(its least occurrence count inside old[lo1:hi1]) is taken only when it can
-change the choice, one line at a time from counts cached for the call,
-stopping at the first line that occurs once.  The flags, regions and record
-counts equal those of the per-subproblem rescan kept as the test reference
-``histogram_reference``.  A call whose first seed already occurs more than 64
-times, with no rarer common line after it, falls back at once.
+``core.common_prefix`` and ``common_suffix``, once per diff for each seed and
+direction: a subproblem's box lies inside its parent's and sibling boxes are
+disjoint, so a seed's limit only shrinks, and its remembered run clamped to
+the current limit is exact.  A candidate's record count (its least occurrence
+count inside old[lo1:hi1]) is taken only when it can change the choice, one
+line at a time from counts cached for the call, stopping at the first line
+that occurs once.  The flags, regions and record counts equal those of the
+per-subproblem rescan kept as the test reference ``histogram_reference``.  A
+call whose first seed already occurs more than 64 times, with no rarer common
+line after it, falls back at once.
 """
 
 from __future__ import annotations
@@ -78,9 +81,14 @@ def find_split(
     lo2: int,
     hi2: int,
     occ: dict[int, list[int]],
+    runs: dict[int, int],
 ) -> Region | None:
     """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``occ`` is
     ``scan_a`` over the whole old file.
+
+    ``runs`` maps a seed point and direction to the run measured there by an
+    earlier call of the same diff.  Only one diff's nested subproblems may
+    share it, and unlike ``occ`` it is not kept on the old sequence.
 
     Returns None when the ranges share no line; raises FallbackSignal when
     common lines exist but all of them occur more than 64 times in old.
@@ -91,6 +99,7 @@ def find_split(
     gate = math.inf  # max(lowest, MAX_OCCURRENCES)
     best: tuple[int, int, int, int, int] | None = None
     best_len = -1
+    stride = len(b) + 1  # a seed point's key; its backward run's is ~key
 
     b_ptr = lo2
     while b_ptr < hi2:
@@ -117,12 +126,22 @@ def find_split(
                         continue
                     begin1, begin2 = apos, b_ptr
                     if apos > lo1 and b_ptr > lo2 and a[apos - 1] == b[b_ptr - 1]:
-                        k = common_suffix(a, apos, b, b_ptr, min(apos - lo1, b_ptr - lo2))
+                        key = ~(apos * stride + b_ptr)
+                        k = runs.get(key)
+                        if k is None:
+                            k = runs[key] = common_suffix(a, apos, b, b_ptr, min(apos - lo1, b_ptr - lo2))
+                        else:
+                            k = min(k, apos - lo1, b_ptr - lo2)
                         begin1 -= k
                         begin2 -= k
                     end1, end2 = apos, b_ptr
                     if apos + 1 < hi1 and b_ptr + 1 < hi2 and a[apos + 1] == b[b_ptr + 1]:
-                        k = common_prefix(a, apos + 1, b, b_ptr + 1, min(hi1 - apos, hi2 - b_ptr) - 1)
+                        key = apos * stride + b_ptr
+                        k = runs.get(key)
+                        if k is None:
+                            k = runs[key] = common_prefix(a, apos + 1, b, b_ptr + 1, min(hi1 - apos, hi2 - b_ptr) - 1)
+                        else:
+                            k = min(k, hi1 - apos - 1, hi2 - b_ptr - 1)
                         end1 += k
                         end2 += k
                     if b_next <= end2:
@@ -159,6 +178,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
     if old.occurrence_index is None:
         old.occurrence_index = scan_a(a)
     occ = old.occurrence_index
+    runs: dict[int, int] = {}
     work = [(0, len(a), 0, len(b))]
     while work:
         lo1, hi1, lo2, hi2 = work.pop()
@@ -169,7 +189,7 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
             of[lo1:hi1] = [True] * (hi1 - lo1)
             continue
         try:
-            split = find_split(a, b, lo1, hi1, lo2, hi2, occ)
+            split = find_split(a, b, lo1, hi1, lo2, hi2, occ, runs)
         except FallbackSignal:
             sub = myers_flags(a[lo1:hi1], b[lo2:hi2])
             of[lo1:hi1] = sub.old_flags

@@ -23,6 +23,37 @@ def random_file(rng: random.Random, max_lines: int, alphabet: int, allow_missing
     return data
 
 
+_WORDS = b"buf len idx node next head tail key val ret err mode size state item entry path data pos end".split()
+
+
+def source_lines(rng, n):
+    """C-like functions: nested blocks over a pool of identifiers, with the
+    blank lines, closing braces and breaks that make a few lines frequent."""
+    idents = [b"%s_%s%d" % (rng.choice(_WORDS), rng.choice(_WORDS), rng.randrange(10)) for _ in range(200)]
+    out = []
+    while len(out) < n:
+        out.append(b"int %s(struct ctx *c)\n{\n" % rng.choice(idents))
+        depth = 1
+        for _ in range(rng.randrange(4, 30)):
+            pad = b"    " * depth
+            r = rng.random()
+            if r < 0.15 and depth < 4:
+                out.append(pad + b"if (%s != %s) {\n" % (rng.choice(idents), rng.choice(idents)))
+                depth += 1
+            elif r < 0.3 and depth > 1:
+                depth -= 1
+                out.append(b"    " * depth + b"}\n")
+            elif r < 0.4:
+                out.append(b"\n")
+            elif r < 0.45:
+                out.append(pad + b"break;\n")
+            else:
+                out.append(pad + b"%s = %s + %d;\n" % (rng.choice(idents), rng.choice(idents), rng.randrange(64)))
+        out.extend(b"    " * d + b"}\n" for d in range(depth - 1, -1, -1))
+        out.append(b"\n")
+    return out[:n]
+
+
 def lines_executed(fn, *args, **kwargs) -> int:
     """Python source lines executed by one call, counted with sys.settrace;
     a deterministic measure of work that does not depend on the host."""

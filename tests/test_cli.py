@@ -9,6 +9,8 @@ from diffmerge import oracle
 from diffmerge.cli import main
 from diffmerge.engine import ALGORITHMS
 
+from conftest import source_lines
+
 
 def write(tmp_path, name, data):
     path = tmp_path / name
@@ -45,48 +47,17 @@ def test_diff_header_writes_a_name_that_is_not_utf8_as_its_bytes(tmp_path, capsy
     assert b"/old\xff\n" in out
 
 
-_WORDS = b"buf len idx node next head tail key val ret err mode size state item entry path data pos end".split()
-
-
-def _source_lines(rng, n):
-    """C-like functions: nested blocks over a pool of identifiers, with the
-    blank lines, closing braces and breaks that make a few lines frequent."""
-    idents = [b"%s_%s%d" % (rng.choice(_WORDS), rng.choice(_WORDS), rng.randrange(10)) for _ in range(200)]
-    out = []
-    while len(out) < n:
-        out.append(b"int %s(struct ctx *c)\n{\n" % rng.choice(idents))
-        depth = 1
-        for _ in range(rng.randrange(4, 30)):
-            pad = b"    " * depth
-            r = rng.random()
-            if r < 0.15 and depth < 4:
-                out.append(pad + b"if (%s != %s) {\n" % (rng.choice(idents), rng.choice(idents)))
-                depth += 1
-            elif r < 0.3 and depth > 1:
-                depth -= 1
-                out.append(b"    " * depth + b"}\n")
-            elif r < 0.4:
-                out.append(b"\n")
-            elif r < 0.45:
-                out.append(pad + b"break;\n")
-            else:
-                out.append(pad + b"%s = %s + %d;\n" % (rng.choice(idents), rng.choice(idents), rng.randrange(64)))
-        out.extend(b"    " * d + b"}\n" for d in range(depth - 1, -1, -1))
-        out.append(b"\n")
-    return out[:n]
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_diff_peak_memory_is_a_small_multiple_of_the_input(tmp_path, capsysbinary, algorithm):
     # each distinct line is kept once and the diff holds neither file's bytes:
     # a 5k-line pair peaks at 4.1-5.4 times its bytes; keeping a bytes object
     # per line, the file bytes and the table's dict read 7.6-8.6 times
     rng = random.Random(5000)
-    old = _source_lines(rng, 5000)
+    old = source_lines(rng, 5000)
     new = list(old)
     for _ in range(50):
         i = rng.randrange(len(new))
-        new[i:i + rng.randrange(3)] = _source_lines(rng, rng.randrange(1, 4))
+        new[i:i + rng.randrange(3)] = source_lines(rng, rng.randrange(1, 4))
     size = len(b"".join(old)) + len(b"".join(new))
     argv = ["diff", f"--algorithm={algorithm}", write(tmp_path, "old", b"".join(old)), write(tmp_path, "new", b"".join(new))]
     assert main(argv) == 1  # builds the parser, which lives for the process

@@ -271,6 +271,16 @@ def test_render_parse_apply_round_trip():
         assert apply_script(old, reparsed, new) == b
 
 
+def test_parse_skips_the_file_header_before_the_first_hunk():
+    # diffmerge diff writes a ---/+++ header before the hunks; its lines are
+    # not hunk content
+    table = InternTable()
+    old, new = table.intern(b"a\nb\nc\n"), table.intern(b"a\nx\nc\n")
+    script = flags_to_script(diff_lines(old, new, "myers"), old, new)
+    patch = render_unified(old, new, script, 1)
+    assert parse_unified(b"--- old\n+++ new\n" + patch) == parse_unified(patch) == script == (Change(1, 2, 1, 2),)
+
+
 # lines a patch parser could mistake for its own syntax, and bytes that line
 # splitting must carry through
 _HOSTILE_LINES = [

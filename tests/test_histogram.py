@@ -9,7 +9,7 @@ from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience
 
 import reference
-from conftest import random_file
+from conftest import random_file, source_lines
 
 
 def toks(s):
@@ -37,14 +37,14 @@ def test_scan_a_many_repeats():
 def test_find_split_unique_shared_prefix():
     a = toks("xAy")
     b = toks("xAz")
-    region = find_split(a, b, 0, 3, 0, 3, scan_a(a))
+    region = find_split(a, b, 0, 3, 0, 3, scan_a(a), {})
     assert (region.begin1, region.end1, region.begin2, region.end2) == (0, 1, 0, 1)
 
 
 def test_find_split_pivots_on_moved_unique_line():
     table = InternTable()
     old, new = (table.intern(f) for f in histogram_bad_family(3))
-    region = find_split(old.tokens, new.tokens, 0, 7, 0, 7, scan_a(old.tokens))
+    region = find_split(old.tokens, new.tokens, 0, 7, 0, 7, scan_a(old.tokens), {})
     # the unique A wins on record count despite the longer repeated block
     assert (region.begin1, region.end1) == (0, 0)
     assert (region.begin2, region.end2) == (6, 6)
@@ -55,12 +55,12 @@ def test_find_split_fallback_when_all_common_lines_frequent():
     a = [1] * 70
     b = [1] * 70 + [2]
     with pytest.raises(FallbackSignal):
-        find_split(a, b, 0, len(a), 0, len(b), scan_a(a))
+        find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {})
 
 
 def test_find_split_none_when_nothing_common():
     a = toks("ab")
-    assert find_split(a, toks("cd"), 0, 2, 0, 2, scan_a(a)) is None
+    assert find_split(a, toks("cd"), 0, 2, 0, 2, scan_a(a), {}) is None
 
 
 def test_diff_identical(intern_pair):
@@ -177,9 +177,9 @@ def _assert_same_splits(rng, a, b, trials):
         lo2 = rng.randrange(len(b) + 1)
         hi2 = rng.randrange(lo2, len(b) + 1)
         want = _split_or_fallback(reference.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
-        assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index) == want
+        assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index, {}) == want
     whole = (0, len(a), 0, len(b))
-    assert _split_or_fallback(find_split, a, b, *whole, index) == _split_or_fallback(
+    assert _split_or_fallback(find_split, a, b, *whole, index, {}) == _split_or_fallback(
         reference.histogram_split_reference, a, b, *whole
     )
 
@@ -286,7 +286,7 @@ def test_gate_above_the_cap_still_expands_seeds_under_it():
         lo1, hi1 = pad, pad + len(old)
         want = Region(58 + pad, 60 + pad, 2, 4, 3)
         assert reference.histogram_split_reference(a, new, lo1, hi1, 0, len(new)) == want
-        assert find_split(a, new, lo1, hi1, 0, len(new), scan_a(a)) == want
+        assert find_split(a, new, lo1, hi1, 0, len(new), scan_a(a), {}) == want
 
 
 def test_over_cap_corpus_reaches_fallback():
@@ -296,7 +296,7 @@ def test_over_cap_corpus_reaches_fallback():
         old, new = _corpus(rng, "over-cap")
         table = InternTable()
         a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
-        fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b), scan_a(a)) == "fallback"
+        fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b), scan_a(a), {}) == "fallback"
     assert fallbacks > 0
 
 
@@ -395,3 +395,65 @@ def test_cached_index_is_not_part_of_equality_or_repr():
     assert old.occurrence_index is not None and bare.occurrence_index is None
     assert old == bare
     assert repr(old) == repr(bare) == f"InternedSequence(tokens={old.tokens!r}, lines={old.lines!r})"
+
+
+# Each seed's run is measured once per diff: a nested subproblem clamps the
+# run remembered in the diff's ``runs`` dict to its own box.
+
+def _watched_runs(monkeypatch):
+    """Record each run extension find_split makes as (direction, seed, run)."""
+    from diffmerge import histogram
+
+    measured = []
+
+    def watch(direction, fn, seed):
+        def wrapper(a, i, b, j, limit):
+            k = fn(a, i, b, j, limit)
+            measured.append((direction, seed(i, j), k))
+            return k
+        return wrapper
+
+    # a forward run is measured from the line after its seed point
+    forward = watch("forward", histogram.common_prefix, lambda i, j: (i - 1, j - 1))
+    monkeypatch.setattr(histogram, "common_prefix", forward)
+    monkeypatch.setattr(histogram, "common_suffix", watch("backward", histogram.common_suffix, lambda i, j: (i, j)))
+    return measured
+
+
+def test_each_seed_run_is_measured_once_per_diff(monkeypatch):
+    measured = _watched_runs(monkeypatch)
+    rng = random.Random("histogram-runs")
+    old = source_lines(rng, 3000)
+    new = list(old)
+    for _ in range(30):
+        at = rng.randrange(len(new))
+        new[at:at + rng.randrange(4)] = source_lines(rng, rng.randrange(4))
+    table = InternTable()
+    o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+    got = diff_histogram(o, n)
+    assert got == reference.histogram_reference(o, n)
+    points = [(direction, seed) for direction, seed, _ in measured]
+    assert len(points) > 100
+    assert len(set(points)) == len(points)
+
+
+def test_nested_call_clamps_the_remembered_runs(monkeypatch):
+    measured = _watched_runs(monkeypatch)
+    # U=1 and U2=2 are unique and F=3 occurs over the cap, so once U (or, in
+    # the sub-box, U2) seeds a region F is gated, and S=4 seeds runs backward
+    # over F and forward over T1..T3 (5, 6, 7) from old[4], new[5].
+    a = [1, 3, 3, 3, 4, 5, 6, 7, 2, 8] + [3] * 70
+    b = [1, 2, 3, 3, 3, 4, 5, 6, 7, 9]
+    runs = {}
+    index = scan_a(a)
+    find_split(a, b, 0, len(a), 0, len(b), index, runs)
+    outer = list(measured)
+    # the sub-box starts after the backward run's start in old, and ends
+    # before the forward run's end in new
+    sub = (2, len(a), 1, 8)
+    assert ("backward", (4, 5), 3) in outer and 4 - 3 < sub[0]
+    assert ("forward", (4, 5), 3) in outer and 5 + 3 >= sub[3]
+    want = reference.histogram_split_reference(a, b, *sub)
+    assert want == Region(2, 6, 3, 7, 1)
+    assert find_split(a, b, *sub, index, runs) == want
+    assert not [m for m in measured[len(outer):] if m[1] == (4, 5)]
