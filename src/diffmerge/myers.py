@@ -10,6 +10,13 @@ fixed constants (``XDL_SNAKE_CNT`` and ``XDL_HEUR_MIN_COST`` in
 HEUR_MIN_COST, which searches of more than 65,536 lines together get.  A
 diagonal's first line is compared inline, and a snake that starts there is
 walked by ``core.common_prefix`` (forward) or ``common_suffix`` (backward).
+The frontiers are flat lists indexed by the diagonal (see ``_SearchEnv``),
+and a sweep tests for a meet only on the diagonals inside the other
+direction's band.  Outside the search, the passes over every line run at C
+speed: the unmatched-line flags and the kept lines the search sees are
+``map``/``compress`` pipelines, the map-back visits only the kept lines the
+search flags, and the frequent-line rule visits only the unmatched lines
+and the runs of frequent lines that touch them.
 """
 
 from __future__ import annotations
@@ -70,8 +77,8 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     count_b = Counter(b)
     old_pre = [False] * n
     new_pre = [False] * m
-    old_pre[prefix:n - suffix] = [t not in count_b for t in a[prefix:n - suffix]]
-    new_pre[prefix:m - suffix] = [t not in count_a for t in b[prefix:m - suffix]]
+    old_pre[prefix:n - suffix] = map(not_, map(count_b.__contains__, a[prefix:n - suffix]))
+    new_pre[prefix:m - suffix] = map(not_, map(count_a.__contains__, b[prefix:m - suffix]))
 
     if not minimal:
         _flag_frequent(a, count_a, old_pre, prefix, n - suffix)
@@ -83,39 +90,69 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
 def _flag_frequent(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
     """Flag, in each maximal block of unmatched-or-frequent lines of
     tokens[lo:hi] where 3 * frequent < unmatched, the frequent lines between
-    its first and last unmatched line.  A block is decided when it ends; the
-    lines between blocks are never flagged, so one block cannot change
-    another."""
+    its first and last unmatched line.  Only the unmatched lines and the runs
+    of frequent lines that touch them are visited: a block without an
+    unmatched line is never flagged, and one block cannot change another."""
     limit = approx_sqrt(len(tokens))
     frequent = {t for t, c in counts.items() if c > limit}
     if not frequent:
         return
     first = last = 0  # first and last unmatched line of the current block
     fr = un = 0
-    for i in range(lo, hi + 1):
-        if i < hi and pre[i]:
-            if not un:
-                first = i
-            last = i
-            un += 1
-        elif i < hi and tokens[i] in frequent:
-            fr += 1
-        else:
+    for i in compress(range(lo, hi), pre[lo:hi]):
+        if un:
+            # the lines since the last unmatched one are matched; the block
+            # goes on if all of them are frequent
+            j = last + 1
+            while j < i and tokens[j] in frequent:
+                j += 1
+            fr += j - last - 1
+            if j == i:
+                last = i
+                un += 1
+                continue
             if 3 * fr < un:
                 pre[first:last] = [True] * (last - first)
-            fr = un = 0
+        # i opens a block, which takes in the frequent lines just above it
+        j = i
+        while j > lo and tokens[j - 1] in frequent:
+            j -= 1
+        fr = i - j
+        first = last = i
+        un = 1
+    if un:
+        j = last + 1
+        while j < hi and tokens[j] in frequent:
+            j += 1
+        if 3 * (fr + j - last - 1) < un:
+            pre[first:last] = [True] * (last - first)
 
 
 @dataclass
 class _SearchEnv:
+    """One search's lines, cutoff settings and frontiers.
+
+    ``kvdf``/``kvdb`` hold the furthest forward and backward line of ``ha1``
+    reached on each diagonal d = i1 - i2, as git's ``xdl_do_diff`` does, in
+    two lists of ``len(ha1) + len(ha2) + 3`` entries indexed by d itself.  A
+    split reads and writes diagonals from -(m + 1) to n + 1 (n, m the lengths
+    of ``ha1``, ``ha2``): a negative one wraps to the list's tail, where it
+    never meets a non-negative one, so no offset is added.  No split reads a
+    diagonal that an earlier split wrote, so one pair of lists serves all."""
+
     ha1: list[int]
     ha2: list[int]
     need_min: bool
     snake: int
     heur_min: int
     mxcost: int
-    kvdf: dict[int, int] = field(default_factory=dict)
-    kvdb: dict[int, int] = field(default_factory=dict)
+    kvdf: list[int] = field(init=False)
+    kvdb: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        size = len(self.ha1) + len(self.ha2) + 3
+        self.kvdf = [0] * size
+        self.kvdb = [0] * size
 
 
 _BIG = 1 << 60
@@ -148,22 +185,32 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             kvdf[fmax + 1] = -1
         else:
             fmax -= 1
+        # only the diagonals inside the backward band, which share the
+        # sweep's parity when odd, can meet it: the sweep runs in up to three
+        # stretches, and only the middle one tests for a meet
+        top = bmax if bmax < fmax else fmax
+        bottom = bmin if bmin > fmin else fmin
+        if odd and bottom <= top:
+            sweeps = ((fmax, top + 2, False), (top, bottom, True), (bottom - 2, fmin, False))
+        else:
+            sweeps = ((fmax, fmin, False),)
         # diagonals go d, d-2, ..., so kvdf[d-1] read at d is kvdf[d+1] at
         # the next one; the pass writes only diagonals of d's parity
         upper = kvdf[fmax + 1]
-        for d in range(fmax, fmin - 1, -2):
-            lower = kvdf[d - 1]
-            i1 = lower + 1 if lower >= upper else upper
-            upper = lower
-            i2 = i1 - d
-            if i1 < lim1 and i2 < lim2 and ha1[i1] == ha2[i2]:
-                k = common_prefix(ha1, i1, ha2, i2, min(lim1 - i1, lim2 - i2))
-                if k > snake:
-                    got_snake = True
-                i1 += k
-            kvdf[d] = i1
-            if odd and bmin <= d <= bmax and kvdb[d] <= i1:
-                return i1, i1 - d, True, True
+        for hi, lo, meet in sweeps:
+            for d in range(hi, lo - 1, -2):
+                lower = kvdf[d - 1]
+                i1 = lower + 1 if lower >= upper else upper
+                upper = lower
+                i2 = i1 - d
+                if i1 < lim1 and i2 < lim2 and ha1[i1] == ha2[i2]:
+                    k = common_prefix(ha1, i1, ha2, i2, min(lim1 - i1, lim2 - i2))
+                    if k > snake:
+                        got_snake = True
+                    i1 += k
+                kvdf[d] = i1
+                if meet and kvdb[d] <= i1:
+                    return i1, i1 - d, True, True
 
         if bmin > dmin:
             bmin -= 1
@@ -175,20 +222,28 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
             kvdb[bmax + 1] = _BIG
         else:
             bmax -= 1
+        # likewise against the forward band, when not odd
+        top = fmax if fmax < bmax else bmax
+        bottom = fmin if fmin > bmin else bmin
+        if not odd and bottom <= top:
+            sweeps = ((bmax, top + 2, False), (top, bottom, True), (bottom - 2, bmin, False))
+        else:
+            sweeps = ((bmax, bmin, False),)
         upper = kvdb[bmax + 1]
-        for d in range(bmax, bmin - 1, -2):
-            lower = kvdb[d - 1]
-            i1 = lower if lower < upper else upper - 1
-            upper = lower
-            i2 = i1 - d
-            if i1 > off1 and i2 > off2 and ha1[i1 - 1] == ha2[i2 - 1]:
-                k = common_suffix(ha1, i1, ha2, i2, min(i1 - off1, i2 - off2))
-                if k > snake:
-                    got_snake = True
-                i1 -= k
-            kvdb[d] = i1
-            if not odd and fmin <= d <= fmax and i1 <= kvdf[d]:
-                return i1, i1 - d, True, True
+        for hi, lo, meet in sweeps:
+            for d in range(hi, lo - 1, -2):
+                lower = kvdb[d - 1]
+                i1 = lower if lower < upper else upper - 1
+                upper = lower
+                i2 = i1 - d
+                if i1 > off1 and i2 > off2 and ha1[i1 - 1] == ha2[i2 - 1]:
+                    k = common_suffix(ha1, i1, ha2, i2, min(i1 - off1, i2 - off2))
+                    if k > snake:
+                        got_snake = True
+                    i1 -= k
+                kvdb[d] = i1
+                if meet and i1 <= kvdf[d]:
+                    return i1, i1 - d, True, True
 
         if need_min:
             ec += 1
@@ -306,15 +361,14 @@ def diff_myers(old: InternedSequence, new: InternedSequence, minimal: bool = Fal
     of = cls.old_prechanged
     nf = cls.new_prechanged
 
-    # the search sees only the lines between the common ends that are not pre-flagged
-    sub = myers_flags(
-        list(compress(old.tokens[lo:hi_old], map(not_, of[lo:hi_old]))),
-        list(compress(new.tokens[lo:hi_new], map(not_, nf[lo:hi_new]))),
-        minimal,
-    )
-    # a pre-flagged line stays flagged; each kept line takes the search's next flag
-    it = iter(sub.old_flags)
-    of[lo:hi_old] = [f or next(it) for f in of[lo:hi_old]]
-    it = iter(sub.new_flags)
-    nf[lo:hi_new] = [f or next(it) for f in nf[lo:hi_new]]
+    # the search sees only the kept lines: those between the common ends
+    # that are not pre-flagged
+    keep_old = list(compress(range(lo, hi_old), map(not_, of[lo:hi_old])))
+    keep_new = list(compress(range(lo, hi_new), map(not_, nf[lo:hi_new])))
+    sub = myers_flags(list(map(old.tokens.__getitem__, keep_old)), list(map(new.tokens.__getitem__, keep_new)), minimal)
+    # a pre-flagged line stays flagged; a kept line takes the search's flag
+    for i in compress(keep_old, sub.old_flags):
+        of[i] = True
+    for j in compress(keep_new, sub.new_flags):
+        nf[j] = True
     return ChangedLines(of, nf)

@@ -54,6 +54,16 @@ def source_lines(rng, n):
     return out[:n]
 
 
+def edited_source(rng, old, edits):
+    """A copy of ``old`` with ``edits`` blocks of up to 8 lines deleted,
+    inserted or replaced by fresh source lines."""
+    new = list(old)
+    for _ in range(edits):
+        at = rng.randrange(len(new) + 1)
+        new[at:at + rng.randrange(9)] = source_lines(rng, rng.randrange(9))
+    return new
+
+
 def lines_executed(fn, *args, **kwargs) -> int:
     """Python source lines executed by one call, counted with sys.settrace;
     a deterministic measure of work that does not depend on the host."""

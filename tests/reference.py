@@ -6,12 +6,13 @@ was later rewritten for speed: the per-subproblem histogram rescan, the
 rebase that tests each chain commit for ancestry with a walk of its own, the
 recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
-split, the line-by-line flag scans and common-run scans (pairwise, and
-three-way for the zdiff3 trim), the frequent-line rule that rescans a
-block around each of its lines, the indent heuristic that rescans the
-blank lines around each split into a record and scores the record's
-fields, and the line split and intern loop that handle one line at a time
-in Python.  Tests require the package to give the same answers; none of
+split, the Myers pipeline that maps flags back line by line, the
+line-by-line flag scans and common-run scans (pairwise, and three-way for
+the zdiff3 trim), the frequent-line rule that rescans a block around each
+of its lines and its later walk over every line, the indent heuristic that
+rescans the blank lines around each split into a record and scores the
+record's fields, and the line split and intern loop that handle one line at
+a time in Python.  Tests require the package to give the same answers; none of
 this code ships in ``src/``.
 """
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from collections import ChainMap, Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
@@ -430,11 +433,15 @@ def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> Cha
 
 def split_reference(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min: bool) -> tuple[int, int, bool, bool]:
     """``myers._split`` as first written, with both neighbours of every
-    diagonal looked up in the dict; tests patch it in as ``myers._split``.
+    diagonal looked up in a dict; tests patch it in as ``myers._split``.
+    The dicts are its own and fresh on each call, since no split reads a
+    diagonal that an earlier one wrote (a missing one raises KeyError), so a
+    fault in the package's frontier lists cannot reach this side.
 
     Finds a pivot on (or near) the shortest path; returns (i1, i2, min_lo, min_hi)."""
     ha1, ha2 = env.ha1, env.ha2
-    kvdf, kvdb = env.kvdf, env.kvdb
+    kvdf: dict[int, int] = {}
+    kvdb: dict[int, int] = {}
     dmin, dmax = off1 - lim2, lim1 - off2
     fmid, bmid = off1 - off2, lim1 - lim2
     odd = (fmid - bmid) & 1
@@ -700,6 +707,52 @@ def flag_frequent_reference(tokens: list[int], counts: Counter, pre: list[bool],
             extra.append(i)
     for i in extra:
         pre[i] = True
+
+
+def flag_frequent_walk_reference(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
+    """``myers._flag_frequent`` as a walk over every line of tokens[lo:hi]:
+    each maximal block of unmatched-or-frequent lines is decided when it ends."""
+    limit = approx_sqrt(len(tokens))
+    frequent = {t for t, c in counts.items() if c > limit}
+    if not frequent:
+        return
+    first = last = 0  # first and last unmatched line of the current block
+    fr = un = 0
+    for i in range(lo, hi + 1):
+        if i < hi and pre[i]:
+            if not un:
+                first = i
+            last = i
+            un += 1
+        elif i < hi and tokens[i] in frequent:
+            fr += 1
+        else:
+            if 3 * fr < un:
+                pre[first:last] = [True] * (last - first)
+            fr = un = 0
+
+
+def diff_myers_reference(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
+    """``myers.diff_myers`` with the rescanning preprocess above and the
+    search's flags mapped back by one pass over every line between the
+    common ends.  It searches through ``myers_flags``, so a test that patches
+    ``split_reference`` in also runs the search on dict frontiers."""
+    cls = preprocess_reference(old, new, minimal=minimal)
+    lo = cls.prefix_len
+    hi_old, hi_new = len(old) - cls.suffix_len, len(new) - cls.suffix_len
+    of = cls.old_prechanged
+    nf = cls.new_prechanged
+    sub = myers_flags(
+        list(compress(old.tokens[lo:hi_old], map(not_, of[lo:hi_old]))),
+        list(compress(new.tokens[lo:hi_new], map(not_, nf[lo:hi_new]))),
+        minimal,
+    )
+    # a pre-flagged line stays flagged; each kept line takes the search's next flag
+    it = iter(sub.old_flags)
+    of[lo:hi_old] = [f or next(it) for f in of[lo:hi_old]]
+    it = iter(sub.new_flags)
+    nf[lo:hi_new] = [f or next(it) for f in nf[lo:hi_new]]
+    return ChangedLines(of, nf)
 
 
 def block_qualifies_reference(unmatched: list[bool], frequent: list[bool], i: int, lo: int, hi: int) -> bool:

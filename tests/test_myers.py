@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
-from diffmerge import oracle
+from diffmerge import myers, oracle
 from diffmerge.core import InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.myers import (
     HEUR_MIN_COST,
     SNAKE_CNT,
     _SearchEnv,
+    _flag_frequent,
     _recs_cmp,
     approx_sqrt,
     diff_myers,
@@ -21,7 +22,7 @@ from diffmerge.myers import (
 )
 
 import reference
-from conftest import lines_executed, random_file
+from conftest import edited_source, lines_executed, random_file, source_lines
 
 
 def test_approx_sqrt_values():
@@ -135,8 +136,6 @@ def test_budget_cutoff_fires_on_large_noisy_input(monkeypatch):
     # a big scrambled pair forces >256 steps; heuristic diffs must stay valid.
     # Its 3120 lines get step_budget 256, so the budget cutoff ends a search
     # before the snake cutoff may fire (ec > HEUR_MIN_COST never holds)
-    from diffmerge import myers
-
     rng = random.Random(8)
     a = [rng.randrange(40) for _ in range(1500)]
     b = [rng.randrange(40) for _ in range(1500)]
@@ -168,7 +167,8 @@ def test_engine_dispatch_names(intern_pair):
 def _small_cutoffs(snake, heur_min):
     def flags(old, new):
         mxcost = max(approx_sqrt(len(old) + len(new)), heur_min)
-        return _recs_cmp(_SearchEnv(old, new, False, snake, heur_min, mxcost))
+        # looked up on the module, where the wrap test records the frontiers
+        return _recs_cmp(myers._SearchEnv(old, new, False, snake, heur_min, mxcost))
 
     return flags
 
@@ -207,8 +207,6 @@ def _split_pair(rng):
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_myers_flags_match_reference_split(monkeypatch, case):
-    from diffmerge import myers
-
     seed, run = SPLIT_CASES[case]
     rng = random.Random(seed)
     pairs = [_split_pair(rng) for _ in range(760)]
@@ -272,8 +270,6 @@ def _cutoff_lines(split):
 def _watched_split():
     """A wrapper of ``myers._split`` and the counter of its exits by kind:
     "meet", "snake" (cutoff) or "budget" (cutoff)."""
-    from diffmerge import myers
-
     real = myers._split
     kinds = _cutoff_lines(real)
     fired = Counter()
@@ -300,8 +296,6 @@ def _watched_split():
 
 
 def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
-    from diffmerge import myers
-
     watched, fired = _watched_split()
     rng = random.Random("git-constants")
     budget = step_budget(65_537)
@@ -318,8 +312,82 @@ def test_myers_flags_match_reference_split_at_git_constants(monkeypatch):
         assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags)
 
 
+# The frontier lists are indexed by the diagonal itself: a negative diagonal,
+# down to -(m + 1), wraps to the tail of a list of n + m + 3 entries, and a
+# non-negative one reaches up to n + 1.  These pairs, one file empty or one
+# line long and one file far longer than the other, take the search to both
+# ends, and a recording list checks that it never goes past them and that
+# no two diagonals it touches share a slot.
+
+
+class _RecordingList(list):
+    def __init__(self, size):
+        super().__init__([0] * size)
+        self.seen = set()
+
+    def __getitem__(self, d):
+        self.seen.add(d)
+        return super().__getitem__(d)
+
+    def __setitem__(self, d, value):
+        self.seen.add(d)
+        super().__setitem__(d, value)
+
+
+def _wrap_pairs(rng):
+    pairs = [([], [1, 2, 3]), ([1, 2], []), ([1], list(range(2, 60))), ([7], list(range(40)))]
+    for short in (0, 1, 1, 2, 3, 5):
+        for _ in range(6):
+            alphabet = rng.choice((2, 3, 8, 1000))
+            a = [rng.randrange(alphabet) for _ in range(short)]
+            b = [rng.randrange(alphabet) for _ in range(rng.randrange(40, 300))]
+            pairs += [(a, b), (b, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_frontier_lists_wrap_at_both_ends(monkeypatch, case):
+    seed, run = SPLIT_CASES[case]
+    rng = random.Random(f"wrap-{seed}")
+    real_env = myers._SearchEnv
+    reached = set()
+
+    def recorded(old, new):
+        envs = []
+
+        def recording_env(*args):
+            env = real_env(*args)
+            env.kvdf, env.kvdb = _RecordingList(len(env.kvdf)), _RecordingList(len(env.kvdb))
+            envs.append(env)
+            return env
+
+        monkeypatch.setattr(myers, "_SearchEnv", recording_env)
+        flags = run(old, new)
+        monkeypatch.undo()
+        for env in envs:
+            seen = env.kvdf.seen | env.kvdb.seen
+            n, m = len(env.ha1), len(env.ha2)
+            assert all(-(m + 1) <= d <= n + 1 for d in seen), (old, new)
+            # no two diagonals share a slot of the list
+            assert len({d % len(env.kvdf) for d in seen}) == len(seen), (old, new)
+            reached.update(("low", n > m) for d in seen if d == -(m + 1))
+            reached.update(("high", n > m) for d in seen if d == n + 1)
+        return flags
+
+    for old, new in _wrap_pairs(rng):
+        got = recorded(old, new)
+        monkeypatch.setattr(myers, "_split", reference.split_reference)
+        want = run(old, new)
+        monkeypatch.undo()
+        assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags), (old, new)
+        if case == "minimal":
+            assert got.flag_count() == oracle.min_edit_distance(old, new)
+    assert reached == {(end, longer_old) for end in ("low", "high") for longer_old in (False, True)}
+
+
 # Differential tests against the frequent-line rule that rescans the block
-# around each frequent line, kept in reference.py.
+# around each frequent line, and its walk over every line, kept in
+# reference.py.
 
 
 def _frequent_pair(rng):
@@ -362,6 +430,47 @@ def test_preprocess_matches_reference(minimal):
         fired += got != preprocess(o, n, minimal=True)
     # the frequent-line rule flags lines in a good share of the corpus
     assert fired > 50 if not minimal else fired == 0
+
+
+def test_flag_frequent_matches_walk_reference():
+    rng = random.Random("flag-frequent-walk")
+    cases = [_frequent_pair(rng) for _ in range(400)]
+    for _ in range(4):
+        old = source_lines(rng, rng.randrange(2000, 6001))
+        cases.append((old, edited_source(rng, old, len(old) // 100)))
+    fired = 0
+    for old, new in cases:
+        table = InternTable()
+        o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+        cls = preprocess(o, n, minimal=True)  # unmatched lines only
+        for seq, other, pre in ((o, n, cls.old_prechanged), (n, o, cls.new_prechanged)):
+            counts = Counter(seq.tokens)
+            lo, hi = cls.prefix_len, len(seq) - cls.suffix_len
+            got, want = list(pre), list(pre)
+            _flag_frequent(seq.tokens, counts, got, lo, hi)
+            reference.flag_frequent_walk_reference(seq.tokens, counts, want, lo, hi)
+            assert got == want
+            fired += got != pre
+    assert fired > 50
+
+
+@pytest.mark.parametrize("minimal", (False, True), ids=("myers", "minimal"))
+def test_diff_myers_matches_reference(monkeypatch, minimal):
+    """The pipeline against its reference on edited source files of 2k-6k
+    lines: the rescanning preprocess, the search on dict frontiers, and the
+    map-back over every line."""
+    rng = random.Random(f"diff-myers-{minimal}")
+    for _ in range(3):
+        old = source_lines(rng, rng.randrange(2000, 6001))
+        new = edited_source(rng, old, len(old) // 100)
+        table = InternTable()
+        o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+        got = diff_myers(o, n, minimal)
+        monkeypatch.setattr(myers, "_split", reference.split_reference)
+        want = reference.diff_myers_reference(o, n, minimal)
+        monkeypatch.undo()
+        assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags)
+        assert reference.check_flags_valid(o.tokens, n.tokens, got.old_flags, got.new_flags)
 
 
 def _frequent_run(n):
