@@ -10,9 +10,7 @@ from .core import (
     RangeError,
     apply_script,
     flags_to_script,
-    parse_unified,
     render_unified,
-    script_to_flags,
     split_lines,
 )
 from .engine import ALGORITHMS, diff_lines
@@ -55,8 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     # core
     "Change", "ChangedLines", "DiffError", "InternedSequence", "InternTable", "InvalidFlags",
-    "RangeError", "apply_script", "flags_to_script", "parse_unified", "render_unified", "script_to_flags",
-    "split_lines",
+    "RangeError", "apply_script", "flags_to_script", "render_unified", "split_lines",
     # diff algorithms
     "ALGORITHMS", "diff_lines", "diff_histogram", "diff_myers", "diff_patience",
     # graph

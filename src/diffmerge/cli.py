@@ -10,14 +10,12 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import oracle
 from .core import InternTable, apply_script, flags_to_script, render_unified
 from .engine import ALGORITHMS, diff_lines
 from .graph import (
     GraphError,
-    build_exponential_graph,
     cherry_pick,
     graph_from_jsonl,
     merge_commits,
@@ -102,26 +100,6 @@ def _tree_json(tree: dict[str, bytes]) -> dict[str, str]:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    if args.action == "expo-demo":
-        rows = []
-        for n in range(args.max_n + 1):
-            graph, a, b = build_exponential_graph(n)
-            commits = len(graph)
-            start = time.perf_counter()
-            result = merge_commits(graph, a, b)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {
-                    "n": n,
-                    "commits": commits,
-                    "merge_calls": result.stats.merge_calls,
-                    "seconds": round(elapsed, 6),
-                }
-            )
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return EXIT_CLEAN
-
     graph = _load_graph(args.script)
     if args.action == "merge":
         result = merge_commits(graph, args.a, args.b)
@@ -196,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("a", metavar=name_a)
         p.add_argument("b", metavar=name_b)
         p.set_defaults(func=cmd_graph)
-    p_expo = graph_sub.add_parser("expo-demo")
-    p_expo.add_argument("max_n", type=non_negative_int)
-    p_expo.set_defaults(func=cmd_graph)
 
     return parser
 

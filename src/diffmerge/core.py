@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import dropwhile, islice
+from itertools import islice
 
 
 class DiffError(Exception):
@@ -52,10 +52,6 @@ class InternedSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def missing_final_newline(self) -> bool:
-        return bool(self.tokens) and not self.lines[self.tokens[-1]].endswith(b"\n")
 
     def to_bytes(self) -> bytes:
         return b"".join(map(self.lines.__getitem__, self.tokens))
@@ -209,20 +205,6 @@ def common_suffix(a: list[int], i: int, b: list[int], j: int, limit: int) -> int
     return k
 
 
-def script_to_flags(script: tuple[Change, ...], old_len: int, new_len: int) -> ChangedLines:
-    """Inverse of flags_to_script."""
-    of = [False] * old_len
-    nf = [False] * new_len
-    for c in script:
-        if c.end_old > old_len or c.end_new > new_len:
-            raise RangeError(f"{c} outside file bounds")
-        for i in range(c.start_old, c.end_old):
-            of[i] = True
-        for j in range(c.start_new, c.end_new):
-            nf[j] = True
-    return ChangedLines(of, nf)
-
-
 def apply_script(old: InternedSequence, script: tuple[Change, ...], new: InternedSequence) -> bytes:
     """Apply a script produced by diffing old against new.
 
@@ -307,49 +289,3 @@ def _hunk_header(old_lo: int, old_hi: int, new_lo: int, new_hi: int) -> bytes:
 
     return b"@@ -" + fmt(old_lo, old_hi) + b" +" + fmt(new_lo, new_hi) + b" @@\n"
 
-
-def parse_unified(patch: bytes) -> tuple[Change, ...]:
-    """Parse render_unified output, after any file header, back into an edit script."""
-    changes: list[Change] = []
-    old_pos = new_pos = 0
-
-    def flush_run(run_old: list[int], run_new: list[int]) -> None:
-        if run_old or run_new:
-            so = run_old[0] if run_old else old_pos
-            sn = run_new[0] if run_new else new_pos
-            changes.append(
-                Change(so, so + len(run_old), sn, sn + len(run_new))
-            )
-
-    run_old: list[int] = []
-    run_new: list[int] = []
-    for line in dropwhile(lambda line: not line.startswith(b"@@"), patch.split(b"\n")):
-        if line.startswith(b"@@"):
-            flush_run(run_old, run_new)
-            run_old, run_new = [], []
-            header = line.split(b"@@")[1].strip()
-            old_part, new_part = header.split(b" ")
-            old_pos = _parse_range(old_part)
-            new_pos = _parse_range(new_part)
-        elif line.startswith(b"-"):
-            run_old.append(old_pos)
-            old_pos += 1
-        elif line.startswith(b"+"):
-            run_new.append(new_pos)
-            new_pos += 1
-        elif line.startswith(b" "):
-            flush_run(run_old, run_new)
-            run_old, run_new = [], []
-            old_pos += 1
-            new_pos += 1
-        # "\ No newline at end of file" and blank tail lines need no action
-    flush_run(run_old, run_new)
-    return tuple(changes)
-
-
-def _parse_range(part: bytes) -> int:
-    body = part[1:]  # strip - or +
-    if b"," in body:
-        start, count = body.split(b",")
-        return int(start) - 1 if int(count) else int(start)
-    return int(body) - 1

@@ -10,7 +10,7 @@ Every commit carries its generation number, 1 + the largest generation of
 its parents (git's commit-graph topological level), so the graph holds O(N)
 state and each walk reads one commit lookup.  Merge bases come from git's
 paint_down_to_common walk, whose generation order leaves its candidates
-independent without git's remove_redundant check; every other ancestry
+independent without git's remove_redundant check; rebase's ancestry
 question is one _Descent from the descendant, stopped at the
 generation of the candidate ancestor.  Both pop commits highest generation
 first, so a walk covers only the commits between the heads and that
@@ -114,15 +114,6 @@ class CommitGraph:
 
     def __len__(self) -> int:
         return len(self.commits)
-
-    def ancestors_of(self, cid: str) -> frozenset[str]:
-        """Ancestors including the commit itself."""
-        return frozenset(_Descent([self[cid].id], self.commits).lower(0))
-
-    def is_ancestor(self, a: str, b: str) -> bool:
-        """Whether a is b or one of its ancestors; an unknown a is no ancestor."""
-        descent = _Descent([self[b].id], self.commits)
-        return a in self.commits and a in descent.lower(self.commits[a].generation)
 
 
 class _Descent:

@@ -7,7 +7,7 @@ cutoffs and also skips the frequent-line preprocessing step, so its output
 length always equals the true minimal edit distance.  The cutoffs are git's
 fixed constants (``XDL_SNAKE_CNT`` and ``XDL_HEUR_MIN_COST`` in
 ``xdiff/xdiffi.c``); the snake cutoff fires only under a step budget above
-HEUR_MIN_COST, which searches of more than 65,536 lines together get.  A
+HEUR_MIN_COST, which searches of 65,533 lines or more together get.  A
 diagonal's first line is compared inline, and a snake that starts there is
 walked by ``core.common_prefix`` (forward) or ``common_suffix`` (backward).
 The frontiers are flat lists indexed by the diagonal (see ``_SearchEnv``),
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
 
-from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
+from .core import ChangedLines, DiffError, InternedSequence, common_prefix, common_suffix
 
 
 def approx_sqrt(n: int) -> int:
@@ -42,13 +42,12 @@ HEUR_MIN_COST = 256  # steps before the snake cutoff may fire, and the budget's 
 
 
 def step_budget(n: int) -> int:
-    """Steps the search takes before the budget cutoff fires.
+    """Steps the search of n kept lines takes before the budget cutoff fires.
 
-    The budget never drops below HEUR_MIN_COST: a smaller budget would make
-    the cutoff fire on tiny files, which contradicts both observed Git
-    behaviour and the requirement that heuristics stay inert below the
-    256-step threshold."""
-    return max(approx_sqrt(n), HEUR_MIN_COST)
+    This is git's ``xdl_do_diff``: ``xdl_bogosqrt(n + 3)``, which doubles
+    once per base-4 digit of n + 3, floored at HEUR_MIN_COST so that the
+    cutoff stays inert on small files."""
+    return max(1 << ((n + 3).bit_length() + 1) // 2, HEUR_MIN_COST)
 
 
 @dataclass
@@ -342,6 +341,10 @@ def _recs_cmp(env: _SearchEnv) -> ChangedLines:
             rchg1[off1:lim1] = [True] * (lim1 - off1)
         else:
             i1, i2, min_lo, min_hi = _split(env, off1, lim1, off2, lim2, need_min)
+            # a pivot outside the box, or at a corner of it, would leave a
+            # child box no smaller than its parent, and the loop would not end
+            if not (off1 <= i1 <= lim1 and off2 <= i2 <= lim2 and off1 + off2 < i1 + i2 < lim1 + lim2):
+                raise DiffError(f"split of box ({off1}, {lim1}, {off2}, {lim2}) returned pivot ({i1}, {i2})")
             stack.append((i1, lim1, i2, lim2, min_hi))
             stack.append((off1, i1, off2, i2, min_lo))
     return ChangedLines(rchg1, rchg2)

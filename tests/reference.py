@@ -121,12 +121,14 @@ def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
 
 
 def rebase_reference(graph, branch_head: str, onto: str, options=None):
-    """graph.rebase as it was before its one-walk chain: one is_ancestor walk
-    per first-parent commit, then the same parent check of every chain
-    commit, oldest first, and the same picks."""
+    """graph.rebase as it was before its one-walk chain: one ancestry
+    question per first-parent commit, answered here by ancestors_reference
+    rather than by a walk, then the same parent check of every chain commit,
+    oldest first, and the same picks."""
+    below_onto = ancestors_reference(graph)[onto]
     chain = []
     cur = branch_head
-    while not graph.is_ancestor(cur, onto):
+    while cur not in below_onto:
         commit = graph[cur]
         chain.append(cur)
         if not commit.parents:

@@ -306,21 +306,6 @@ def test_graph_revert(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "conflict"
 
 
-def test_graph_expo_demo_counts(tmp_path, capsys):
-    assert main(["graph", "expo-demo", "8"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["merge_calls"] for r in rows[1:]] == [3, 5, 9, 17, 33, 65, 129, 257]
-    assert all(r["commits"] == 6 * r["n"] + 4 for r in rows)
-
-
-@pytest.mark.parametrize("value", ["-1", "x"])
-def test_graph_expo_demo_rejects_a_bad_max_n(capsys, value):
-    assert main(["graph", "expo-demo", value]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "max_n" in captured.err
-
-
 @pytest.mark.parametrize("record", [
     '{"id": "a", "ts": "soon"}',
     '{"id": "a", "ts": true}',

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from diffmerge import myers, oracle
-from diffmerge.core import InternTable
+from diffmerge.core import DiffError, InternTable
 from diffmerge.engine import diff_lines
 from diffmerge.myers import (
     HEUR_MIN_COST,
@@ -36,6 +36,26 @@ def test_approx_sqrt_values():
 def test_step_budget_never_below_min_steps():
     assert step_budget(10) == 256
     assert step_budget(100_000) == 512
+
+
+def _xdl_bogosqrt(n):
+    # git's xdiff/xutils.c: doubles once per base-4 digit of n
+    i = 1
+    while n > 0:
+        i <<= 1
+        n >>= 2
+    return i
+
+
+@pytest.mark.parametrize("j", [8, 9, 10])
+def test_step_budget_doubles_where_git_does(j):
+    # xdl_do_diff's budget, xdl_bogosqrt(n + 3), doubles at n = 4**j - 3,
+    # three lines before approx_sqrt(n) does
+    edge = 4**j - 3
+    assert step_budget(edge - 1) == 2**j
+    assert [step_budget(n) for n in range(edge, 4**j + 2)] == [2 ** (j + 1)] * 5
+    for n in range(edge - 50, edge + 50):
+        assert step_budget(n) == max(_xdl_bogosqrt(n + 3), HEUR_MIN_COST), n
 
 
 def test_preprocess_identical_files_strip_everything(intern_pair):
@@ -152,6 +172,29 @@ def test_budget_cutoff_fires_on_large_noisy_input(monkeypatch):
     assert cheap.flag_count() >= exact.flag_count()
 
 
+@pytest.mark.parametrize("pivot", ["low corner", "high corner", "outside"])
+def test_a_split_that_makes_no_progress_raises(monkeypatch, pivot):
+    # the first split returns a bad pivot, the rest are real: at a corner of
+    # its box one child box equals its parent, and without the check the
+    # search pushes that box again, which the real split then divides
+    real = myers._split
+    calls = []
+
+    def bad_once(env, off1, lim1, off2, lim2, need_min):
+        calls.append((off1, lim1, off2, lim2))
+        if len(calls) > 1:
+            return real(env, off1, lim1, off2, lim2, need_min)
+        i1, i2 = {"low corner": (off1, off2), "high corner": (lim1, lim2), "outside": (lim1 + 1, lim2)}[pivot]
+        return i1, i2, True, True
+
+    monkeypatch.setattr(myers, "_split", bad_once)
+    want = {"low corner": "(0, 0)", "high corner": "(4, 4)", "outside": "(5, 4)"}[pivot]
+    with pytest.raises(DiffError) as raised:
+        myers_flags([1, 2, 3, 4], [5, 2, 3, 6])
+    assert str(raised.value) == f"split of box (0, 4, 0, 4) returned pivot {want}"
+    assert calls == [(0, 4, 0, 4)]
+
+
 def test_engine_dispatch_names(intern_pair):
     o, n = intern_pair(b"a\n", b"b\n")
     assert diff_lines(o, n, "myers").flag_count() == 2
@@ -222,8 +265,8 @@ def test_myers_flags_match_reference_split(monkeypatch, case):
 # The same comparison at git's SNAKE_CNT and HEUR_MIN_COST, on files long
 # enough that snakes gallop.  The snake cutoff needs ec > HEUR_MIN_COST while
 # the budget stops the search at ec == mxcost, so it can fire only under a
-# budget above 256; step_budget gives that (512) to pairs of more than 65,536
-# lines together.  These pairs are 4k-6k lines a side and search under that
+# budget above 256; step_budget gives that (512) to pairs of 65,533 lines or
+# more together.  These pairs are 4k-6k lines a side and search under that
 # budget, as pairs of more than 32k lines a side would.
 
 
