@@ -11,7 +11,6 @@ from .core import (
     apply_script,
     flags_to_script,
     render_unified,
-    split_lines,
 )
 from .engine import ALGORITHMS, diff_lines
 from .graph import (
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     # core
     "Change", "ChangedLines", "DiffError", "InternedSequence", "InternTable", "InvalidFlags",
-    "RangeError", "apply_script", "flags_to_script", "render_unified", "split_lines",
+    "RangeError", "apply_script", "flags_to_script", "render_unified",
     # diff algorithms
     "ALGORITHMS", "diff_lines", "diff_histogram", "diff_myers", "diff_patience",
     # graph

@@ -1,7 +1,8 @@
 """Command-line front end: diff, merge-file and graph demo commands.
 
 Exit codes follow diff/merge conventions: 0 clean/identical, 1 differences
-or conflicts, 2 verification failure, 3 usage, input or I/O errors.
+or conflicts, 2 verification failure, 3 usage, input or I/O errors and
+internal faults (a ``DiffError`` raised by an engine's own checks).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 
 from . import oracle
-from .core import InternTable, apply_script, flags_to_script, render_unified
+from .core import DiffError, InternTable, apply_script, flags_to_script, render_unified
 from .engine import ALGORITHMS, diff_lines
 from .graph import (
     GraphError,
@@ -71,16 +72,14 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_merge_file(args: argparse.Namespace) -> int:
-    left = _read(args.left)
-    base = _read(args.base)
-    right = _read(args.right)
     options = MergeOptions(
         algorithm=args.algorithm,
         style=args.style,
         zealous=not args.no_zealous,
         labels=tuple(args.labels),
     )
-    outcome = merge3(base, left, right, options)
+    # unbound, the bytes are freed once interned; read in argument order, so an error names the first bad file
+    outcome = merge3(left_data=_read(args.left), o_data=_read(args.base), right_data=_read(args.right), options=options)
     sys.stdout.buffer.write(outcome.rendered)
     sys.stdout.flush()
     if outcome.conflict_count:
@@ -195,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code else EXIT_CLEAN
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, MergeError, GraphError, oracle.SizeGuard) as exc:
+    except (OSError, UnicodeDecodeError, DiffError, MergeError, GraphError, oracle.SizeGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,6 +4,7 @@ unified rendering.
 A diff problem (two or three files) shares one :class:`InternTable` so that
 equal line content gets equal integer tokens across all files involved; the
 table keeps each distinct line's text once, and a file reads it by token.
+Interning streams a file's records, so a repeated line is freed once read.
 Lines are byte strings split on LF only; CR and the other line breaks of
 ``bytes.splitlines`` are ordinary content.  A final line without a trailing
 newline is still one line, and its token differs from the same content with
@@ -34,11 +35,6 @@ class RangeError(DiffError):
     """An edit script references lines outside the file it is applied to."""
 
 
-def split_lines(data: bytes) -> list[bytes]:
-    """Split on LF only, keeping terminators. ``b"a\\nb"`` -> ``[b"a\\n", b"b"]``."""
-    return io.BytesIO(data).readlines()
-
-
 @dataclass
 class InternedSequence:
     """A file as interned line tokens; ``lines[t]`` is the text of token t.
@@ -47,8 +43,8 @@ class InternedSequence:
 
     tokens: list[int]
     lines: list[bytes]
-    # histogram's index (token -> ascending positions), built by the first diff from this file
-    occurrence_index: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+    # histogram's index (token -> position, or positions if repeated), built by the first diff from this file
+    occurrence_index: dict[int, int | list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -70,7 +66,7 @@ class InternTable:
         add = ids.setdefault
         lines = self.lines
         # len(ids) is read before rec is added, so tokens count first occurrences
-        tokens = [add(rec, len(ids)) for rec in split_lines(data)]
+        tokens = [add(rec, len(ids)) for rec in io.BytesIO(data)]
         if len(ids) > len(lines):
             # the dict keeps insertion order: its new keys are the new lines, in token order
             lines += islice(ids, len(lines), None)

@@ -8,19 +8,21 @@ far.  Lines occurring more than 64 times in the old file are never used as
 seeds, and if every common line is that frequent the whole subproblem falls
 back to the myers engine.
 
-One occurrence index, a plain dict from each token to its ascending positions
-in the whole old file, serves every subproblem of a diff and is kept, never
-changed, on the old sequence for later diffs from it, such as a merge's second
-base diff.  A line's positions inside old[lo1:hi1] are bisected in its
-position list and copied only for a seed the gate (the larger of 64 and the
-lowest record count so far) lets through.  Runs are extended by
-``core.common_prefix`` and ``common_suffix``, once per diff for each seed and
-direction: a subproblem's box lies inside its parent's and sibling boxes are
-disjoint, so a seed's limit only shrinks, and its remembered run clamped to
-the current limit is exact.  A candidate's record count (its least occurrence
-count inside old[lo1:hi1]) is taken only when it can change the choice, one
-line at a time from counts cached for the call, stopping at the first line
-that occurs once.  The flags, regions and record counts equal those of the
+One occurrence index over the whole old file serves every subproblem of a
+diff and is kept, never changed, on the old sequence for later diffs from it,
+such as a merge's second base diff.  It maps a token seen once to its
+position, a bare int read with one range test, and a repeated token to its
+ascending positions, so it allocates no list for a line seen once.  A
+repeated line's positions inside old[lo1:hi1] are bisected and copied only
+for a seed the gate (the larger of 64 and the lowest record count so far)
+lets through.  Runs are extended by ``core.common_prefix`` and
+``common_suffix``, once per diff for each seed and direction: a subproblem's
+box lies inside its parent's and sibling boxes are disjoint, so a seed's
+limit only shrinks, and its remembered run clamped to the current limit is
+exact.  A candidate's record count (its least occurrence count inside
+old[lo1:hi1]) is taken only when it can change the choice, one line at a
+time from counts cached for the call, stopping at the first line that occurs
+once there.  The flags, regions and record counts equal those of the
 per-subproblem rescan kept as the test reference ``histogram_reference``.  A
 call whose first seed already occurs more than 64 times, with no rarer common
 line after it, falls back at once.
@@ -53,20 +55,29 @@ class FallbackSignal(Exception):
     pass
 
 
-def scan_a(tokens: list[int]) -> dict[int, list[int]]:
-    """Map each token to its ascending positions within the old file."""
-    occ: dict[int, list[int]] = {}
+def scan_a(tokens: list[int]) -> dict[int, int | list[int]]:
+    """Map each token of the old file to its position if it occurs once, and
+    to its ascending positions if it is repeated."""
+    occ: dict[int, int | list[int]] = {}
     add = occ.setdefault
     for i, tok in enumerate(tokens):
-        add(tok, []).append(i)
+        p = add(tok, i)
+        if p is not i:  # setdefault returned an earlier entry: a repeated token
+            if p.__class__ is int:
+                occ[tok] = [p, i]
+            else:
+                p.append(i)
     return occ
 
 
-def _any_rare(tokens: list[int], occ: dict[int, list[int]], lo1: int, hi1: int, whole: bool) -> bool:
+def _any_rare(tokens: list[int], occ: dict[int, int | list[int]], lo1: int, hi1: int, whole: bool) -> bool:
     """Whether some token occurs 1 to MAX_OCCURRENCES times in old[lo1:hi1]."""
     for tok in set(tokens):
         positions = occ.get(tok)
-        if positions:
+        if positions.__class__ is int:
+            if lo1 <= positions < hi1:
+                return True
+        elif positions:
             count = len(positions) if whole else bisect_left(positions, hi1) - bisect_left(positions, lo1)
             if 0 < count <= MAX_OCCURRENCES:
                 return True
@@ -80,7 +91,7 @@ def find_split(
     hi1: int,
     lo2: int,
     hi2: int,
-    occ: dict[int, list[int]],
+    occ: dict[int, int | list[int]],
     runs: dict[int, int],
 ) -> Region | None:
     """Pick the split region for old[lo1:hi1] vs new[lo2:hi2]; ``occ`` is
@@ -105,7 +116,9 @@ def find_split(
     while b_ptr < hi2:
         b_next = b_ptr + 1
         positions = occ.get(b[b_ptr])
-        if positions and not whole:
+        if positions.__class__ is int:
+            positions = (positions,) if lo1 <= positions < hi1 else None
+        elif positions and not whole:
             lo, hi = bisect_left(positions, lo1), bisect_left(positions, hi1)
             # a seed over the gate is skipped below, so it is not copied
             positions = positions[lo:hi] if hi - lo <= gate else None
@@ -155,6 +168,9 @@ def find_split(
                             c = counts.get(tok)
                             if c is None:
                                 p = occ[tok]
+                                if p.__class__ is int:  # its one position is this line's
+                                    record_count = 1
+                                    break
                                 c = counts[tok] = len(p) if whole else bisect_left(p, hi1) - bisect_left(p, lo1)
                             if c < record_count:
                                 record_count = c

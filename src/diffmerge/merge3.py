@@ -4,7 +4,8 @@ The pipeline diffs the ancestor against each side, walks the two hunk lists
 through a six-case loop to build merge regions, shrinks conflicts as far as
 the style allows (zealous: merge splits them along a diff of their sides,
 zdiff3 trims common ends, diff3 keeps them whole as git's xdl_do_merge does)
-and renders them with conflict markers.
+and renders them with conflict markers.  Neither the input bytes nor the
+intern table's dict are held once the three files are interned.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def merge3(
     o = table.intern(o_data)
     left = table.intern(left_data)
     right = table.intern(right_data)
-    del table  # its dict is read by intern alone; the sequences keep its lines
+    del table, o_data, left_data, right_data  # only the sequences, and the lines they share, are read from here
 
     regions = merge_regions_pipeline(o, left, right, options)
     rendered = render(regions, o, left, right, options)

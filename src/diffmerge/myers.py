@@ -14,16 +14,17 @@ The frontiers are flat lists indexed by the diagonal (see ``_SearchEnv``),
 and a sweep tests for a meet only on the diagonals inside the other
 direction's band.  Outside the search, the passes over every line run at C
 speed: the unmatched-line flags and the kept lines the search sees are
-``map``/``compress`` pipelines, the map-back visits only the kept lines the
-search flags, and the frequent-line rule visits only the unmatched lines
-and the runs of frequent lines that touch them.
+``map``/``compress`` pipelines over a mask of kept lines, with no list of
+their positions; the map-back visits only the kept lines the search flags,
+and the frequent-line rule visits only the unmatched lines and the runs of
+frequent lines that touch them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import not_
 
 from .core import ChangedLines, DiffError, InternedSequence, common_prefix, common_suffix
@@ -366,12 +367,13 @@ def diff_myers(old: InternedSequence, new: InternedSequence, minimal: bool = Fal
 
     # the search sees only the kept lines: those between the common ends
     # that are not pre-flagged
-    keep_old = list(compress(range(lo, hi_old), map(not_, of[lo:hi_old])))
-    keep_new = list(compress(range(lo, hi_new), map(not_, nf[lo:hi_new])))
-    sub = myers_flags(list(map(old.tokens.__getitem__, keep_old)), list(map(new.tokens.__getitem__, keep_new)), minimal)
+    kept_old = list(map(not_, of[lo:hi_old]))
+    kept_new = list(map(not_, nf[lo:hi_new]))
+    sub = myers_flags(list(compress(islice(old.tokens, lo, hi_old), kept_old)),
+                      list(compress(islice(new.tokens, lo, hi_new), kept_new)), minimal)
     # a pre-flagged line stays flagged; a kept line takes the search's flag
-    for i in compress(keep_old, sub.old_flags):
+    for i in compress(compress(range(lo, hi_old), kept_old), sub.old_flags):
         of[i] = True
-    for j in compress(keep_new, sub.new_flags):
+    for j in compress(compress(range(lo, hi_new), kept_new), sub.new_flags):
         nf[j] = True
     return ChangedLines(of, nf)

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from diffmerge import graph as graph_mod
-from diffmerge.core import split_lines
 from diffmerge.graph import (
     CommitGraph,
     MergeStats,
@@ -432,7 +431,7 @@ def _hostile_edit(rng, cid, parent_tree):
         elif roll < 0.2:
             tree[path] = b""
         elif roll < 0.6:
-            lines = split_lines(tree.get(path, b""))
+            lines = reference.split_lines_reference(tree.get(path, b""))
             at = rng.randrange(len(lines) + 1)
             lines[at:at + rng.randrange(3)] = rng.choices(_HOSTILE_LINES, k=rng.randrange(4))
             blob = b"".join(lines)

@@ -16,7 +16,6 @@ from diffmerge.core import (
     common_suffix,
     flags_to_script,
     render_unified,
-    split_lines,
 )
 from diffmerge.engine import ALGORITHMS, diff_lines
 from diffmerge.slider import slide_changed_lines
@@ -50,10 +49,15 @@ def test_apply_script_rejects_a_script_that_does_not_fit(script):
 
 
 def test_split_lines_basics():
-    assert split_lines(b"") == []
-    assert split_lines(b"a\nb\na\n") == [b"a\n", b"b\n", b"a\n"]
-    assert split_lines(b"a\nb") == [b"a\n", b"b"]
-    assert split_lines(b"\n") == [b"\n"]
+    # interning splits on LF only and keeps each line's terminator
+    def split(data):
+        seq = InternTable().intern(data)
+        return list(map(seq.lines.__getitem__, seq.tokens))
+
+    assert split(b"") == []
+    assert split(b"a\nb\na\n") == [b"a\n", b"b\n", b"a\n"]
+    assert split(b"a\nb") == [b"a\n", b"b"]
+    assert split(b"\n") == [b"\n"]
 
 
 # Differential test against the first split and intern, kept in
@@ -76,7 +80,6 @@ def test_split_and_intern_match_reference():
         # the three files of one merge share one table
         table, ids, lines = InternTable(), {}, []
         for data in triple:
-            assert split_lines(data) == reference.split_lines_reference(data), data
             got, want = table.intern(data), reference.intern_reference(ids, lines, data)
             assert (got.tokens, got.lines) == (want.tokens, want.lines), triple
             assert got.lines is table.lines and got.to_bytes() == data, triple

@@ -23,7 +23,12 @@ def histogram_bad_family(k: int):
 
 
 def test_scan_a_positions():
-    assert scan_a(toks("aba")) == {ord("a"): [0, 2], ord("b"): [1]}
+    # a token seen once maps to its position as a bare int, a repeated one to
+    # its ascending positions
+    index = scan_a(toks("abacb"))
+    assert index == {ord("a"): [0, 2], ord("b"): [1, 4], ord("c"): 3}
+    assert type(index[ord("c")]) is int
+    assert scan_a(toks("x")) == {ord("x"): 0}
 
 
 def test_scan_a_empty():
@@ -298,6 +303,70 @@ def test_over_cap_corpus_reaches_fallback():
         a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
         fallbacks += _split_or_fallback(find_split, a, b, 0, len(a), 0, len(b), scan_a(a), {}) == "fallback"
     assert fallbacks > 0
+
+
+# scan_a keeps a token seen once as a bare int and a repeated one as a list.
+# find_split must read an int outside the box as absent, and a list with one
+# position inside the box as a count of 1, as the reference's rescan does.
+
+def test_unique_token_outside_the_box_seeds_nothing():
+    # 1 occurs once in old, at old[0], left of the box old[1:5]
+    a, b = [1, 2, 3, 4, 5], [1, 3, 4, 9]
+    assert scan_a(a)[1] == 0
+    want = Region(2, 3, 1, 2, 1)
+    assert reference.histogram_split_reference(a, b, 1, 5, 0, 4) == want
+    assert find_split(a, b, 1, 5, 0, 4, scan_a(a), {}) == want
+    # with no other common line there is no split at all
+    assert reference.histogram_split_reference(a, [1, 9], 1, 5, 0, 2) is None
+    assert find_split(a, [1, 9], 1, 5, 0, 2, scan_a(a), {}) is None
+    # nor does it count as a rare line that would stave off the fallback when
+    # the first seed occurs over the cap
+    a, b = [1] + [3] * 70, [3, 1]
+    with pytest.raises(FallbackSignal):
+        reference.histogram_split_reference(a, b, 1, 71, 0, 2)
+    with pytest.raises(FallbackSignal):
+        find_split(a, b, 1, 71, 0, 2, scan_a(a), {})
+
+
+def test_repeated_token_with_one_position_in_the_box_counts_once():
+    # 7 occurs three times in old, once inside old[1:4]; the region 8 8 (count
+    # 2 inside the box) comes first in new, and 7 5 (count 1) must replace it
+    a, b = [7, 8, 8, 7, 5, 7], [8, 8, 6, 7, 5]
+    assert scan_a(a)[7] == [0, 3, 5]
+    want = Region(3, 4, 3, 4, 1)
+    assert reference.histogram_split_reference(a, b, 1, 5, 0, 5) == want
+    assert find_split(a, b, 1, 5, 0, 5, scan_a(a), {}) == want
+
+
+def test_int_and_list_positions_match_reference_on_repeated_blocks():
+    # the repeated-block shape, scaled down: a block of old occurs 2 to 4
+    # times, with lines seen once between the copies, so random boxes keep
+    # one copy of a block line or leave a unique line outside
+    rng = random.Random("histogram-int-list")
+    outside = one_inside = 0
+    for _ in range(40):
+        block = [b"block %d\n" % i for i in range(rng.randrange(5, 40))]
+        old = []
+        for k in range(rng.randrange(2, 5)):
+            old += block + [b"once %d %d\n" % (k, i) for i in range(rng.randrange(4))]
+        new = _edited(rng, old, [b"new\n", rng.choice(block)], rng.randrange(1, 5))
+        _assert_same_flags(b"".join(old), b"".join(new))
+        _assert_same_flags(b"".join(new), b"".join(old))
+        table = InternTable()
+        a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
+        index = scan_a(a)
+        for _ in range(20):
+            lo1 = rng.randrange(len(a) + 1)
+            hi1 = rng.randrange(lo1, len(a) + 1)
+            lo2 = rng.randrange(len(b) + 1)
+            hi2 = rng.randrange(lo2, len(b) + 1)
+            want = _split_or_fallback(reference.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
+            assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index, {}) == want
+            positions = [index[t] for t in set(b[lo2:hi2]) if t in index]
+            outside += any(type(p) is int and not lo1 <= p < hi1 for p in positions)
+            one_inside += any(type(p) is list and sum(lo1 <= i < hi1 for i in p) == 1 for p in positions)
+    # both boundaries are reached many times
+    assert outside > 100 and one_inside > 100
 
 
 def test_paper_families_match_reference():
