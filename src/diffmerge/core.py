@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 
 class DiffError(Exception):
@@ -84,22 +85,32 @@ class ChangedLines:
         return sum(self.old_flags) + sum(self.new_flags)
 
 
-@dataclass(frozen=True)
-class Change:
-    """One hunk: old[start_old:end_old] was replaced by new[start_new:end_new].
-
-    Ranges are half-open and 0-based; an empty old range is a pure insertion,
-    an empty new range a pure deletion.
-    """
-
+class _ChangeFields(NamedTuple):
     start_old: int
     end_old: int
     start_new: int
     end_new: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start_old <= self.end_old and 0 <= self.start_new <= self.end_new):
-            raise RangeError(f"malformed change {self}")
+
+class Change(_ChangeFields):
+    """One hunk: old[start_old:end_old] was replaced by new[start_new:end_new].
+
+    Ranges are half-open and 0-based; an empty old range is a pure insertion,
+    an empty new range a pure deletion.  A tuple record: ``_make`` and
+    ``_replace`` build through ``__new__``, so every hunk's ranges are checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start_old: int, end_old: int, start_new: int, end_new: int) -> Change:
+        change = tuple.__new__(cls, (start_old, end_old, start_new, end_new))
+        if not (0 <= start_old <= end_old and 0 <= start_new <= end_new):
+            raise RangeError(f"malformed change {change}")
+        return change
+
+    @classmethod
+    def _make(cls, iterable) -> Change:
+        return cls(*iterable)
 
 
 def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> tuple[Change, ...]:

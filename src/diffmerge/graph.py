@@ -8,7 +8,9 @@ invocation of the recursive merge function is counted in MergeStats.
 
 Every commit carries its generation number, 1 + the largest generation of
 its parents (git's commit-graph topological level), so the graph holds O(N)
-state and each walk reads one commit lookup.  Merge bases come from git's
+state and each walk reads one commit lookup.  A commit is a tuple record, and
+add_commit checks the parents and takes their largest generation in one
+pass.  Merge bases come from git's
 paint_down_to_common walk, whose generation order leaves its candidates
 independent without git's remove_redundant check; rebase's ancestry
 question is one _Descent from the descendant, stopped at the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .merge3 import MergeOptions, merge3
 
@@ -45,8 +48,7 @@ class MultiParent(GraphError):
     """Operation cannot take a merge commit, one with several parents."""
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     id: str
     parents: tuple[str, ...]
     tree: dict[str, bytes]
@@ -83,17 +85,22 @@ class CommitGraph:
         tree: dict[str, bytes] | None = None,
         timestamp: int | None = None,
     ) -> Commit:
-        if cid in self.commits:
+        commits = self.commits
+        if cid in commits:
             raise GraphError(f"duplicate commit id {cid!r}")
         parents = tuple(parents)
+        top = 0  # the largest parent generation
         for p in parents:
-            if p not in self.commits:
+            parent = commits.get(p)
+            if parent is None:
                 raise UnknownCommit(f"parent {p!r} of {cid!r} does not exist")
+            if parent.generation > top:
+                top = parent.generation
+        next_ts = self._next_ts
         if timestamp is None:
-            timestamp = self._next_ts
-        self._next_ts = max(self._next_ts, timestamp) + 1
-        generation = 1 + max((self.commits[p].generation for p in parents), default=0)
-        commit = self.commits[cid] = Commit(cid, parents, dict(tree or {}), timestamp, generation)
+            timestamp = next_ts
+        self._next_ts = (timestamp if timestamp > next_ts else next_ts) + 1
+        commit = commits[cid] = Commit(cid, parents, dict(tree or {}), timestamp, top + 1)
         return commit
 
     def copy(self) -> CommitGraph:
@@ -267,7 +274,7 @@ def _merge_tree_pair(
     """Per-path three-way merge; returns (tree, conflicts)."""
     tree: dict[str, bytes] = {}
     conflicts: dict[str, bytes] = {}
-    for path in sorted(set(base) | set(left) | set(right)):
+    for path in sorted({*base, *left, *right}):
         b, l, r = base.get(path), left.get(path), right.get(path)
         if l == r:
             merged = l

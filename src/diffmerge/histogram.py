@@ -22,17 +22,20 @@ limit only shrinks, and its remembered run clamped to the current limit is
 exact.  A candidate's record count (its least occurrence count inside
 old[lo1:hi1]) is taken only when it can change the choice, one line at a
 time from counts cached for the call, stopping at the first line that occurs
-once there.  The flags, regions and record counts equal those of the
-per-subproblem rescan kept as the test reference ``histogram_reference``.  A
-call whose first seed already occurs more than 64 times, with no rarer common
-line after it, falls back at once.
+once there.  A candidate that matches neither new line beside its seed is
+that one line, with the seed's count, so it is skipped once the lowest count
+is no higher.  The flags, regions (tuple records) and record counts equal
+those of the per-subproblem rescan kept as the test reference
+``histogram_reference``.  A call whose first seed already occurs more than 64
+times, with no rarer common line after it, falls back at once; the lines
+after the seed are tried in order, each once, as the answer is usually near.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
 from .myers import myers_flags
@@ -40,8 +43,7 @@ from .myers import myers_flags
 MAX_OCCURRENCES = 64
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A maximal run of pairwise-equal lines; bounds are inclusive."""
 
     begin1: int
@@ -72,7 +74,11 @@ def scan_a(tokens: list[int]) -> dict[int, int | list[int]]:
 
 def _any_rare(tokens: list[int], occ: dict[int, int | list[int]], lo1: int, hi1: int, whole: bool) -> bool:
     """Whether some token occurs 1 to MAX_OCCURRENCES times in old[lo1:hi1]."""
-    for tok in set(tokens):
+    seen: set[int] = set()
+    for tok in tokens:
+        if tok in seen:
+            continue
+        seen.add(tok)
         positions = occ.get(tok)
         if positions.__class__ is int:
             if lo1 <= positions < hi1:
@@ -134,11 +140,17 @@ def find_split(
             # region whenever a unique line was seen first.
             if len(positions) <= gate:
                 region_end = lo1 - 1
+                before = b[b_ptr - 1] if b_ptr > lo2 else None  # None equals no token
+                after = b[b_ptr + 1] if b_ptr + 1 < hi2 else None
                 for apos in positions:
                     if apos <= region_end:
                         continue
+                    back = apos > lo1 and a[apos - 1] == before
+                    ahead = apos + 1 < hi1 and a[apos + 1] == after
+                    if not (back or ahead) and lowest <= len(positions):
+                        continue  # a one-line candidate no rarer than the best
                     begin1, begin2 = apos, b_ptr
-                    if apos > lo1 and b_ptr > lo2 and a[apos - 1] == b[b_ptr - 1]:
+                    if back:
                         key = ~(apos * stride + b_ptr)
                         k = runs.get(key)
                         if k is None:
@@ -148,7 +160,7 @@ def find_split(
                         begin1 -= k
                         begin2 -= k
                     end1, end2 = apos, b_ptr
-                    if apos + 1 < hi1 and b_ptr + 1 < hi2 and a[apos + 1] == b[b_ptr + 1]:
+                    if ahead:
                         key = apos * stride + b_ptr
                         k = runs.get(key)
                         if k is None:

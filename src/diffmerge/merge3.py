@@ -5,12 +5,14 @@ through a six-case loop to build merge regions, shrinks conflicts as far as
 the style allows (zealous: merge splits them along a diff of their sides,
 zdiff3 trims common ends, diff3 keeps them whole as git's xdl_do_merge does)
 and renders them with conflict markers.  Neither the input bytes nor the
-intern table's dict are held once the three files are interned.
+intern table's dict are held once the three files are interned.  Regions are
+tuple records, and a refined region is a ``_replace`` of the one it came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Change, InternedSequence, InternTable, common_prefix, common_suffix, flags_to_script
 from .engine import ALGORITHMS, diff_lines
@@ -33,8 +35,7 @@ class InvariantViolation(MergeError):
     """Computed merge regions are inverted, out of order or overlapping."""
 
 
-@dataclass(frozen=True)
-class MergeRegion:
+class MergeRegion(NamedTuple):
     start_a: int
     end_a: int
     start_l: int
@@ -176,22 +177,11 @@ def refine_zealous(
     sub_l = InternedSequence(left.tokens[region.start_l:region.end_l], left.lines)
     sub_r = InternedSequence(right.tokens[region.start_r:region.end_r], right.lines)
     flags = diff_lines(sub_l, sub_r, algorithm)
+    sl, sr = region.start_l, region.start_r
     pieces = []
-    first = True
-    for hunk in flags_to_script(flags, sub_l, sub_r):
-        sa, ea = (region.start_a, region.end_a) if first else (region.end_a, region.end_a)
-        first = False
-        pieces.append(
-            MergeRegion(
-                sa,
-                ea,
-                region.start_l + hunk.start_old,
-                region.start_l + hunk.end_old,
-                region.start_r + hunk.start_new,
-                region.start_r + hunk.end_new,
-                CONFLICT,
-            )
-        )
+    for start_old, end_old, start_new, end_new in flags_to_script(flags, sub_l, sub_r):
+        sa = region.end_a if pieces else region.start_a
+        pieces.append(MergeRegion(sa, region.end_a, sl + start_old, sl + end_old, sr + start_new, sr + end_new, CONFLICT))
     return pieces
 
 
@@ -201,7 +191,7 @@ def _demote_equal_sides(region: MergeRegion, left: InternedSequence, right: Inte
         region.kind == CONFLICT
         and left.tokens[region.start_l:region.end_l] == right.tokens[region.start_r:region.end_r]
     ):
-        return replace(region, kind=SAME)
+        return region._replace(kind=SAME)
     return region
 
 
@@ -209,9 +199,7 @@ def _trim_zdiff3(region: MergeRegion, o: InternedSequence, left: InternedSequenc
     """Drop line runs common to all three files from both ends of a conflict.
 
     A run common to all three is the shorter of the base-left and left-right runs."""
-    sa, ea = region.start_a, region.end_a
-    sl, el = region.start_l, region.end_l
-    sr, er = region.start_r, region.end_r
+    sa, ea, sl, el, sr, er, _kind = region
     a, l, r = o.tokens, left.tokens, right.tokens
     k = common_prefix(l, sl, r, sr, common_prefix(a, sa, l, sl, min(ea - sa, el - sl, er - sr)))
     sa, sl, sr = sa + k, sl + k, sr + k
@@ -288,7 +276,7 @@ def merge_regions_pipeline(
                 piece = _demote_equal_sides(piece, left, right)
                 prev = refined[-1] if refined else None
                 if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l < _REMERGE_GAP:
-                    refined[-1] = replace(prev, end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
+                    refined[-1] = prev._replace(end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
                 else:
                     refined.append(piece)
         regions = [_demote_equal_sides(r, left, right) for r in refined]

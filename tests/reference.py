@@ -113,6 +113,37 @@ def ancestors_reference(graph) -> dict[str, frozenset[str]]:
     return ancestors
 
 
+def generations_reference(parents_of: dict[str, tuple[str, ...]]) -> dict[str, int]:
+    """Each commit's generation by its definition, the length of its longest
+    path down to a root, counted in commits: every commit starts at 1 and is
+    raised past each parent until nothing changes, in no particular order."""
+    generation = dict.fromkeys(parents_of, 1)
+    changed = True
+    while changed:
+        changed = False
+        for cid, parents in parents_of.items():
+            for p in parents:
+                if generation[cid] <= generation[p]:
+                    generation[cid] = generation[p] + 1
+                    changed = True
+    return generation
+
+
+def timestamps_reference(given: list[int | None]) -> tuple[list[int], int]:
+    """The timestamps of commits added in order, each given or None, and the
+    default left after them.  The default starts at 0, a commit without a
+    timestamp takes it, and each addition moves it one past the larger of
+    itself and the timestamp taken."""
+    next_ts = 0
+    stamps = []
+    for ts in given:
+        if ts is None:
+            ts = next_ts
+        stamps.append(ts)
+        next_ts = max(next_ts, ts) + 1
+    return stamps, next_ts
+
+
 def lca_reference(ancestors_of, a: str, b: str) -> set[str]:
     """Common ancestors of a and b that are no ancestor of another common
     ancestor, by comparing every pair; ``ancestors_of(cid)`` includes cid."""

@@ -67,6 +67,38 @@ def query_pairs(rng, g, count=400, last=0):
     return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_add_commit_matches_reference(shape):
+    rng = random.Random(f"add-commit/{shape}")
+    parents_of = {cid: c.parents for cid, c in random_dag(rng, **SHAPES[shape]).commits.items()}
+    # explicit timestamps, out of order and some negative, among defaults
+    given = [rng.choice((None, rng.randrange(-20, 400))) for _ in parents_of]
+    g = CommitGraph()
+    for (cid, parents), ts in zip(parents_of.items(), given):
+        tree = {"f": cid.encode()}
+        assert g.add_commit(cid, list(parents), tree, ts) is g[cid]
+        tree["f"] = b"changed later"  # the commit keeps a copy
+    stamps, next_ts = reference.timestamps_reference(given)
+    generations = reference.generations_reference(parents_of)
+    assert g._next_ts == next_ts
+    for (cid, commit), ts in zip(g.commits.items(), stamps):
+        assert commit == graph_mod.Commit(cid, parents_of[cid], {"f": cid.encode()}, ts, generations[cid])
+        assert type(commit.parents) is tuple
+
+    # a failed addition changes nothing; a duplicate id is reported before
+    # its parents are looked at, and of the missing parents the first
+    known = rng.choice(list(parents_of))
+    before = (dict(g.commits), g._next_ts)
+    with pytest.raises(UnknownCommit, match="parent 'gone' of 'new'"):
+        g.add_commit("new", (known, "gone", "gone too"), {}, 10**6)
+    with pytest.raises(graph_mod.GraphError, match=f"duplicate commit id '{known}'") as excinfo:
+        g.add_commit(known, ("gone",), {}, 10**6)
+    assert excinfo.type is graph_mod.GraphError
+    assert (g.commits, g._next_ts) == before
+    leaf = g.add_commit("leaf", (known,))
+    assert (leaf.tree, leaf.timestamp, leaf.generation) == ({}, next_ts, generations[known] + 1)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_ancestry_matches_frozenset_reference(shape, seed):

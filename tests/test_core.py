@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -33,6 +35,37 @@ from checks import apply_unified  # noqa: E402
 def test_change_rejects_a_malformed_range(bounds):
     with pytest.raises(RangeError, match="malformed change"):
         Change(*bounds)
+
+
+_BUILDERS = {
+    "positional": lambda bounds: Change(*bounds),
+    "keywords": lambda bounds: Change(**dict(zip(Change._fields, bounds))),
+    "make": Change._make,
+    "replace": lambda bounds: Change(0, 0, 0, 0)._replace(**dict(zip(Change._fields, bounds))),
+    "copy": lambda bounds: copy.copy(tuple.__new__(Change, bounds)),
+    "pickle": lambda bounds: pickle.loads(pickle.dumps(tuple.__new__(Change, bounds))),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_BUILDERS))
+def test_every_way_of_building_a_change_checks_its_range(build):
+    # copy and pickle rebuild through __new__ from the record's fields; the
+    # unchecked tuple.__new__ only stands in for a record built elsewhere
+    assert _BUILDERS[build]((1, 2, 3, 4)) == Change(1, 2, 3, 4)
+    for bounds in [(2, 1, 0, 0), (0, 0, 3, 2), (-1, 0, 0, 0), (0, 0, -1, 0)]:
+        with pytest.raises(RangeError, match=r"malformed change Change\(start_old="):
+            _BUILDERS[build](bounds)
+
+
+def test_change_is_an_immutable_record():
+    change = Change(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        change.start_old = 0
+    with pytest.raises(AttributeError):
+        change.note = "no other attribute either"
+    assert change == Change(1, 2, 3, 4) and hash(change) == hash(Change(1, 2, 3, 4))
+    assert change != Change(1, 2, 3, 5)
+    assert repr(change) == "Change(start_old=1, end_old=2, start_new=3, end_new=4)"
 
 
 @pytest.mark.parametrize("script", [

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from diffmerge.graph import (
+    Commit,
     CommitGraph,
     GraphError,
     MergeStats,
@@ -30,6 +31,21 @@ def test_add_commit_validates_parents():
     g = CommitGraph()
     with pytest.raises(UnknownCommit):
         g.add_commit("x", ("missing",))
+
+
+def test_commit_is_an_immutable_record():
+    g = linear_graph()
+    commit = g["c2"]
+    with pytest.raises(AttributeError):
+        commit.generation = 5
+    with pytest.raises(AttributeError):
+        commit.note = "no other attribute either"
+    assert commit == Commit("c2", ("c1",), {"f": b"one\ntwo\n"}, 1, 2)
+    assert commit != Commit("c2", ("c1",), {"f": b"one\ntwo\n"}, 1, 3)
+    assert repr(commit) == "Commit(id='c2', parents=('c1',), tree={'f': b'one\\ntwo\\n'}, timestamp=1, generation=2)"
+    # its tree is a dict, so a commit is not hashable, as before
+    with pytest.raises(TypeError):
+        hash(commit)
 
 
 def test_lca_linear_chain():

@@ -526,3 +526,76 @@ def test_nested_call_clamps_the_remembered_runs(monkeypatch):
     assert want == Region(2, 6, 3, 7, 1)
     assert find_split(a, b, *sub, index, runs) == want
     assert not [m for m in measured[len(outer):] if m[1] == (4, 5)]
+
+
+def test_region_is_an_immutable_record():
+    region = Region(1, 2, 3, 4, 5)
+    with pytest.raises(AttributeError):
+        region.record_count = 1
+    with pytest.raises(AttributeError):
+        region.note = "no other attribute either"
+    assert region == Region(1, 2, 3, 4, 5) and hash(region) == hash(Region(1, 2, 3, 4, 5))
+    assert region != Region(1, 2, 3, 4, 6)
+    assert repr(region) == "Region(begin1=1, end1=2, begin2=3, end2=4, record_count=5)"
+
+
+# find_split skips a one-line candidate (one that matches neither the new
+# line before its seed nor the one after) once the lowest record count is at
+# most its own, len(positions); before that it must still be taken.
+
+def test_rarer_one_line_candidate_after_a_longer_region_wins():
+    # 7 8 (each twice in old) is found first, with record count 2; the
+    # one-line candidate 5 (once in old) comes later and is rarer
+    a = [7, 8, 1, 5, 2, 7, 8]
+    b = [7, 8, 3, 5, 4]
+    want = Region(3, 3, 3, 3, 1)
+    assert reference.histogram_split_reference(a, b, 0, len(a), 0, len(b)) == want
+    assert find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {}) == want
+    # an equally rare one-line candidate does not replace the region
+    a = [7, 8, 1, 5, 2, 5, 7, 8]
+    want = Region(0, 1, 0, 1, 2)
+    assert reference.histogram_split_reference(a, b, 0, len(a), 0, len(b)) == want
+    assert find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {}) == want
+
+
+def test_one_line_candidates_match_reference():
+    # lines drawn with skewed weights from a small alphabet, so that most
+    # matches are one line long and their record counts vary
+    rng = random.Random("histogram-one-line")
+    later_one_line_wins = 0
+    for _ in range(120):
+        alphabet = [b"%d\n" % i for i in range(rng.randrange(4, 40))]
+        weights = [1 / (i + 1) for i in range(len(alphabet))]
+        old = rng.choices(alphabet, weights, k=rng.randrange(100))
+        new = rng.choices(alphabet, weights, k=rng.randrange(100))
+        _assert_same_flags(b"".join(old), b"".join(new))
+        _assert_same_flags(b"".join(new), b"".join(old))
+        table = InternTable()
+        a, b = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
+        index = scan_a(a)
+        for _ in range(15):
+            lo1 = rng.randrange(len(a) + 1)
+            hi1 = rng.randrange(lo1, len(a) + 1)
+            lo2 = rng.randrange(len(b) + 1)
+            hi2 = rng.randrange(lo2, len(b) + 1)
+            want = _split_or_fallback(reference.histogram_split_reference, a, b, lo1, hi1, lo2, hi2)
+            assert _split_or_fallback(find_split, a, b, lo1, hi1, lo2, hi2, index, {}) == want
+            # a one-line winner seeded after an earlier common line: a best
+            # existed when its seed was reached, with a higher record count
+            if isinstance(want, Region) and want.begin1 == want.end1:
+                box = set(a[lo1:hi1])
+                later_one_line_wins += any(t in box for t in b[lo2:want.begin2])
+    assert later_one_line_wins > 100
+
+
+def test_early_fallback_reads_the_rest_of_new_in_order():
+    # 1 and 2 alternate 70 times each in old (over the cap); 5 occurs once,
+    # at its end.  new opens with the over-cap lines, so the first seed asks
+    # whether any later line of new is rare in the box
+    a = [1, 2] * 70 + [5]
+    for tail in ([5], [5, 1, 2], [1, 2] * 30 + [5], [6], []):
+        b = [1, 2] * 40 + tail
+        for hi1 in (len(a), len(a) - 1):  # the box old[0:140] leaves the 5 outside
+            want = _split_or_fallback(reference.histogram_split_reference, a, b, 0, hi1, 0, len(b))
+            assert _split_or_fallback(find_split, a, b, 0, hi1, 0, len(b), scan_a(a), {}) == want
+            assert (want == "fallback") == (5 not in tail or hi1 < len(a))

@@ -481,3 +481,16 @@ def test_trim_zdiff3_matches_reference():
     for region, o, left, right in cases:
         got = _trim_zdiff3(region, o, left, right)
         assert got == reference.trim_zdiff3_reference(region, o, left, right), (region, o.tokens, left.tokens, right.tokens)
+
+
+def test_merge_region_is_an_immutable_record():
+    region = MergeRegion(0, 1, 0, 2, 0, 3, CONFLICT)
+    with pytest.raises(AttributeError):
+        region.kind = SAME
+    with pytest.raises(AttributeError):
+        region.note = "no other attribute either"
+    same = MergeRegion(0, 1, 0, 2, 0, 3, CONFLICT)
+    assert region == same and hash(region) == hash(same)
+    assert region != MergeRegion(0, 1, 0, 2, 0, 3, SAME)
+    assert region._replace(kind=SAME) == MergeRegion(0, 1, 0, 2, 0, 3, SAME)
+    assert repr(region) == "MergeRegion(start_a=0, end_a=1, start_l=0, end_l=2, start_r=0, end_r=3, kind='conflict')"
