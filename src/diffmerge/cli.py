@@ -8,6 +8,7 @@ internal faults (a ``DiffError`` raised by an engine's own checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,7 +135,10 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # cached: building the parser costs some thirty times what parsing does, so
+    # a process builds it once, on first use; each parse returns a fresh Namespace
     parser = argparse.ArgumentParser(prog="diffmerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -177,18 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    # Building the parser costs some thirty times what parsing does, so one
-    # process builds it once, on first use; each parse returns a fresh
-    # Namespace.
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize to the documented code
         return EXIT_ERROR if exc.code else EXIT_CLEAN

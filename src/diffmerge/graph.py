@@ -68,10 +68,6 @@ class MergeResult:
     conflicts: dict[str, bytes]
     stats: MergeStats
 
-    @property
-    def clean(self) -> bool:
-        return self.kind != "conflict"
-
 
 class CommitGraph:
     def __init__(self) -> None:
@@ -452,7 +448,6 @@ def rebase(
     ancestor of ``onto`` replays down to its root, which adds its tree.  A
     merge commit on the chain raises ``MultiParent``, naming the oldest one,
     before any pick adds a commit to the graph."""
-    options = options or MergeOptions()
     below_onto = _Descent([graph[onto].id], graph.commits)
     chain = []
     commit = graph[branch_head]

@@ -157,6 +157,11 @@ def _check_ordering(regions: list[MergeRegion]) -> None:
         end_a, end_l, end_r = r.end_a, r.end_l, r.end_r
 
 
+def _hunks(old: InternedSequence, new: InternedSequence, algorithm: str) -> tuple[Change, ...]:
+    """The one place a merge turns a diff into hunks, through this module's own names."""
+    return flags_to_script(diff_lines(old, new, algorithm), old, new)
+
+
 def refine_zealous(
     region: MergeRegion,
     left: InternedSequence,
@@ -176,10 +181,9 @@ def refine_zealous(
 
     sub_l = InternedSequence(left.tokens[region.start_l:region.end_l], left.lines)
     sub_r = InternedSequence(right.tokens[region.start_r:region.end_r], right.lines)
-    flags = diff_lines(sub_l, sub_r, algorithm)
     sl, sr = region.start_l, region.start_r
     pieces = []
-    for start_old, end_old, start_new, end_new in flags_to_script(flags, sub_l, sub_r):
+    for start_old, end_old, start_new, end_new in _hunks(sub_l, sub_r, algorithm):
         sa = region.end_a if pieces else region.start_a
         pieces.append(MergeRegion(sa, region.end_a, sl + start_old, sl + end_old, sr + start_new, sr + end_new, CONFLICT))
     return pieces
@@ -262,11 +266,9 @@ def merge_regions_pipeline(
     right: InternedSequence,
     options: MergeOptions,
 ) -> list[MergeRegion]:
-    flags_l = diff_lines(o, left, options.algorithm)
-    flags_r = diff_lines(o, right, options.algorithm)
+    script_l = _hunks(o, left, options.algorithm)
+    script_r = _hunks(o, right, options.algorithm)
     o.occurrence_index = None  # read by the base diffs only; freed before rendering
-    script_l = flags_to_script(flags_l, o, left)
-    script_r = flags_to_script(flags_r, o, right)
     regions = compute_merge_regions(script_l, script_r, left, right, len(o))
 
     if options.zealous and options.style == "merge":

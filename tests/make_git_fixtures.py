@@ -1,0 +1,195 @@
+"""Write tests/git_fixtures.json: what git's own diff and merge-file give on
+seeded small inputs, for tests/test_git_parity.py, which never calls git.
+
+    python tests/make_git_fixtures.py             # run git, record everything
+    python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
+                                                  # which cases diffmerge matches
+
+Both modes compute, with the diffmerge under src/, the cases whose output
+equals git's; the parity test asserts that exactly those match, so a change
+that gains or loses a case re-records with --rematch and says why.  git runs
+with no system or global configuration, in a scratch directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from diffmerge.core import InternTable  # noqa: E402
+from diffmerge.engine import ALGORITHMS, diff_lines  # noqa: E402
+from diffmerge.merge3 import STYLES, MergeOptions, merge3  # noqa: E402
+from diffmerge.slider import slide_changed_lines  # noqa: E402
+
+FIXTURES = HERE / "git_fixtures.json"
+
+# nine source-like lines, blank, brace and indented ones among them
+ALPHABET = [b"\n", b"{\n", b"}\n", b"f() {\n", b"  x;\n", b"  y;\n", b"  if (a) {\n", b"    b();\n", b"  return;\n"]
+MERGE_SEED, MERGE_CASES = 25, 300
+DIFF_SEED, DIFF_CASES = 26, 200
+
+MERGE_COMMAND = "git merge-file -p {flag}-L ours -L base -L theirs ours base theirs"
+MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
+DIFF_COMMAND = "git diff --no-index --no-color --no-ext-diff -U0 --diff-algorithm={algorithm} --{heuristic} old new"
+HEURISTICS = ("indent-heuristic", "no-indent-heuristic")
+DIFF_SETTINGS = [f"{algorithm}/{heuristic}" for algorithm in ALGORITHMS for heuristic in HEURISTICS]
+
+
+def _lines(rng: random.Random, lo: int, hi: int) -> list[bytes]:
+    return [rng.choice(ALPHABET) for _ in range(rng.randint(lo, hi))]
+
+
+def _edited(rng: random.Random, lines: list[bytes]) -> list[bytes]:
+    """1-3 edits: a run of up to two lines deleted, replaced, or inserted."""
+    out = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(out) + 1)
+        out[at:at + rng.randint(0, 2)] = _lines(rng, 0 if out else 1, 2)
+    return out
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def unb64(text: str) -> bytes:
+    return base64.b64decode(text, validate=True)
+
+
+def merge_inputs() -> list[tuple[str, bytes, bytes, bytes]]:
+    rng = random.Random(MERGE_SEED)
+    cases = []
+    for i in range(MERGE_CASES):
+        base = _lines(rng, 3, 9)
+        ours, theirs = _edited(rng, base), _edited(rng, base)
+        cases.append((f"t{i:03d}", b"".join(base), b"".join(ours), b"".join(theirs)))
+    return cases
+
+
+def diff_inputs() -> list[tuple[str, bytes, bytes]]:
+    rng = random.Random(DIFF_SEED)
+    cases = []
+    for i in range(DIFF_CASES):
+        old = _lines(rng, 3, 9)
+        cases.append((f"p{i:03d}", b"".join(old), b"".join(_edited(rng, old))))
+    return cases
+
+
+_HUNK = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
+
+
+def changed_lines(unified: bytes) -> list[list[int]]:
+    """0-based changed line numbers of old and new, from -U0 hunk headers."""
+    old, new = [], []
+    for match in _HUNK.finditer(unified):
+        for start, count, out in ((match[1], match[2], old), (match[3], match[4], new)):
+            count = 1 if count is None else int(count)
+            out.extend(range(int(start) - 1, int(start) - 1 + count))
+    return [old, new]
+
+
+def _git(args: list[str], cwd: str, ok: tuple[int, ...]) -> bytes:
+    env = dict(os.environ, GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull, HOME=cwd, LC_ALL="C")
+    done = subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True, check=False)
+    if done.returncode not in ok:
+        raise SystemExit(f"git {' '.join(args)} exited {done.returncode}: {done.stderr.decode(errors='replace')}")
+    return done.stdout
+
+
+def record_git() -> dict:
+    with tempfile.TemporaryDirectory() as cwd:
+        version = _git(["--version"], cwd, (0,)).decode().strip()
+        merges = []
+        for key, base, ours, theirs in merge_inputs():
+            for name, data in (("base", base), ("ours", ours), ("theirs", theirs)):
+                Path(cwd, name).write_bytes(data)
+            git = {}
+            for style, flag in MERGE_FLAGS.items():
+                # the exit code is the number of conflicts, capped at 127
+                git[style] = _b64(_git(MERGE_COMMAND.format(flag=flag).split()[1:], cwd, tuple(range(128))))
+            merges.append({"key": key, "base": _b64(base), "ours": _b64(ours), "theirs": _b64(theirs), "git": git})
+        diffs = []
+        for key, old, new in diff_inputs():
+            Path(cwd, "old").write_bytes(old)
+            Path(cwd, "new").write_bytes(new)
+            git = {}
+            for setting in DIFF_SETTINGS:
+                algorithm, heuristic = setting.split("/")
+                command = DIFF_COMMAND.format(algorithm=algorithm, heuristic=heuristic)
+                git[setting] = changed_lines(_git(command.split()[1:], cwd, (0, 1)))
+            diffs.append({"key": key, "old": _b64(old), "new": _b64(new), "git": git})
+    return {
+        "git_version": version,
+        "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND},
+        "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
+        "merge_styles": MERGE_FLAGS,
+        "merge": merges,
+        "diff": diffs,
+    }
+
+
+def diffmerge_merge(case: dict, style: str) -> bytes:
+    options = MergeOptions(algorithm="myers", style=style)
+    return merge3(unb64(case["base"]), unb64(case["ours"]), unb64(case["theirs"]), options).rendered
+
+
+def diffmerge_changed_lines(case: dict, setting: str) -> list[list[int]]:
+    algorithm, heuristic = setting.split("/")
+    table = InternTable()
+    old, new = table.intern(unb64(case["old"])), table.intern(unb64(case["new"]))
+    flags = diff_lines(old, new, algorithm)
+    if heuristic == "indent-heuristic":
+        flags = slide_changed_lines(flags, old, new)
+    return [[i for i, f in enumerate(side) if f] for side in (flags.old_flags, flags.new_flags)]
+
+
+SETTINGS = [f"merge-file {style}" for style in STYLES] + [f"diff {setting}" for setting in DIFF_SETTINGS]
+
+
+def matches(fixtures: dict, setting: str) -> list[str]:
+    """Keys of the cases where diffmerge, under one of SETTINGS, gives git's output."""
+    command, option = setting.split(" ")
+    if command == "merge-file":
+        return [case["key"] for case in fixtures["merge"] if diffmerge_merge(case, option) == unb64(case["git"][option])]
+    return [case["key"] for case in fixtures["diff"] if diffmerge_changed_lines(case, option) == case["git"][option]]
+
+
+def _dump(fixtures: dict) -> str:
+    """JSON with one case, or one setting's matches, a line, so a re-recording diffs line by line."""
+    entries = []
+    for key, value in sorted(fixtures.items()):
+        if isinstance(value, list):
+            value = "[\n" + ",\n".join(json.dumps(item, sort_keys=True) for item in value) + "\n]"
+        elif key == "matching":
+            value = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in value.items()) + "\n}"
+        else:
+            value = json.dumps(value, sort_keys=True)
+        entries.append(f"{json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--rematch", action="store_true", help="keep the recorded git outputs; re-record the matches")
+    args = parser.parse_args()
+    fixtures = json.loads(FIXTURES.read_text()) if args.rematch else record_git()
+    fixtures["matching"] = {setting: matches(fixtures, setting) for setting in SETTINGS}
+    FIXTURES.write_text(_dump(fixtures))
+    for name, keys in fixtures["matching"].items():
+        total = len(fixtures["merge" if name.startswith("merge") else "diff"])
+        print(f"{name}: {len(keys)} / {total}")
+
+
+if __name__ == "__main__":
+    main()

@@ -414,7 +414,7 @@ def test_usage_error_exit_three():
     assert main(["diff"]) == 3
 
 
-def test_main_keeps_no_value_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+def test_main_keeps_no_value_from_one_call_to_the_next(tmp_path, capsys):
     # main builds its parser once per process; every call must still see only
     # its own arguments.  Each output is compared with a run on a new parser.
     from diffmerge import cli
@@ -440,14 +440,14 @@ def test_main_keeps_no_value_from_one_call_to_the_next(tmp_path, capsys, monkeyp
         return code, capsys.readouterr()
 
     outputs = [run(argv) for argv in argvs]
-    parser = cli._parser
+    parser = cli.build_parser()
     assert parser is not None
     main(["diff", old, old])
-    assert cli._parser is parser
+    assert cli.build_parser() is parser
     # the flags change the output, so a value kept from an earlier call shows
     assert outputs[0] != outputs[1] and outputs[2] != outputs[3] and outputs[5] != outputs[6]
     assert "<<<<<<< mine" in outputs[2][1].out and "<<<<<<< ours" in outputs[3][1].out
     assert outputs[1] == outputs[6]
     for argv, output in zip(argvs, outputs):
-        monkeypatch.setattr(cli, "_parser", None)
+        cli.build_parser.cache_clear()
         assert run(argv) == output, argv

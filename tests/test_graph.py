@@ -33,6 +33,13 @@ def test_add_commit_validates_parents():
         g.add_commit("x", ("missing",))
 
 
+def test_membership_tests_the_commit_ids():
+    # without __contains__, `in` would fall back to __getitem__(0) and raise
+    g = linear_graph()
+    assert "c1" in g and "c2" in g
+    assert "c3" not in g
+
+
 def test_commit_is_an_immutable_record():
     g = linear_graph()
     commit = g["c2"]
