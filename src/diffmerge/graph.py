@@ -20,10 +20,11 @@ generation.
 
 A virtual base is never an ancestor of a real commit, so the merge bases
 of the bases folded so far and the next one are those of the real commits
-folded: one walk paints them all as its start.  Within one merge each
-answer is remembered, so in the exponential family 2n + 1 walks answer all
-2**n + 1 recursive calls.  The call count itself still doubles per block,
-as in git, and the memo ends with its merge.
+folded: one walk paints them all as its start.  Within one merge the fold
+of a base list is remembered, so the exponential family performs 2n + 1
+merges and walks, where git's ort makes 2**n + 1 recursive calls.
+merge_calls still counts git's calls, merges_performed the merges made,
+and the memo ends with its merge.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class Commit(NamedTuple):
 
 @dataclass
 class MergeStats:
-    merge_calls: int = 0
+    merge_calls: int = 0  # recursive merge calls, as git's ort makes them
+    merges_performed: int = 0  # of which run, not answered by the fold memo
 
 
 @dataclass
@@ -234,13 +236,14 @@ def _check_record(rec) -> None:
 
 @dataclass
 class _MergeContext:
-    """Per-merge scratch state: the merge-base memo lives here, not in the graph."""
+    """Per-merge scratch state: the fold memo lives here, not in the graph."""
 
     graph: CommitGraph
     stats: MergeStats
     options: MergeOptions
-    # (a, b) -> _lca(ctx, a, b)
-    bases: dict[tuple[frozenset[str], str], list[str]] = field(default_factory=dict)
+    # tuple(bases) -> (_fold_bases(ctx, bases), the merge calls it made); a
+    # conflict marker size that grew with recursion depth would join the key
+    folds: dict[tuple[str, ...], tuple[dict[str, bytes], int]] = field(default_factory=dict)
 
 
 def lowest_common_ancestors(graph: CommitGraph, a: str, b: str) -> set[str]:
@@ -252,13 +255,9 @@ def _lca(ctx: _MergeContext, a: frozenset[str], b: str) -> list[str]:
     """Merge bases of the commits a, taken together, and b, newest first.
     The entry points reject unknown heads, and every id a walk reaches is a
     parent of a known commit, so this reads the commit map directly."""
-    bases = ctx.bases.get((a, b))
-    if bases is None:
-        commits = ctx.graph.commits
-        # descending creation time; id breaks ties deterministically
-        bases = sorted(_merge_bases(a, b, commits), key=lambda cid: (-commits[cid].timestamp, cid))
-        ctx.bases[a, b] = bases
-    return bases
+    commits = ctx.graph.commits
+    # descending creation time; id breaks ties deterministically
+    return sorted(_merge_bases(a, b, commits), key=lambda cid: (-commits[cid].timestamp, cid))
 
 
 def _merge_tree_pair(
@@ -295,18 +294,27 @@ def _merge_recursive(
     """The recursive merge function: two trees over their ordered merge
     bases; every invocation counts."""
     ctx.stats.merge_calls += 1
+    ctx.stats.merges_performed += 1
     return _merge_tree_pair(ctx.options, _fold_bases(ctx, bases), left, right)
 
 
 def _fold_bases(ctx: _MergeContext, bases: list[str]) -> dict[str, bytes]:
-    """Tree of the merge bases folded pairwise, in order, into one virtual base."""
-    if not bases:
-        return {}
-    commits = ctx.graph.commits
+    """Tree of the merge bases folded pairwise, in order, into one virtual base.
+    Within one merge the fold is a function of the base list, so a list met
+    again returns its tree and counts once more the merge calls it made."""
+    if len(bases) < 2:
+        return ctx.graph.commits[bases[0]].tree if bases else {}
+    key = tuple(bases)
+    if key in ctx.folds:
+        tree, calls = ctx.folds[key]
+        ctx.stats.merge_calls += calls
+        return tree
+    commits, calls = ctx.graph.commits, ctx.stats.merge_calls
     tree = commits[bases[0]].tree
     for i, nxt in enumerate(bases[1:], 1):
         # conflict markers, if any, stay in the virtual base's blobs
         tree, _conflicts = _merge_recursive(ctx, tree, commits[nxt].tree, _lca(ctx, frozenset(bases[:i]), nxt))
+    ctx.folds[key] = tree, ctx.stats.merge_calls - calls
     return tree
 
 

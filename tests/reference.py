@@ -207,7 +207,9 @@ def virtual_lca(ctx: VirtualMergeContext, a: str, b: str) -> list[str]:
 
 
 def _merge_recursive_virtual(ctx: VirtualMergeContext, a: str, b: str, bases: list[str]):
+    # git's ort: every call performs its merge
     ctx.stats.merge_calls += 1
+    ctx.stats.merges_performed += 1
     base_tree = _fold_bases_virtual(ctx, bases)
     return graph_mod._merge_tree_pair(ctx.options, base_tree, ctx.commits[a].tree, ctx.commits[b].tree)
 

@@ -1,5 +1,6 @@
 """Generation-number ancestry and rebase against the references in reference.py."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -216,14 +217,14 @@ def test_merges_match_reference_lca_through_virtual_commits(monkeypatch, seed):
 
 
 def _checked_lca(monkeypatch):
-    """Make every graph._lca call compare the memo's answer with the walk's
-    from frozensets as it runs; returns the list of the calls' (a, b), a
-    being the set of real commits folded so far."""
+    """Make every graph._lca call compare its answer with the one from
+    frozensets as it runs; returns the list of the calls' (a, b), a being
+    the set of real commits folded so far."""
     calls = []
-    memo_lca = graph_mod._lca
+    walk_lca = graph_mod._lca
 
     def lca(ctx, a, b):
-        got = memo_lca(ctx, a, b)
+        got = walk_lca(ctx, a, b)
         assert got == _reference_lca(ctx, a, b), (a, b)
         calls.append((a, b))
         return got
@@ -248,20 +249,22 @@ def test_remembered_merge_bases_equal_the_walk_on_the_exponential_family(monkeyp
     for n in range(11):
         g, a, b = build_exponential_graph(n)
         before = len(calls)
-        assert merge_commits(g.copy(), a, b).stats.merge_calls == 2**n + 1
-        # one lookup per recursive call
-        assert len(calls) - before == 2**n + 1
+        stats = merge_commits(g.copy(), a, b).stats
+        assert stats.merge_calls == 2**n + 1
+        # one lookup per merge performed: each distinct base list is folded once
+        assert len(calls) - before == stats.merges_performed == (2 * n + 1 if n else 2)
         merge_base_recursive(g, a, b)
 
 
 def _fold_outcomes(g, pairs, merge=merge_commits, merge_base=merge_base_recursive):
-    """Each pair's merge outcome, and its merge base tree with the stats of
-    that fold."""
+    """Each pair's merge outcome, and its merge base tree with the merge
+    calls of that fold (git's count; the merges performed are the engine's
+    own)."""
     outcomes = []
     for a, b in pairs:
         stats = MergeStats()
         base_tree = merge_base(g, a, b, stats)
-        outcomes.append((_merge_outcome(g, a, b, merge), base_tree, stats))
+        outcomes.append((_merge_outcome(g, a, b, merge), base_tree, stats.merge_calls))
     return outcomes
 
 
@@ -299,7 +302,7 @@ def _distinct_tree_family(n):
     return g, a, b
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_distinct_tree_family_folds_like_virtual_commits(monkeypatch, n):
     g, a, b = _distinct_tree_family(n)
     calls = _checked_lca(monkeypatch)
@@ -307,13 +310,100 @@ def test_distinct_tree_family_folds_like_virtual_commits(monkeypatch, n):
     merge3 = graph_mod.merge3
     monkeypatch.setattr(graph_mod, "merge3", lambda *args: merged.append(args) or merge3(*args))
     result = merge_commits(g.copy(), a, b)
-    assert result.kind == ("conflict" if n in (3, 6) else "clean")
-    assert result.stats.merge_calls == len(calls) == 2**n + 1
-    # lookups from a fold of two or more bases: one per (A, B) -> C step
-    assert sum(len(folded) > 1 for folded, _b in calls) == 2 ** (n - 1) - 1
+    assert result.kind == ("conflict" if n in (3, 6, 10) else "clean")
+    assert result.stats.merge_calls == 2**n + 1
+    # one lookup per merge performed: each distinct base list is folded once
+    assert len(calls) == result.stats.merges_performed == 2 * n + 1
+    # lookups from a fold of two or more bases: one per distinct (A, B) -> C step
+    assert sum(len(folded) > 1 for folded, _b in calls) == n - 1
     # the outer merge has three paths, so more merge3 calls come from folds
     assert len(merged) > 3 or n == 1
     _check_fold_against_virtual_commits(g, [(a, b)])
+
+
+def _fold_memo_dag():
+    """A criss-cross DAG whose heads H1 and H2 have four merge bases.
+
+    Folding [X, Y, Z, W] folds [P, Q], then [P, R], then [P, Q] again: a
+    hit, and two lists with one prefix.  [P, Q] merges f = c / c c / a c c
+    (base, P, Q), which gives a c c c under myers and a c c under
+    histogram, so the virtual base depends on the options; the trees of X,
+    Y, Z, W and the heads carry that difference, and the difference
+    between [P, R] and [P, Q] on g, to the merged tree."""
+    g = CommitGraph()
+    for cid, parents, f, gfile in [
+        ("O", (), "c", "0"),
+        ("Q", ("O",), "a c c", "0"),
+        ("R", ("O",), "c", "r"),
+        ("P", ("O",), "c c", "0"),
+        ("W", ("P", "Q"), "a c c", "0"),
+        ("Z", ("P", "R"), "c c", "r"),
+        ("Y", ("P", "Q"), "a c c", "0"),
+        ("X", ("P", "Q", "R"), "a c c c", "0"),
+        ("H1", ("X", "Y", "Z", "W"), "a c c", "0"),
+        ("H2", ("X", "Y", "Z", "W"), "a c c c", "h"),
+    ]:
+        g.add_commit(cid, parents, {path: "".join(f"{line}\n" for line in text.split()).encode()
+                                    for path, text in (("f", f), ("g", gfile))})
+    return g
+
+
+def test_fold_memo_lives_in_one_merge_and_is_keyed_by_the_whole_base_list(monkeypatch):
+    # A memo kept across merges gives the second merge the first one's
+    # virtual bases; a hit that does not count its calls again reports 6
+    # calls, not 7; a key of bases[:-1] takes [P, Q]'s fold for [P, R].  A
+    # frozenset(bases) key would be equivalent: within one merge the bases
+    # are a fixed sort of their set.
+    g = _fold_memo_dag()
+    folds = []
+    fold = graph_mod._fold_bases
+    monkeypatch.setattr(graph_mod, "_fold_bases", lambda ctx, bases: folds.append(bases) or fold(ctx, bases))
+    outcomes = {}
+    for algorithm in ("myers", "histogram"):
+        options = MergeOptions(algorithm=algorithm)
+        del folds[:]
+        got = merge_commits(g.copy(), "H1", "H2", options)
+        want = reference.merge_commits_reference(g.copy(), "H1", "H2", options)
+        assert (got.kind, got.commit, got.stats.merge_calls) == (want.kind, want.commit, 7), algorithm
+        assert folds == [["X", "Y", "Z", "W"], ["P", "Q"], ["O"], ["P", "R"], ["O"], ["P", "Q"]]
+        assert got.stats.merges_performed == 6
+        assert merge_base_recursive(g, "H1", "H2", options=options) == reference.merge_base_recursive_reference(
+            g, "H1", "H2", options=options), algorithm
+        outcomes[algorithm] = got.commit.tree
+    assert outcomes == {"myers": {"f": b"a\nc\nc\nc\n", "g": b"h\n"}, "histogram": {"f": b"a\nc\nc\n", "g": b"h\n"}}
+
+
+def _family_outcome(shape, n):
+    """(kind, merge_calls, sha256 of the merged tree and the conflicts) of
+    merging the heads of the identical- or distinct-tree family."""
+    g, a, b = build_exponential_graph(n) if shape == "identical" else _distinct_tree_family(n)
+    result = merge_commits(g, a, b)
+    tree = result.commit.tree if result.commit is not None else {}
+    digest = hashlib.sha256(repr((sorted(tree.items()), sorted(result.conflicts.items()))).encode())
+    return result.kind, result.stats.merge_calls, digest.hexdigest()
+
+
+# The reference fold takes seconds from n = 13 on, so these outcomes were
+# recorded once from the code of commit 887cbb8, which performed all
+# 2**n + 1 merges, by running, with this file in its tests/ directory,
+#   PYTHONPATH=src:tests python -c 'import test_ancestry as t; print({(s, n): t._family_outcome(s, n)
+#       for s in ("identical", "distinct") for n in range(13, 17)})'
+RECORDED_FAMILY_OUTCOMES = {
+    ("identical", 13): ("clean", 8193, "24e10480bdb3bc4eeffdcf2b68cdb3d22ba983e9fe1a60d9a1428e9cc073b66b"),
+    ("identical", 14): ("clean", 16385, "24e10480bdb3bc4eeffdcf2b68cdb3d22ba983e9fe1a60d9a1428e9cc073b66b"),
+    ("identical", 15): ("clean", 32769, "24e10480bdb3bc4eeffdcf2b68cdb3d22ba983e9fe1a60d9a1428e9cc073b66b"),
+    ("identical", 16): ("clean", 65537, "24e10480bdb3bc4eeffdcf2b68cdb3d22ba983e9fe1a60d9a1428e9cc073b66b"),
+    ("distinct", 13): ("clean", 8193, "05a040d42285b5cb32102a061bce820e2aed8431d06e1f3dc8bd41fdecc0927a"),
+    ("distinct", 14): ("clean", 16385, "9311a1cb6c42f81024e273305849ecd947b37fbc9f96cdfe523d1da1a1f7d0e1"),
+    ("distinct", 15): ("clean", 32769, "2b3dd0a7140b807a7e5053dbee8362aad87571351f07d1f2fae4fc7883889948"),
+    ("distinct", 16): ("clean", 65537, "2077254aed34de51a5935a82f2726c54d530eb488aa1d4288d893c1333aa16fa"),
+}
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+@pytest.mark.parametrize("shape", ["identical", "distinct"])
+def test_large_family_outcomes_equal_the_recorded_ones(shape, n):
+    assert _family_outcome(shape, n) == RECORDED_FAMILY_OUTCOMES[shape, n]
 
 
 def _count_walks(monkeypatch):
