@@ -26,7 +26,6 @@ from .graph import (
     cherry_pick,
     graph_from_jsonl,
     lowest_common_ancestors,
-    merge_base_recursive,
     merge_commits,
     rebase,
     revert,
@@ -58,7 +57,7 @@ __all__ = [
     # graph
     "Commit", "CommitGraph", "GraphError", "MergeResult", "MergeStats", "MultiParent", "RebaseResult",
     "UnknownCommit", "build_exponential_graph", "cherry_pick", "graph_from_jsonl", "lowest_common_ancestors",
-    "merge_base_recursive", "merge_commits", "rebase", "revert",
+    "merge_commits", "rebase", "revert",
     # merge3
     "CONFLICT", "LEFT", "RIGHT", "SAME", "InvariantViolation", "MergeOptions", "MergeOutcome", "MergeRegion",
     "merge3",

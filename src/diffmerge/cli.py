@@ -56,7 +56,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         sys.stdout.buffer.flush()
 
     if args.verify:
-        # against the file itself: new.to_bytes() is built from the same lines
+        # against the file as read, not new's own lines, which the script copies
         if apply_script(old, script, new) != _read(args.new):
             print("verify: round-trip failed", file=sys.stderr)
             return EXIT_VERIFY_FAILED

@@ -50,9 +50,6 @@ class InternedSequence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def to_bytes(self) -> bytes:
-        return b"".join(map(self.lines.__getitem__, self.tokens))
-
 
 class InternTable:
     """Token assignment shared by the files of one diff or merge problem, which
@@ -217,7 +214,7 @@ def apply_script(old: InternedSequence, script: tuple[Change, ...], new: Interne
 
     Replaced regions are taken from ``new``; everything else from ``old``.
     For any script produced by the engines here the result is byte-identical
-    to ``new.to_bytes()``.
+    to the bytes ``new`` was interned from.
     """
     out = []
     old_line, new_line = old.lines.__getitem__, new.lines.__getitem__

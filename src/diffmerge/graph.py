@@ -101,13 +101,6 @@ class CommitGraph:
         commit = commits[cid] = Commit(cid, parents, dict(tree or {}), timestamp, top + 1)
         return commit
 
-    def copy(self) -> CommitGraph:
-        """A graph with the same commits; commits added later to one stay out of the other."""
-        fresh = CommitGraph()
-        fresh.commits = dict(self.commits)
-        fresh._next_ts = self._next_ts
-        return fresh
-
     def __getitem__(self, cid: str) -> Commit:
         try:
             return self.commits[cid]
@@ -316,18 +309,6 @@ def _fold_bases(ctx: _MergeContext, bases: list[str]) -> dict[str, bytes]:
         tree, _conflicts = _merge_recursive(ctx, tree, commits[nxt].tree, _lca(ctx, frozenset(bases[:i]), nxt))
     ctx.folds[key] = tree, ctx.stats.merge_calls - calls
     return tree
-
-
-def merge_base_recursive(
-    graph: CommitGraph,
-    a: str,
-    b: str,
-    stats: MergeStats | None = None,
-    options: MergeOptions | None = None,
-) -> dict[str, bytes]:
-    """Tree of the (possibly virtual) merge base of a and b."""
-    ctx = _MergeContext(graph, stats if stats is not None else MergeStats(), options or MergeOptions())
-    return _fold_bases(ctx, _lca(ctx, frozenset((graph[a].id,)), graph[b].id))
 
 
 class _DefaultId(str):

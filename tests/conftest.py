@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+from diffmerge import graph as graph_mod
 from diffmerge.core import InternTable
+from diffmerge.merge3 import MergeOptions
 
 
 @pytest.fixture
@@ -81,3 +83,12 @@ def lines_executed(fn, *args, **kwargs) -> int:
     finally:
         sys.settrace(None)
     return count
+
+
+def merge_base_tree(graph, a, b, stats=None, options=None):
+    """The engine's merge base tree of a and b: the fold merge_commits makes
+    of their ordered merge bases, through graph's _lca and _fold_bases as
+    they are at call time."""
+    ctx = graph_mod._MergeContext(graph, stats if stats is not None else graph_mod.MergeStats(),
+                                  options or MergeOptions())
+    return graph_mod._fold_bases(ctx, graph_mod._lca(ctx, frozenset((a,)), b))

@@ -225,7 +225,9 @@ def _fold_bases_virtual(ctx: VirtualMergeContext, bases: list[str]) -> dict[str,
 
 
 def merge_base_recursive_reference(graph, a: str, b: str, stats=None, options=None) -> dict[str, bytes]:
-    """graph.merge_base_recursive through virtual commits."""
+    """The merge base tree of a and b through virtual commits: the reference
+    for graph._fold_bases over graph._lca's ordered bases, the fold
+    merge_commits makes."""
     stats = stats if stats is not None else graph_mod.MergeStats()
     ctx = VirtualMergeContext(graph, stats, options or MergeOptions())
     return _fold_bases_virtual(ctx, virtual_lca(ctx, a, b))

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; plain ``pytest`` reports the same outcomes as test results.
 """
 
+import copy
 import math
 import random
 import statistics
@@ -200,13 +201,13 @@ def test_criterion_9_exponential_ort():
         for n in range(0, 13):
             graph, a, b = build_exponential_graph(n)
             assert len(graph) == 6 * n + 4
-            got = merge_commits(graph.copy(), a, b)
+            got = merge_commits(copy.deepcopy(graph), a, b)
             assert got.stats.merge_calls == 2 ** n + 1, n
             # the engine folds each distinct base list once per merge; git's
             # fold through virtual commits performs every call, and the two
             # reach the same outcome
             assert got.stats.merges_performed == (2 * n + 1 if n else 2), n
-            want = reference.merge_commits_reference(graph.copy(), a, b)
+            want = reference.merge_commits_reference(copy.deepcopy(graph), a, b)
             assert want.stats.merges_performed == 2 ** n + 1, n
             assert (got.kind, got.commit, got.conflicts, got.stats.merge_calls) == (
                 want.kind, want.commit, want.conflicts, want.stats.merge_calls), n
@@ -251,7 +252,7 @@ def _timed_merges(merge, graph, a, b, repeats):
 
     A clean merge inserts its commit, so each run gets its own copy of the
     graph, made before the clock starts."""
-    copies = [graph.copy() for _ in range(repeats)]
+    copies = [copy.deepcopy(graph) for _ in range(repeats)]
     t0 = time.perf_counter()
     for fresh in copies:
         merge(fresh, a, b)

@@ -1,5 +1,6 @@
 """Generation-number ancestry and rebase against the references in reference.py."""
 
+import copy
 import hashlib
 import random
 import tracemalloc
@@ -15,7 +16,6 @@ from diffmerge.graph import (
     build_exponential_graph,
     cherry_pick,
     lowest_common_ancestors,
-    merge_base_recursive,
     merge_commits,
     rebase,
     revert,
@@ -23,7 +23,7 @@ from diffmerge.graph import (
 from diffmerge.merge3 import MergeOptions
 
 import reference
-from conftest import lines_executed
+from conftest import lines_executed, merge_base_tree
 
 # name -> keyword arguments of random_dag
 SHAPES = {
@@ -164,7 +164,7 @@ def _edit_one_line(rng, cid, parent_tree):
 
 
 def _merge_outcome(g, a, b, merge=merge_commits):
-    result = merge(g.copy(), a, b)
+    result = merge(copy.deepcopy(g), a, b)
     commit = result.commit
     commit_id, parents, tree = (commit.id, commit.parents, commit.tree) if commit is not None else (None, None, None)
     return (result.kind, commit_id, parents, tree, result.conflicts, result.stats.merge_calls,
@@ -233,30 +233,28 @@ def _checked_lca(monkeypatch):
     return calls
 
 
-def test_remembered_merge_bases_equal_the_walk_call_by_call(monkeypatch):
+def test_each_lca_walk_equals_the_frozenset_reference_call_by_call(monkeypatch):
     calls = _checked_lca(monkeypatch)
     for shape in sorted(SHAPES):
         g, pairs = _shape_dag(shape)
         for a, b in pairs:
-            merge_commits(g.copy(), a, b)
-            merge_base_recursive(g, a, b)
+            merge_commits(copy.deepcopy(g), a, b)
     # wide-fan-in reaches lookups from two or more folded bases
     assert sum(len(a) > 1 for a, _b in calls) >= 10
 
 
-def test_remembered_merge_bases_equal_the_walk_on_the_exponential_family(monkeypatch):
+def test_each_lca_walk_equals_the_frozenset_reference_on_the_exponential_family(monkeypatch):
     calls = _checked_lca(monkeypatch)
     for n in range(11):
         g, a, b = build_exponential_graph(n)
         before = len(calls)
-        stats = merge_commits(g.copy(), a, b).stats
+        stats = merge_commits(copy.deepcopy(g), a, b).stats
         assert stats.merge_calls == 2**n + 1
         # one lookup per merge performed: each distinct base list is folded once
         assert len(calls) - before == stats.merges_performed == (2 * n + 1 if n else 2)
-        merge_base_recursive(g, a, b)
 
 
-def _fold_outcomes(g, pairs, merge=merge_commits, merge_base=merge_base_recursive):
+def _fold_outcomes(g, pairs, merge=merge_commits, merge_base=merge_base_tree):
     """Each pair's merge outcome, and its merge base tree with the merge
     calls of that fold (git's count; the merges performed are the engine's
     own)."""
@@ -309,7 +307,7 @@ def test_distinct_tree_family_folds_like_virtual_commits(monkeypatch, n):
     merged = []
     merge3 = graph_mod.merge3
     monkeypatch.setattr(graph_mod, "merge3", lambda *args: merged.append(args) or merge3(*args))
-    result = merge_commits(g.copy(), a, b)
+    result = merge_commits(copy.deepcopy(g), a, b)
     assert result.kind == ("conflict" if n in (3, 6, 10) else "clean")
     assert result.stats.merge_calls == 2**n + 1
     # one lookup per merge performed: each distinct base list is folded once
@@ -362,12 +360,12 @@ def test_fold_memo_lives_in_one_merge_and_is_keyed_by_the_whole_base_list(monkey
     for algorithm in ("myers", "histogram"):
         options = MergeOptions(algorithm=algorithm)
         del folds[:]
-        got = merge_commits(g.copy(), "H1", "H2", options)
-        want = reference.merge_commits_reference(g.copy(), "H1", "H2", options)
+        got = merge_commits(copy.deepcopy(g), "H1", "H2", options)
+        want = reference.merge_commits_reference(copy.deepcopy(g), "H1", "H2", options)
         assert (got.kind, got.commit, got.stats.merge_calls) == (want.kind, want.commit, 7), algorithm
         assert folds == [["X", "Y", "Z", "W"], ["P", "Q"], ["O"], ["P", "R"], ["O"], ["P", "Q"]]
         assert got.stats.merges_performed == 6
-        assert merge_base_recursive(g, "H1", "H2", options=options) == reference.merge_base_recursive_reference(
+        assert merge_base_tree(g, "H1", "H2", options=options) == reference.merge_base_recursive_reference(
             g, "H1", "H2", options=options), algorithm
         outcomes[algorithm] = got.commit.tree
     assert outcomes == {"myers": {"f": b"a\nc\nc\nc\n", "g": b"h\n"}, "histogram": {"f": b"a\nc\nc\n", "g": b"h\n"}}
@@ -458,13 +456,13 @@ def test_long_chain_memory_stays_linear():
 
 
 def _rebase_outcome(rebase_fn, g, head, onto):
-    copy = g.copy()
+    work = copy.deepcopy(g)
     try:
-        result = rebase_fn(copy, head, onto)
+        result = rebase_fn(work, head, onto)
     except MultiParent as exc:
         # a merge commit on the chain cannot be picked
         return "multi-parent", str(exc)
-    tree = copy[result.head].tree if result.head is not None else None
+    tree = work[result.head].tree if result.head is not None else None
     return result.kind, result.head, result.failed_index, result.conflicts, tree
 
 
@@ -575,7 +573,7 @@ def test_history_operations_on_hostile_blobs(seed):
     for commit, onto in query_pairs(rng, g, 60):
         if len(g[commit].parents) > 1:
             continue
-        work = g.copy()
+        work = copy.deepcopy(g)
         pick = cherry_pick(work, commit, onto)
         if pick.kind == "clean":
             picks += 1
@@ -593,7 +591,7 @@ def test_history_operations_on_hostile_blobs(seed):
             assert (result.kind, result.commit.id) == ("fast-forward", a), heads
         if b in ref[a]:
             continue
-        work = g.copy()
+        work = copy.deepcopy(g)
         first = merge_commits(work, a, b)
         if first.kind == "clean":
             merges += 1

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -115,13 +116,13 @@ def test_split_and_intern_match_reference():
         for data in triple:
             got, want = table.intern(data), reference.intern_reference(ids, lines, data)
             assert (got.tokens, got.lines) == (want.tokens, want.lines), triple
-            assert got.lines is table.lines and got.to_bytes() == data, triple
+            assert got.lines is table.lines and b"".join(map(got.lines.__getitem__, got.tokens)) == data, triple
 
 
 def test_intern_empty_input():
     seq = InternTable().intern(b"")
     assert len(seq) == 0
-    assert seq.to_bytes() == b""
+    assert b"".join(map(seq.lines.__getitem__, seq.tokens)) == b""
 
 
 def test_intern_repetition_gives_equal_tokens():
@@ -158,7 +159,7 @@ def test_equal_lines_across_files_are_one_object():
     assert table.lines == [b"x\n", b"y\n", b"z\n"]
     texts = [seq.lines[t] for seq in (a, b) for t in seq.tokens]
     assert len({id(text) for text in texts}) == 3
-    assert (a.to_bytes(), b.to_bytes()) == (b"x\ny\nx\n", b"y\nz\nx\n")
+    assert tuple(b"".join(map(x.lines.__getitem__, x.tokens)) for x in (a, b)) == (b"x\ny\nx\n", b"y\nz\nx\n")
     # a file that adds no line leaves the list as it was
     c = table.intern(b"z\n")
     assert table.lines == [b"x\n", b"y\n", b"z\n"] and c.lines is table.lines
@@ -229,6 +230,13 @@ def test_apply_random_round_trip_all_engines():
         for algo in ALGORITHMS:
             script = flags_to_script(diff_lines(old, new, algo), old, new)
             assert apply_script(old, script, new) == b
+
+
+def test_diff_lines_rejects_an_unknown_algorithm_naming_the_known_ones():
+    table = InternTable()
+    old, new = table.intern(b"a\n"), table.intern(b"b\n")
+    with pytest.raises(ValueError, match="'bogus'.*" + re.escape(str(ALGORITHMS))):
+        diff_lines(old, new, "bogus")
 
 
 def test_render_unified_identical_is_empty():

@@ -13,11 +13,12 @@ from diffmerge.graph import (
     cherry_pick,
     graph_from_jsonl,
     lowest_common_ancestors,
-    merge_base_recursive,
     merge_commits,
     rebase,
     revert,
 )
+
+from conftest import merge_base_tree
 
 
 def linear_graph():
@@ -82,7 +83,7 @@ def test_merge_base_unique_lca_leaves_stats_untouched():
     g.add_commit("l", ("base",), {"f": b"l\n"})
     g.add_commit("r", ("base",), {"f": b"r\n"})
     stats = MergeStats()
-    tree = merge_base_recursive(g, "l", "r", stats)
+    tree = merge_base_tree(g, "l", "r", stats)
     assert tree == {"f": b"0\n"}
     assert stats.merge_calls == 0
 
@@ -310,6 +311,11 @@ def test_exponential_family_counts():
         assert result.stats.merge_calls == 2 ** n + 1
 
 
+def test_exponential_family_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        build_exponential_graph(-1)
+
+
 def test_exponential_family_interior_lca_triples():
     graph, _, _ = build_exponential_graph(4)
     for level in range(1, 3):
@@ -450,5 +456,3 @@ def test_unknown_heads_raise_unknown_commit():
     for heads in ((a, "missing"), ("missing", b), ("missing", "gone")):
         with pytest.raises(UnknownCommit):
             merge_commits(g, *heads)
-        with pytest.raises(UnknownCommit):
-            merge_base_recursive(g, *heads)
