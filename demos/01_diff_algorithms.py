@@ -34,14 +34,19 @@ show(
 )
 
 # 2. A unique line moved across repeated content: histogram pivots on the
-#    moved line and flags the entire rest of the file; running the same diff
-#    in reverse gives the two-line version.
+#    moved line and flags the entire rest of the file, in both directions,
+#    as git's histogram does.
 before = b"A\n" + b"b\nc\n" * 3
 after = b"b\nc\n" * 3 + b"A\n"
 show("Moved line, forward direction (histogram flags everything)", before, after)
-show("Moved line, reverse direction (histogram recovers)", after, before)
+show("Moved line, reverse direction (histogram flags everything again)", after, before)
 
-# 3. A reordering where patience finds a strictly shorter diff than histogram.
+# 3. Histogram is not symmetric: swapping the files changes how many lines
+#    it flags (2 one way, 4 the other, as in git).
+show("b c d b -> c b: histogram flags 2 lines", b"b\nc\nd\nb\n", b"c\nb\n")
+show("c b -> b c d b: histogram flags 4 lines", b"c\nb\n", b"b\nc\nd\nb\n")
+
+# 4. A reordering where patience finds a strictly shorter diff than histogram.
 show(
     "Reordering with per-file noise: patience < histogram",
     b"u1\nf\nu2\ng\nu3\n",

@@ -1,12 +1,14 @@
 """Histogram diff: greedy recursion on common regions picked by occurrence count.
 
-The split search scans the new file left to right.  Every occurrence of the
-current line in the old file seeds a candidate region that is extended while
-lines pairwise match; the candidate replaces the current best when it is
-strictly longer or its least-frequent old-file line is rarer than the best so
-far.  Lines occurring more than 64 times in the old file are never used as
-seeds, and if every common line is that frequent the whole subproblem falls
-back to the myers engine.
+The split search is git's (``find_lcs`` and ``try_lcs`` in
+``xdiff/xhistogram.c``).  It scans the new file left to right.  Every
+occurrence of the current line in the old file seeds a candidate region that
+is extended while lines pairwise match; the candidate replaces the current
+best when it is strictly longer or its record count (its least occurrence
+count inside old[lo1:hi1]) is lower than the lowest so far.  The lowest count
+starts at 65, one over the 64-occurrence cap, and a seed occurring more often
+than it is skipped.  If the ranges share a line but no region with a record
+count of at most 64 is found, the subproblem falls back to the myers engine.
 
 One occurrence index over the whole old file serves every subproblem of a
 diff and is kept, never changed, on the old sequence for later diffs from it,
@@ -14,21 +16,17 @@ such as a merge's second base diff.  It maps a token seen once to its
 position, a bare int read with one range test, and a repeated token to its
 ascending positions, so it allocates no list for a line seen once.  A
 repeated line's positions inside old[lo1:hi1] are bisected and copied only
-for a seed the gate (the larger of 64 and the lowest record count so far)
-lets through.  Runs are extended by ``core.common_prefix`` and
-``common_suffix``, once per diff for each seed and direction: a subproblem's
-box lies inside its parent's and sibling boxes are disjoint, so a seed's
-limit only shrinks, and its remembered run clamped to the current limit is
-exact.  A candidate's record count (its least occurrence count inside
-old[lo1:hi1]) is taken only when it can change the choice, one line at a
-time from counts cached for the call, stopping at the first line that occurs
-once there.  A candidate that matches neither new line beside its seed is
-that one line, with the seed's count, so it is skipped once the lowest count
-is no higher.  The flags, regions (tuple records) and record counts equal
-those of the per-subproblem rescan kept as the test reference
-``histogram_reference``.  A call whose first seed already occurs more than 64
-times, with no rarer common line after it, falls back at once; the lines
-after the seed are tried in order, each once, as the answer is usually near.
+for a seed no more frequent than the lowest count.  Runs are extended by
+``core.common_prefix`` and ``common_suffix``, once per diff for each seed and
+direction: a subproblem's box lies inside its parent's and sibling boxes are
+disjoint, so a seed's limit only shrinks, and its remembered run clamped to
+the current limit is exact.  A candidate's record count is taken only when it
+can change the choice, one line at a time from counts cached for the call,
+stopping at the first line that occurs once there.  A candidate that matches
+neither new line beside its seed is that one line, with the seed's count, so
+it is skipped once the lowest count is no higher.  The flags, regions (tuple
+records) and record counts equal those of the per-subproblem rescan kept as
+the test reference ``histogram_reference``.
 """
 
 from __future__ import annotations
@@ -72,24 +70,6 @@ def scan_a(tokens: list[int]) -> dict[int, int | list[int]]:
     return occ
 
 
-def _any_rare(tokens: list[int], occ: dict[int, int | list[int]], lo1: int, hi1: int, whole: bool) -> bool:
-    """Whether some token occurs 1 to MAX_OCCURRENCES times in old[lo1:hi1]."""
-    seen: set[int] = set()
-    for tok in tokens:
-        if tok in seen:
-            continue
-        seen.add(tok)
-        positions = occ.get(tok)
-        if positions.__class__ is int:
-            if lo1 <= positions < hi1:
-                return True
-        elif positions:
-            count = len(positions) if whole else bisect_left(positions, hi1) - bisect_left(positions, lo1)
-            if 0 < count <= MAX_OCCURRENCES:
-                return True
-    return False
-
-
 def find_split(
     a: list[int],
     b: list[int],
@@ -108,12 +88,12 @@ def find_split(
     share it, and unlike ``occ`` it is not kept on the old sequence.
 
     Returns None when the ranges share no line; raises FallbackSignal when
-    common lines exist but all of them occur more than 64 times in old.
+    they do but no region has a record count of at most 64.
     """
     whole = lo1 == 0 and hi1 == len(a)
     counts: dict[int, int] = {}  # occurrences of a token inside old[lo1:hi1]
-    lowest = math.inf
-    gate = math.inf  # max(lowest, MAX_OCCURRENCES)
+    lowest = MAX_OCCURRENCES + 1  # a seed occurring more often is skipped
+    has_common = False
     best: tuple[int, int, int, int, int] | None = None
     best_len = -1
     stride = len(b) + 1  # a seed point's key; its backward run's is ~key
@@ -126,19 +106,12 @@ def find_split(
             positions = (positions,) if lo1 <= positions < hi1 else None
         elif positions and not whole:
             lo, hi = bisect_left(positions, lo1), bisect_left(positions, hi1)
-            # a seed over the gate is skipped below, so it is not copied
-            positions = positions[lo:hi] if hi - lo <= gate else None
+            # a seed over the lowest count keeps the whole list, longer
+            # still, and is skipped below without a copy
+            positions = positions[lo:hi] if hi - lo <= lowest else positions
         if positions:
-            if best is None and len(positions) > MAX_OCCURRENCES and not _any_rare(b[b_ptr:hi2], occ, lo1, hi1, whole):
-                # No earlier line of b occurs in old[lo1:hi1], or it would
-                # have seeded a region, so every region lies in b[b_ptr:hi2]
-                # with all its record counts above the cap.  Past this check
-                # a region holding a line at or below the cap always wins.
-                raise FallbackSignal
-            # Seeds rarer than the cap are always worth expanding; comparing
-            # against the running lowest count instead would hide the better
-            # region whenever a unique line was seen first.
-            if len(positions) <= gate:
+            has_common = True
+            if len(positions) <= lowest:
                 region_end = lo1 - 1
                 before = b[b_ptr - 1] if b_ptr > lo2 else None  # None equals no token
                 after = b[b_ptr + 1] if b_ptr + 1 < hi2 else None
@@ -192,11 +165,14 @@ def find_split(
                             best = (begin1, end1, begin2, end2, record_count)
                             best_len = end1 - begin1
                             lowest = record_count
-                            gate = max(lowest, MAX_OCCURRENCES)
                     region_end = end1
         b_ptr = b_next
 
-    return None if best is None else Region(*best)
+    if best is None:
+        if has_common:  # every common line occurs more than 64 times
+            raise FallbackSignal
+        return None
+    return Region(*best)
 
 
 def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines:

@@ -1,6 +1,10 @@
 """Write tests/git_fixtures.json: what git's own diff and merge-file give on
 seeded small inputs, for tests/test_git_parity.py, which never calls git.
 
+The histogram census holds only git's changed-line counts per side
+(``--numstat``, which no hunk placement changes) and a digest of its inputs,
+which are regenerated from their seeds; diffmerge must agree on every pair.
+
     python tests/make_git_fixtures.py             # run git, record everything
     python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
                                                   # which cases diffmerge matches
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import hashlib
 import json
 import os
 import random
@@ -38,6 +43,12 @@ FIXTURES = HERE / "git_fixtures.json"
 ALPHABET = [b"\n", b"{\n", b"}\n", b"f() {\n", b"  x;\n", b"  y;\n", b"  if (a) {\n", b"    b();\n", b"  return;\n"]
 MERGE_SEED, MERGE_CASES = 25, 300
 DIFF_SEED, DIFF_CASES = 26, 200
+
+# histogram census: small-alphabet pairs with block moves, and pairs whose two
+# frequent lines occur 55-75 times, either side of histogram's 64-occurrence cap
+CENSUS_ALPHABET = [b"\n", b"}\n", b"{\n", b"a\n", b"b\n", b"x;\n", b"return;\n", b"  y();\n", b"else\n"]
+CENSUS = {"small-alphabet": (31, 1500), "near-the-cap": (65, 300)}  # seed, pairs
+CENSUS_COMMAND = "git diff --no-index --numstat --histogram old new"
 
 MERGE_COMMAND = "git merge-file -p {flag}-L ours -L base -L theirs ours base theirs"
 MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
@@ -86,6 +97,57 @@ def diff_inputs() -> list[tuple[str, bytes, bytes]]:
     return cases
 
 
+def _census_edited(rng: random.Random, lines: list[bytes], alphabet: list[bytes]) -> list[bytes]:
+    """1-4 edits of up to three lines each, then a block moved in 30 % of pairs."""
+    out = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(out) + 1)
+        out[at:at + rng.randint(0, 3)] = rng.choices(alphabet, k=rng.randint(0, 3))
+    if len(out) > 1 and rng.random() < 0.3:
+        at = rng.randrange(len(out))
+        block = out[at:at + rng.randint(1, 6)]
+        del out[at:at + len(block)]
+        to = rng.randrange(len(out) + 1)
+        out[to:to] = block
+    return out
+
+
+def census_inputs(corpus: str) -> list[tuple[bytes, bytes]]:
+    """The (old, new) pairs of one census corpus, regenerated from its seed."""
+    seed, count = CENSUS[corpus]
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        if corpus == "small-alphabet":
+            alphabet = rng.sample(CENSUS_ALPHABET, rng.randint(1, 7))
+            old = rng.choices(alphabet, k=rng.randint(1, 30))
+        else:
+            alphabet = [b"}\n", b"\n"] + [b"line %d\n" % i for i in range(rng.randint(0, 40))]
+            old = [b"}\n"] * rng.randint(55, 75) + [b"\n"] * rng.randint(55, 75) + alphabet[2:]
+            rng.shuffle(old)
+        pairs.append((b"".join(old), b"".join(_census_edited(rng, old, alphabet))))
+    return pairs
+
+
+def census_digest(pairs: list[tuple[bytes, bytes]]) -> str:
+    digest = hashlib.sha256()
+    for old, new in pairs:
+        digest.update(b"%d %d\n" % (len(old), len(new)) + old + new)
+    return digest.hexdigest()
+
+
+def diffmerge_numstat(old: bytes, new: bytes) -> list[int]:
+    """Lines added and deleted by diffmerge's histogram diff, as git's --numstat counts them."""
+    table = InternTable()
+    flags = diff_lines(table.intern(old), table.intern(new), "histogram")
+    return [sum(flags.new_flags), sum(flags.old_flags)]
+
+
+def _numstat(out: bytes) -> list[int]:
+    """Lines added and deleted from one --numstat line; no output is no change."""
+    return [int(n) for n in out.split(b"\t")[:2]] if out else [0, 0]
+
+
 _HUNK = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
 
 
@@ -129,13 +191,24 @@ def record_git() -> dict:
                 command = DIFF_COMMAND.format(algorithm=algorithm, heuristic=heuristic)
                 git[setting] = changed_lines(_git(command.split()[1:], cwd, (0, 1)))
             diffs.append({"key": key, "old": _b64(old), "new": _b64(new), "git": git})
+        census, census_inputs_digest = [], {}
+        for corpus in CENSUS:
+            pairs = census_inputs(corpus)
+            census_inputs_digest[corpus] = census_digest(pairs)
+            for i, (old, new) in enumerate(pairs):
+                Path(cwd, "old").write_bytes(old)
+                Path(cwd, "new").write_bytes(new)
+                git = _numstat(_git(CENSUS_COMMAND.split()[1:], cwd, (0, 1)))
+                census.append({"corpus": corpus, "key": f"c{i:04d}", "git": git})
     return {
         "git_version": version,
-        "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND},
+        "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND, "histogram_census": CENSUS_COMMAND},
         "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
         "merge_styles": MERGE_FLAGS,
         "merge": merges,
         "diff": diffs,
+        "histogram_census": census,
+        "histogram_census_inputs": census_inputs_digest,
     }
 
 
@@ -189,6 +262,11 @@ def main() -> None:
     for name, keys in fixtures["matching"].items():
         total = len(fixtures["merge" if name.startswith("merge") else "diff"])
         print(f"{name}: {len(keys)} / {total}")
+    for corpus in CENSUS:
+        pairs = census_inputs(corpus)
+        cases = [case for case in fixtures["histogram_census"] if case["corpus"] == corpus]
+        agree = sum(diffmerge_numstat(*pair) == case["git"] for pair, case in zip(pairs, cases))
+        print(f"histogram census {corpus}: {agree} / {len(cases)} agree with git")
 
 
 if __name__ == "__main__":

@@ -4,17 +4,17 @@ that must catch it.
     python tests/mutants.py                  # run every entry
     python tests/mutants.py NAME [NAME ...]  # run the named entries only
 
-Each entry replaces one exact snippet of one file with a broken version and
-runs its target tests on that copy.  A ``killed`` entry must make them fail
-(or hang past the timeout); an ``equivalent`` entry names why it cannot change
-any output, and its tests must still pass.  The tree is copied to a
-temporary directory first, so the checkout is never edited, and the target
-tests are run once unmutated there before any mutant.  The run fails when a
-snippet is not found exactly once, when the unmutated targets fail, or when
-an entry's outcome is not the one it expects.  A rewrite that moves a
+Each entry replaces one exact snippet of one file, or several, with a broken
+version and runs its target tests on that copy.  A ``killed`` entry must make
+them fail (or hang past the timeout); an ``equivalent`` entry names why it
+cannot change any output, and its tests must still pass.  The tree is copied
+to a temporary directory first, so the checkout is never edited, and the
+target tests are run once unmutated there before any mutant.  The run fails
+when a snippet is not found exactly once, when the unmutated targets fail, or
+when an entry's outcome is not the one it expects.  A rewrite that moves a
 snippet therefore carries its mutants forward: restate the snippet (and its
-replacement) for the new code, or, when the code it broke is gone, delete
-the entry and say why.
+replacement) for the new code, or, when the code it broke is gone, delete the
+entry and say why.
 
 To add an entry, break the code the way a plausible slip would, find the
 narrowest tests that catch it, and append a ``Mutant`` to MUTANTS below.
@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
     replacement: str
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
     expect: str  # KILLED, or "equivalent: <why no output can change>"
+    also: tuple[tuple[str, str], ...] = ()  # more (snippet, replacement) pairs in the same file
 
 
 MUTANTS = (
@@ -85,11 +86,23 @@ MUTANTS = (
            ("tests/test_myers.py::test_flag_frequent_matches_walk_reference",
             "tests/test_myers.py::test_preprocess_matches_reference"), KILLED),
     # histogram
-    Mutant("histogram-gate-is-the-lowest-count", "src/diffmerge/histogram.py",
-           "                            gate = max(lowest, MAX_OCCURRENCES)\n",
-           "                            gate = lowest\n",
+    Mutant("histogram-gate-held-at-the-cap", "src/diffmerge/histogram.py",
+           "            if len(positions) <= lowest:\n",
+           "            if len(positions) <= max(lowest, MAX_OCCURRENCES):\n",
            ("tests/test_histogram.py", "tests/test_acceptance.py::test_criterion_4_histogram_pathology_and_asymmetry"),
-           KILLED),
+           KILLED,
+           also=(("if hi - lo <= lowest else", "if hi - lo <= max(lowest, MAX_OCCURRENCES) else"),)),
+    Mutant("histogram-gate-starts-at-infinity", "src/diffmerge/histogram.py",
+           "    lowest = MAX_OCCURRENCES + 1 ", "    lowest = math.inf ",
+           ("tests/test_histogram.py",), KILLED),
+    Mutant("histogram-fallback-even-when-a-region-was-found", "src/diffmerge/histogram.py",
+           "    if best is None:\n        if has_common:",
+           "    if has_common:\n        raise FallbackSignal\n    if best is None:\n        if has_common:",
+           ("tests/test_histogram.py",), KILLED),
+    Mutant("histogram-common-line-recorded-only-when-skipped", "src/diffmerge/histogram.py",
+           "            has_common = True\n            if len(positions) <= lowest:\n",
+           "            if len(positions) > lowest:\n                has_common = True\n            else:\n",
+           ("tests/test_histogram.py::test_find_split_falls_back_on_a_line_at_the_initial_lowest_count",), KILLED),
     Mutant("histogram-one-line-candidate-strictly-rarer", "src/diffmerge/histogram.py",
            "and lowest <= len(positions):", "and lowest < len(positions):",
            ("tests/test_histogram.py", "tests/test_acceptance.py::test_criterion_4_histogram_pathology_and_asymmetry"),
@@ -97,14 +110,6 @@ MUTANTS = (
            "not lower, so it never wins"),
     Mutant("histogram-seed-outside-the-box", "src/diffmerge/histogram.py",
            "positions = (positions,) if lo1 <= positions < hi1 else None", "positions = (positions,)",
-           ("tests/test_histogram.py",), KILLED),
-    Mutant("histogram-any-rare-ignores-the-box", "src/diffmerge/histogram.py",
-           "            if lo1 <= positions < hi1:\n                return True\n",
-           "            if True:\n                return True\n",
-           ("tests/test_histogram.py::test_unique_token_outside_the_box_seeds_nothing",
-            "tests/test_histogram.py::test_flags_and_splits_match_reference"), KILLED),
-    Mutant("histogram-line-at-the-cap-counted-frequent", "src/diffmerge/histogram.py",
-           "if 0 < count <= MAX_OCCURRENCES:", "if 0 < count < MAX_OCCURRENCES:",
            ("tests/test_histogram.py",), KILLED),
     # patience
     Mutant("patience-repeated-line-counted-unique", "src/diffmerge/patience.py",
@@ -159,6 +164,13 @@ MUTANTS = (
             "tests/test_ancestry.py::test_tree_fold_matches_the_virtual_commit_fold",
             "tests/test_ancestry.py::test_tree_fold_matches_the_virtual_commit_fold_on_the_exponential_family"),
            "equivalent: within one merge the bases are a fixed sort of their set"),
+    Mutant("graph-fold-memo-kept-across-merges", "src/diffmerge/graph.py",
+           "    if key in ctx.folds:\n        tree, calls = ctx.folds[key]\n",
+           "    if key in _FOLDS:\n        tree, calls = _FOLDS[key]\n",
+           ("tests/test_ancestry.py::test_fold_memo_lives_in_one_merge_and_is_keyed_by_the_whole_base_list",),
+           KILLED,
+           also=(("    ctx.folds[key] = tree,", "    _FOLDS[key] = tree,"),
+                 ("\nclass _DefaultId(str):", "\n_FOLDS: dict = {}\n\n\nclass _DefaultId(str):"))),
     Mutant("graph-family-takes-a-negative-size", "src/diffmerge/graph.py",
            "    if n < 0:\n", "    if n < -1:\n",
            ("tests/test_graph.py::test_exponential_family_rejects_a_negative_size",), KILLED),
@@ -177,10 +189,12 @@ MUTANTS = (
 
 
 def _mutated(mutant: Mutant, text: str) -> str:
-    count = text.count(mutant.snippet)
-    if count != 1:
-        raise SystemExit(f"{mutant.name}: its snippet occurs {count} times in {mutant.file}, not once")
-    return text.replace(mutant.snippet, mutant.replacement)
+    for snippet, replacement in ((mutant.snippet, mutant.replacement), *mutant.also):
+        count = text.count(snippet)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: a snippet occurs {count} times in {mutant.file}, not once: {snippet!r}")
+        text = text.replace(snippet, replacement)
+    return text
 
 
 def _pytest(tree: Path, tests) -> tuple[str, str]:

@@ -251,9 +251,15 @@ def merge_commits_reference(graph, a: str, b: str, options=None, new_id=None):
 
 
 def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo2: int, hi2: int) -> Region | None:
-    """The histogram split search as first written: it rebuilds the occurrence
-    lists of old[lo1:hi1] for every subproblem, extends runs one line at a
-    time and takes every candidate's record count through a generator.
+    """The histogram split search as first written, under git's seed rule
+    (``try_lcs`` and ``find_lcs`` in ``xdiff/xhistogram.c``): it rebuilds the
+    occurrence lists of old[lo1:hi1] for every subproblem, extends runs one
+    line at a time and takes every candidate's record count through a
+    generator.  The running lowest record count starts at 65, git's
+    ``max_chain_length + 1``; a seed occurring more often is skipped, and the
+    search falls back when a common line was seen and the lowest count is
+    still over 64.  A region replaces the best when it is longer than the
+    best, an empty region at first, or its record count is lower.
 
     Kept as the reference ``histogram.find_split`` is tested against.
     """
@@ -261,8 +267,9 @@ def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo
     for i in range(lo1, hi1):
         occ.setdefault(a[i], []).append(i)
     has_common = False
-    lowest_record_count = math.inf
+    lowest_record_count = MAX_OCCURRENCES + 1
     best: Region | None = None
+    best_length = 0
 
     b_ptr = lo2
     while b_ptr < hi2:
@@ -270,8 +277,7 @@ def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo
         positions = occ.get(b[b_ptr])
         if positions:
             has_common = True
-            count = len(positions)
-            if count <= max(lowest_record_count, MAX_OCCURRENCES):
+            if len(positions) <= lowest_record_count:
                 region_end = lo1 - 1
                 for apos in positions:
                     if apos <= region_end:
@@ -287,10 +293,9 @@ def histogram_split_reference(a: list[int], b: list[int], lo1: int, hi1: int, lo
                     record_count = min(len(occ[a[i]]) for i in range(begin1, end1 + 1))
                     if b_next <= end2:
                         b_next = end2 + 1
-                    if (
-                        best is not None and best.end1 - best.begin1 < end1 - begin1
-                    ) or record_count < lowest_record_count:
+                    if best_length < end1 - begin1 or record_count < lowest_record_count:
                         best = Region(begin1, end1, begin2, end2, record_count)
+                        best_length = end1 - begin1
                         lowest_record_count = record_count
                     region_end = end1
         b_ptr = b_next

@@ -101,20 +101,29 @@ def test_criterion_3_patience_lis():
 
 
 def test_criterion_4_histogram_pathology_and_asymmetry():
-    with criterion(4, "histogram moved-line family: forward full, reverse 2"):
-        for k in (3, 4, 6, 10):
+    # Expectations from git diff --no-index --numstat --histogram (git 2.39.5).
+    # On A (b c)^k against (b c)^k A, git counts 2k lines added and 2k deleted
+    # in both directions (6/6, 20/20 and 80/80 for k = 3, 10 and 40): the
+    # paper's finding 1, the whole file flagged where minimal flags 2 lines.
+    # On b c d b against c b it deletes 2 lines, and in reverse adds 3 and
+    # deletes 1: the histogram diff is not symmetric.
+    def counts(old_bytes, new_bytes):
+        table = InternTable()
+        flags = diff_histogram(table.intern(old_bytes), table.intern(new_bytes))
+        return sum(flags.new_flags), sum(flags.old_flags)
+
+    with criterion(4, "histogram moved-line family: whole file both ways; b c d b vs c b asymmetric"):
+        for k in (3, 4, 6, 10, 40):
             before = b"A\n" + b"b\nc\n" * k
             after = b"b\nc\n" * k + b"A\n"
-            table = InternTable()
-            o, n = table.intern(before), table.intern(after)
-            assert diff_histogram(o, n).flag_count() == 4 * k
-            table = InternTable()
-            o, n = table.intern(after), table.intern(before)
-            assert diff_histogram(o, n).flag_count() == 2
+            assert counts(before, after) == (2 * k, 2 * k)
+            assert counts(after, before) == (2 * k, 2 * k)
             for pair in ((before, after), (after, before)):
                 table = InternTable()
                 o, n = table.intern(pair[0]), table.intern(pair[1])
                 assert diff_myers(o, n, minimal=True).flag_count() == 2
+        assert counts(b"b\nc\nd\nb\n", b"c\nb\n") == (0, 2)
+        assert counts(b"c\nb\n", b"b\nc\nd\nb\n") == (3, 1)
 
 
 def test_criterion_5_patience_beats_histogram_on_reordering():

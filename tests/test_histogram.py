@@ -63,6 +63,35 @@ def test_find_split_fallback_when_all_common_lines_frequent():
         find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {})
 
 
+def test_find_split_skips_a_seed_more_frequent_than_the_lowest_count():
+    # the unique 1 seeds a one-line region first; 7 8 occurs twice in old and
+    # would seed a longer region, but git's rule skips a seed occurring more
+    # often than the lowest record count so far.  git diff --no-index
+    # --histogram (git 2.39.5) on these files deletes 7 8 6 and adds 0.
+    a, b = [7, 8, 6, 1, 7, 8], [1, 0, 7, 8]
+    want = Region(3, 3, 0, 0, 1)
+    assert reference.histogram_split_reference(a, b, 0, len(a), 0, len(b)) == want
+    assert find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {}) == want
+    table = InternTable()
+    o, n = table.intern(b"7\n8\n6\n1\n7\n8\n"), table.intern(b"1\n0\n7\n8\n")
+    assert diff_histogram(o, n).old_flags == [True, True, True, False, False, False]
+
+
+def test_find_split_falls_back_on_a_line_at_the_initial_lowest_count():
+    # a line seen 65 times is not skipped by the initial lowest count of 65,
+    # but no region of it has a record count of at most 64, so the search
+    # falls back; git diff --numstat --histogram (git 2.39.5) deletes 64 lines
+    # of 65 x against one x, as myers does
+    for count, fallback in ((64, False), (65, True), (66, True)):
+        a, b = [1] * count, [1]
+        want = _split_or_fallback(reference.histogram_split_reference, a, b, 0, count, 0, 1)
+        assert _split_or_fallback(find_split, a, b, 0, count, 0, 1, scan_a(a), {}) == want
+        assert (want == "fallback") == fallback
+        table = InternTable()
+        o, n = table.intern(b"x\n" * count), table.intern(b"x\n")
+        assert diff_histogram(o, n).flag_count() == count - 1
+
+
 def test_find_split_none_when_nothing_common():
     a = toks("ab")
     assert find_split(a, toks("cd"), 0, 2, 0, 2, scan_a(a), {}) is None
@@ -81,12 +110,16 @@ def test_histogram_bad_flags_whole_body_forward():
         assert flags.flag_count() == 4 * k
 
 
-def test_histogram_bad_reverse_flags_two_lines():
+def test_histogram_bad_reverse_flags_whole_body_as_git_does():
+    # git diff --no-index --numstat --histogram (git 2.39.5) counts 2k lines
+    # added and 2k deleted in this direction too: once the unique A seeds a
+    # region, the b and c lines occur more often and seed nothing
     for k in (3, 5, 8):
         table = InternTable()
         before, after = histogram_bad_family(k)
         old, new = table.intern(after), table.intern(before)
-        assert diff_histogram(old, new).flag_count() == 2
+        flags = diff_histogram(old, new)
+        assert (sum(flags.new_flags), sum(flags.old_flags)) == (2 * k, 2 * k)
 
 
 def test_histogram_bad_minimal_two_lines_both_ways():
@@ -247,7 +280,8 @@ def _corpus(rng, kind):
 
 
 KINDS = ("small-alphabet", "over-cap", "long-runs", "edge-bytes")
-# corpora where the first common line is over the cap: the early fallback
+# corpora where new opens with lines over the cap, so the lowest count stays
+# at its initial 65 until a rarer line, if any, seeds a region
 FREQUENT_KINDS = ("all-frequent", "late-rare")
 
 
@@ -279,11 +313,12 @@ def test_repeated_blocks_match_reference():
 
 
 def test_gate_above_the_cap_still_expands_seeds_under_it():
-    # 1 occurs 65 times in old, one over the cap.  new opens with it, so the
-    # best so far has record count 65 and the gate rises to 65.  The 1 seed at
-    # new[2] must still be expanded: its region 1 1 2 at old[58:61] wins.  A
-    # search that skipped seeds over MAX_OCCURRENCES instead of over the gate
-    # would return old[53:56], reached from the 2 seed.
+    # 1 occurs 65 times in old, one over the cap but not over the initial
+    # lowest count of 65.  new opens with it, and no region there has a record
+    # count under 65.  The 1 seed at new[2] must still be expanded: its region
+    # 1 1 2 at old[58:61] wins.  A search that skipped seeds over
+    # MAX_OCCURRENCES instead of over the lowest count would return
+    # old[53:56], reached from the 2 seed.
     old = [1] * 55 + [2, 1, 2, 1, 1, 2] + [1] * 7
     new = [1, 50, 1, 1, 2]
     for pad in (0, 3):  # the whole old file, and a range inside a longer one
@@ -319,8 +354,8 @@ def test_unique_token_outside_the_box_seeds_nothing():
     # with no other common line there is no split at all
     assert reference.histogram_split_reference(a, [1, 9], 1, 5, 0, 2) is None
     assert find_split(a, [1, 9], 1, 5, 0, 2, scan_a(a), {}) is None
-    # nor does it count as a rare line that would stave off the fallback when
-    # the first seed occurs over the cap
+    # nor does it stave off the fallback when every line of new inside the
+    # box occurs over the cap
     a, b = [1] + [3] * 70, [3, 1]
     with pytest.raises(FallbackSignal):
         reference.histogram_split_reference(a, b, 1, 71, 0, 2)
@@ -494,7 +529,7 @@ def test_each_seed_run_is_measured_once_per_diff(monkeypatch):
     rng = random.Random("histogram-runs")
     old = source_lines(rng, 3000)
     new = list(old)
-    for _ in range(30):
+    for _ in range(50):
         at = rng.randrange(len(new))
         new[at:at + rng.randrange(4)] = source_lines(rng, rng.randrange(4))
     table = InternTable()
@@ -588,10 +623,10 @@ def test_one_line_candidates_match_reference():
     assert later_one_line_wins > 100
 
 
-def test_early_fallback_reads_the_rest_of_new_in_order():
+def test_fallback_unless_a_rare_line_follows_the_frequent_ones():
     # 1 and 2 alternate 70 times each in old (over the cap); 5 occurs once,
-    # at its end.  new opens with the over-cap lines, so the first seed asks
-    # whether any later line of new is rare in the box
+    # at its end.  new opens with the over-cap lines, which seed nothing, so
+    # the search falls back unless a 5 later in new lies inside the box
     a = [1, 2] * 70 + [5]
     for tail in ([5], [5, 1, 2], [1, 2] * 30 + [5], [6], []):
         b = [1, 2] * 40 + tail
