@@ -3,9 +3,10 @@
 
 All four engines produce *correct* diffs (applying the diff reproduces the
 new file), but they pick different common lines.  minimal always returns the
-shortest possible diff; myers adds two cutoff heuristics on large inputs;
-patience anchors on lines that are unique in both files; histogram greedily
-pivots on low-frequency regions.
+shortest possible diff; myers adds two cutoff heuristics on large inputs and
+git's discard of frequent lines among unmatched ones; patience anchors on
+lines that are unique in both files; histogram greedily pivots on
+low-frequency regions.
 """
 
 from diffmerge import InternTable, diff_lines, flags_to_script, render_unified
@@ -52,3 +53,10 @@ show(
     b"u1\nf\nu2\ng\nu3\n",
     b"u3\nh\nu1\nk\nu2\n",
 )
+
+# 5. git's myers discards a line that the other file holds often when it sits
+#    among unmatched lines (xdl_cleanup_records), and so does git's --minimal:
+#    `git diff --no-index --numstat --minimal` changes 4 + 8 lines here, where
+#    keeping one F needs only 10.  diffmerge's myers follows git; its minimal
+#    skips the discard and stays minimal.
+show("A frequent line among unmatched ones: myers 12, minimal 10", b"a\nb\nc\nd\nF\ne\nf\ng\n", b"F\nF\nF\nF\n")

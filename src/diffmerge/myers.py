@@ -3,52 +3,50 @@
 The ``myers`` option runs the bidirectional shortest-edit-script search and
 may pivot early on a long diagonal run (snake) or on the furthest frontier
 point once a step budget is exhausted.  The ``minimal`` option disables both
-cutoffs and also skips the frequent-line preprocessing step, so its output
-length always equals the true minimal edit distance.  The cutoffs are git's
-fixed constants (``XDL_SNAKE_CNT`` and ``XDL_HEUR_MIN_COST`` in
-``xdiff/xdiffi.c``); the snake cutoff fires only under a step budget above
-HEUR_MIN_COST, which searches of 65,533 lines or more together get.  A
-diagonal's first line is compared inline, and a snake that starts there is
-walked by ``core.common_prefix`` (forward) or ``common_suffix`` (backward).
-The frontiers are flat lists indexed by the diagonal (see ``_SearchEnv``),
-and a sweep tests for a meet only on the diagonals inside the other
-direction's band.  Outside the search, the passes over every line run at C
-speed: the unmatched-line flags and the kept lines the search sees are
-``map``/``compress`` pipelines over a mask of kept lines, with no list of
-their positions; the map-back visits only the kept lines the search flags,
-and the frequent-line rule visits only the unmatched lines and the runs of
-frequent lines that touch them.
+cutoffs and also skips the frequent-line preprocessing step, which git's
+``--minimal`` runs, so its output length always equals the true minimal edit
+distance.  The cutoffs are git's fixed constants (``XDL_SNAKE_CNT`` and
+``XDL_HEUR_MIN_COST`` in ``xdiff/xdiffi.c``); the snake cutoff fires only
+under a step budget above HEUR_MIN_COST, which searches of 65,533 lines or
+more together get.  A diagonal's first line is compared inline, and a snake
+that starts there is walked by ``core.common_prefix`` (forward) or
+``common_suffix`` (backward).  The frontiers are flat lists indexed by the
+diagonal (see ``_SearchEnv``), and a sweep tests for a meet only on the
+diagonals inside the other direction's band.  Outside the search, the passes
+over every line run at C speed: the unmatched-line flags and the kept lines
+the search sees are ``map``/``compress`` pipelines over a mask of kept lines,
+with no list of their positions; the map-back visits only the kept lines the
+search flags, and the frequent-line rule (git's ``xdl_cleanup_records``)
+visits only the blocks of unmatched-or-frequent lines.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice, pairwise
 from operator import not_
 
 from .core import ChangedLines, DiffError, InternedSequence, common_prefix, common_suffix
 
-
-def approx_sqrt(n: int) -> int:
-    """Smallest power of two p with p*p >= n; approx_sqrt(0) == 1."""
-    p = 1
-    while p * p < n:
-        p <<= 1
-    return p
-
-
 SNAKE_CNT = 20  # a diagonal run longer than this is a snake
 HEUR_MIN_COST = 256  # steps before the snake cutoff may fire, and the budget's floor
+SIMSCAN_WINDOW = 100  # lines the frequent-line rule reads on each side of a line
+MAX_EQLIMIT = 1024  # the most times a line need occur to be frequent
+
+
+def bogosqrt(n: int) -> int:
+    """git's ``xdl_bogosqrt``: 2 to the number of base-4 digits of n."""
+    return 1 << (n.bit_length() + 1) // 2
 
 
 def step_budget(n: int) -> int:
     """Steps the search of n kept lines takes before the budget cutoff fires.
 
-    This is git's ``xdl_do_diff``: ``xdl_bogosqrt(n + 3)``, which doubles
-    once per base-4 digit of n + 3, floored at HEUR_MIN_COST so that the
-    cutoff stays inert on small files."""
-    return max(1 << ((n + 3).bit_length() + 1) // 2, HEUR_MIN_COST)
+    This is git's ``xdl_do_diff``: ``xdl_bogosqrt(n + 3)``, floored at
+    HEUR_MIN_COST so that the cutoff stays inert on small files."""
+    return max(bogosqrt(n + 3), HEUR_MIN_COST)
 
 
 @dataclass
@@ -63,10 +61,9 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     """Strip common ends and pre-flag lines the search need not consider.
 
     Lines occurring in only one file can never match and are always flagged.
-    In myers mode only, a frequent line sitting inside a block of
-    unmatched-or-frequent lines is additionally flagged when fewer than a
-    quarter of the block is merely frequent; minimal mode skips this step so
-    that its diffs stay minimal.
+    In myers mode only, so are the frequent lines git discards (see
+    ``_flag_frequent``); minimal mode skips them, unlike git's ``--minimal``,
+    so that its diffs stay minimal.
     """
     a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
@@ -81,51 +78,51 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     new_pre[prefix:m - suffix] = map(not_, map(count_a.__contains__, b[prefix:m - suffix]))
 
     if not minimal:
-        _flag_frequent(a, count_a, old_pre, prefix, n - suffix)
-        _flag_frequent(b, count_b, new_pre, prefix, m - suffix)
+        _flag_frequent(a, count_b, old_pre, prefix, n - suffix)
+        _flag_frequent(b, count_a, new_pre, prefix, m - suffix)
 
     return PreprocessClassification(prefix, suffix, old_pre, new_pre)
 
 
 def _flag_frequent(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
-    """Flag, in each maximal block of unmatched-or-frequent lines of
-    tokens[lo:hi] where 3 * frequent < unmatched, the frequent lines between
-    its first and last unmatched line.  Only the unmatched lines and the runs
-    of frequent lines that touch them are visited: a block without an
-    unmatched line is never flagged, and one block cannot change another."""
-    limit = approx_sqrt(len(tokens))
-    frequent = {t for t, c in counts.items() if c > limit}
+    """Flag the frequent lines of tokens[lo:hi] that git's ``xdl_cleanup_records`` discards.
+
+    A line is frequent when ``counts``, the other file's, holds it at least
+    bogosqrt(len(tokens)) times, capped at MAX_EQLIMIT.  One is flagged when
+    the runs of unmatched-or-frequent lines either side of it, read for at
+    most SIMSCAN_WINDOW lines each, both hold an unmatched line and
+    3 * (frequent + 1) < unmatched over them and the line (``xdl_clean_mmatch``).
+    Only the blocks of unmatched-or-frequent lines are walked, and a window's
+    unmatched lines are counted by bisecting its block's list of them."""
+    limit = min(bogosqrt(len(tokens)), MAX_EQLIMIT)
+    frequent = {t for t, c in counts.items() if c >= limit}
     if not frequent:
         return
-    first = last = 0  # first and last unmatched line of the current block
-    fr = un = 0
-    for i in compress(range(lo, hi), pre[lo:hi]):
-        if un:
+    w = SIMSCAN_WINDOW
+    block: list[int] = []  # the unmatched lines of the current block
+    start = lo  # the block's first line
+    for i in chain(compress(range(lo, hi), pre[lo:hi]), (hi,)):
+        if block:
             # the lines since the last unmatched one are matched; the block
-            # goes on if all of them are frequent
-            j = last + 1
+            # goes on if all of them are frequent, and else ends at j - 1
+            j = block[-1] + 1
             while j < i and tokens[j] in frequent:
                 j += 1
-            fr += j - last - 1
-            if j == i:
-                last = i
-                un += 1
+            if j == i < hi:
+                block.append(i)
                 continue
-            if 3 * fr < un:
-                pre[first:last] = [True] * (last - first)
+            # a line with no unmatched one within the window on one side has
+            # 101 frequent lines in it, too many to pass: git's check is implied
+            for p, q in pairwise(block):
+                for k in range(p + 1, q):
+                    un = bisect_right(block, k + w) - bisect_left(block, k - w)
+                    if 3 * (min(k + w + 1, j) - max(k - w, start) - un + 1) < un:
+                        pre[k] = True
         # i opens a block, which takes in the frequent lines just above it
-        j = i
-        while j > lo and tokens[j - 1] in frequent:
-            j -= 1
-        fr = i - j
-        first = last = i
-        un = 1
-    if un:
-        j = last + 1
-        while j < hi and tokens[j] in frequent:
-            j += 1
-        if 3 * (fr + j - last - 1) < un:
-            pre[first:last] = [True] * (last - first)
+        start = i
+        while start > lo and tokens[start - 1] in frequent:
+            start -= 1
+        block = [i]
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Write tests/git_fixtures.json: what git's own diff and merge-file give on
 seeded small inputs, for tests/test_git_parity.py, which never calls git.
 
-The histogram census holds only git's changed-line counts per side
-(``--numstat``, which no hunk placement changes) and a digest of its inputs,
-which are regenerated from their seeds; diffmerge must agree on every pair.
+The histogram and myers censuses hold only git's changed-line counts per
+side (``--numstat``, which no hunk placement changes) and a digest of their
+inputs, which are regenerated from their seeds; diffmerge must agree on every
+pair.  The myers witnesses are three inputs, one of over 2^20 lines, on which
+one rule of git's frequent-line discard decides the counts, recorded under
+``--diff-algorithm=myers`` and ``--minimal``.
 
     python tests/make_git_fixtures.py             # run git, record everything
     python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
@@ -45,10 +48,24 @@ MERGE_SEED, MERGE_CASES = 25, 300
 DIFF_SEED, DIFF_CASES = 26, 200
 
 # histogram census: small-alphabet pairs with block moves, and pairs whose two
-# frequent lines occur 55-75 times, either side of histogram's 64-occurrence cap
+# frequent lines occur 55-75 times, either side of histogram's 64-occurrence cap.
+# myers census: small files rich in frequent lines, some of exactly 256 or 1024
+# lines, and files of 200-1500 lines with blocks of 202-400 lines inserted,
+# longer than the 201 lines the frequent-line rule reads around a line
 CENSUS_ALPHABET = [b"\n", b"}\n", b"{\n", b"a\n", b"b\n", b"x;\n", b"return;\n", b"  y();\n", b"else\n"]
-CENSUS = {"small-alphabet": (31, 1500), "near-the-cap": (65, 300)}  # seed, pairs
-CENSUS_COMMAND = "git diff --no-index --numstat --histogram old new"
+FREQUENT = [b"}\n", b"\n", b"break;\n"]
+CENSUS = {  # corpus: algorithm, seed, pairs
+    "small-alphabet": ("histogram", 31, 1500),
+    "near-the-cap": ("histogram", 65, 300),
+    "frequent-lines": ("myers", 30, 600),
+    "long-blocks": ("myers", 202, 300),
+}
+CENSUS_COMMANDS = {
+    "histogram": "git diff --no-index --numstat --histogram old new",
+    "myers": "git diff --no-index --numstat --diff-algorithm=myers old new",
+}
+WITNESS_COMMANDS = {"myers": CENSUS_COMMANDS["myers"], "minimal": "git diff --no-index --numstat --minimal old new"}
+WITNESSES = ("minimal-is-not-minimal", "window-decides", "limit-capped-at-1024")
 
 MERGE_COMMAND = "git merge-file -p {flag}-L ours -L base -L theirs ours base theirs"
 MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
@@ -112,21 +129,67 @@ def _census_edited(rng: random.Random, lines: list[bytes], alphabet: list[bytes]
     return out
 
 
+def _frequent_block(rng: random.Random, length: int, share: float) -> list[bytes]:
+    """length new lines, each one of FREQUENT with probability share."""
+    return [rng.choice(FREQUENT) if rng.random() < share else b"new %d\n" % rng.randrange(10**9) for _ in range(length)]
+
+
 def census_inputs(corpus: str) -> list[tuple[bytes, bytes]]:
     """The (old, new) pairs of one census corpus, regenerated from its seed."""
-    seed, count = CENSUS[corpus]
+    _, seed, count = CENSUS[corpus]
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
         if corpus == "small-alphabet":
             alphabet = rng.sample(CENSUS_ALPHABET, rng.randint(1, 7))
             old = rng.choices(alphabet, k=rng.randint(1, 30))
-        else:
+            new = _census_edited(rng, old, alphabet)
+        elif corpus == "near-the-cap":
             alphabet = [b"}\n", b"\n"] + [b"line %d\n" % i for i in range(rng.randint(0, 40))]
             old = [b"}\n"] * rng.randint(55, 75) + [b"\n"] * rng.randint(55, 75) + alphabet[2:]
             rng.shuffle(old)
-        pairs.append((b"".join(old), b"".join(_census_edited(rng, old, alphabet))))
+            new = _census_edited(rng, old, alphabet)
+        elif corpus == "frequent-lines":
+            r = rng.random()
+            alphabet = FREQUENT + [b"x%d\n" % i for i in range(rng.randint(1, 12))]
+            weights = [rng.randint(1, 6) for _ in FREQUENT] + [1] * (len(alphabet) - len(FREQUENT))
+            old = rng.choices(alphabet, weights, k=256 if r < 0.1 else 1024 if r < 0.15 else rng.randint(1, 60))
+            new = list(old)
+            for _ in range(rng.randint(1, 5)):
+                at = rng.randrange(len(new) + 1)
+                new[at:at + rng.randint(0, 6)] = _frequent_block(rng, rng.randint(1, 12), 0.3)
+        else:
+            length = rng.randint(200, 1500)
+            old = [rng.choice(FREQUENT) if rng.random() < 0.3 else b"line %d\n" % rng.randrange(length) for _ in range(length)]
+            new = list(old)
+            for _ in range(rng.randint(1, 2)):
+                at = rng.randrange(len(new) + 1)
+                new[at:at + rng.randint(0, 50)] = _frequent_block(rng, rng.randint(202, 400), rng.uniform(0.1, 0.35))
+            if rng.random() < 0.5:
+                old, new = new, old
+        pairs.append((b"".join(old), b"".join(new)))
     return pairs
+
+
+def witness_inputs(key: str) -> tuple[bytes, bytes]:
+    """The (old, new) pair of one of WITNESSES."""
+    def lines(tag: bytes, numbers: range) -> bytes:
+        return b"".join(b"%s%d\n" % (tag, i) for i in numbers)
+
+    if key == "minimal-is-not-minimal":
+        # F is frequent and sits among unmatched lines, so git's --minimal also
+        # discards it: 4 added and 8 deleted, where keeping one F gives 3 and 7
+        return b"a\nb\nc\nd\nF\ne\nf\ng\n", b"F\n" * 4
+    if key == "window-decides":
+        # the } at old line 61 has 160 unmatched lines and itself in its window,
+        # and is discarded; the block's 300 ] lines lie outside that window
+        old = b"top\n" + lines(b"u", range(60)) + b"}\n" + lines(b"u", range(60, 160)) + b"]\n" * 300 + b"u160\nbottom\n"
+        return old, b"top\n" + b"}\n" * 40 + b"]\n" * 40 + b"bottom\n"
+    # files of over 2^20 lines, where xdl_bogosqrt is 2048: F, which the other
+    # file holds 1101 times, is still frequent, as the limit is capped at 1024
+    ends = b"F\n" * 1100 + b"x\n" * ((1 << 20) - 1100)
+    return (ends + lines(b"u", range(10)) + b"F\n" + lines(b"u", range(10, 20)),
+            ends + lines(b"v", range(10)) + b"F\n" + lines(b"v", range(10, 20)))
 
 
 def census_digest(pairs: list[tuple[bytes, bytes]]) -> str:
@@ -136,10 +199,10 @@ def census_digest(pairs: list[tuple[bytes, bytes]]) -> str:
     return digest.hexdigest()
 
 
-def diffmerge_numstat(old: bytes, new: bytes) -> list[int]:
-    """Lines added and deleted by diffmerge's histogram diff, as git's --numstat counts them."""
+def diffmerge_numstat(old: bytes, new: bytes, algorithm: str) -> list[int]:
+    """Lines added and deleted by one of diffmerge's diffs, as git's --numstat counts them."""
     table = InternTable()
-    flags = diff_lines(table.intern(old), table.intern(new), "histogram")
+    flags = diff_lines(table.intern(old), table.intern(new), algorithm)
     return [sum(flags.new_flags), sum(flags.old_flags)]
 
 
@@ -191,24 +254,34 @@ def record_git() -> dict:
                 command = DIFF_COMMAND.format(algorithm=algorithm, heuristic=heuristic)
                 git[setting] = changed_lines(_git(command.split()[1:], cwd, (0, 1)))
             diffs.append({"key": key, "old": _b64(old), "new": _b64(new), "git": git})
-        census, census_inputs_digest = [], {}
-        for corpus in CENSUS:
+        census: dict = {}
+        for corpus, (algorithm, _, _) in CENSUS.items():
             pairs = census_inputs(corpus)
-            census_inputs_digest[corpus] = census_digest(pairs)
+            census.setdefault(f"{algorithm}_census_inputs", {})[corpus] = census_digest(pairs)
+            cases = census.setdefault(f"{algorithm}_census", [])
             for i, (old, new) in enumerate(pairs):
                 Path(cwd, "old").write_bytes(old)
                 Path(cwd, "new").write_bytes(new)
-                git = _numstat(_git(CENSUS_COMMAND.split()[1:], cwd, (0, 1)))
-                census.append({"corpus": corpus, "key": f"c{i:04d}", "git": git})
+                git = _numstat(_git(CENSUS_COMMANDS[algorithm].split()[1:], cwd, (0, 1)))
+                cases.append({"corpus": corpus, "key": f"c{i:04d}", "git": git})
+        witnesses = []
+        for key in WITNESSES:
+            old, new = witness_inputs(key)
+            Path(cwd, "old").write_bytes(old)
+            Path(cwd, "new").write_bytes(new)
+            git = {mode: _numstat(_git(command.split()[1:], cwd, (0, 1))) for mode, command in WITNESS_COMMANDS.items()}
+            witnesses.append({"key": key, "inputs": census_digest([(old, new)]), "git": git})
     return {
         "git_version": version,
-        "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND, "histogram_census": CENSUS_COMMAND},
+        "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND,
+                     **{f"{algorithm}_census": command for algorithm, command in CENSUS_COMMANDS.items()},
+                     **{f"{mode}_witness": command for mode, command in WITNESS_COMMANDS.items()}},
         "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
         "merge_styles": MERGE_FLAGS,
         "merge": merges,
         "diff": diffs,
-        "histogram_census": census,
-        "histogram_census_inputs": census_inputs_digest,
+        **census,
+        "myers_witnesses": witnesses,
     }
 
 
@@ -262,11 +335,14 @@ def main() -> None:
     for name, keys in fixtures["matching"].items():
         total = len(fixtures["merge" if name.startswith("merge") else "diff"])
         print(f"{name}: {len(keys)} / {total}")
-    for corpus in CENSUS:
+    for corpus, (algorithm, _, _) in CENSUS.items():
         pairs = census_inputs(corpus)
-        cases = [case for case in fixtures["histogram_census"] if case["corpus"] == corpus]
-        agree = sum(diffmerge_numstat(*pair) == case["git"] for pair, case in zip(pairs, cases))
-        print(f"histogram census {corpus}: {agree} / {len(cases)} agree with git")
+        cases = [case for case in fixtures[f"{algorithm}_census"] if case["corpus"] == corpus]
+        agree = sum(diffmerge_numstat(*pair, algorithm) == case["git"] for pair, case in zip(pairs, cases))
+        print(f"{algorithm} census {corpus}: {agree} / {len(cases)} agree with git")
+    for case in fixtures["myers_witnesses"]:
+        got = diffmerge_numstat(*witness_inputs(case["key"]), "myers")
+        print(f"myers witness {case['key']}: git {case['git']}, diffmerge {got}")
 
 
 if __name__ == "__main__":

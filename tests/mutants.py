@@ -79,12 +79,32 @@ MUTANTS = (
            "size = len(self.ha1) + len(self.ha2) + 3", "size = len(self.ha1) + len(self.ha2) + 2",
            ("tests/test_myers.py::test_frontier_lists_wrap_at_both_ends",), KILLED),
     Mutant("myers-budget-not-gits-bogosqrt", "src/diffmerge/myers.py",
-           "(n + 3).bit_length()", "(n + 2).bit_length()",
+           "max(bogosqrt(n + 3),", "max(bogosqrt(n + 2),",
            ("tests/test_myers.py::test_step_budget_doubles_where_git_does",), KILLED),
     Mutant("myers-frequent-block-at-a-quarter", "src/diffmerge/myers.py",
-           "            if 3 * fr < un:\n", "            if 3 * fr <= un:\n",
+           "- un + 1) < un:", "- un + 1) <= un:",
            ("tests/test_myers.py::test_flag_frequent_matches_walk_reference",
             "tests/test_myers.py::test_preprocess_matches_reference"), KILLED),
+    Mutant("myers-frequent-line-counted-once", "src/diffmerge/myers.py",
+           "- un + 1) < un:", "- un) < un:",
+           ("tests/test_myers.py::test_flag_frequent_matches_walk_reference",
+            "tests/test_myers.py::test_preprocess_matches_reference"), KILLED),
+    Mutant("myers-frequent-counted-in-the-same-file", "src/diffmerge/myers.py",
+           "_flag_frequent(a, count_b, old_pre", "_flag_frequent(a, count_a, old_pre",
+           ("tests/test_myers.py::test_preprocess_matches_reference",
+            "tests/test_git_parity.py::test_myers_census_agrees_with_git_on_every_pair"), KILLED,
+           also=(("_flag_frequent(b, count_a, new_pre", "_flag_frequent(b, count_b, new_pre"),)),
+    Mutant("myers-frequent-above-the-limit", "src/diffmerge/myers.py",
+           "if c >= limit}", "if c > limit}",
+           ("tests/test_myers.py::test_preprocess_matches_reference",
+            "tests/test_git_parity.py::test_myers_census_agrees_with_git_on_every_pair"), KILLED),
+    Mutant("myers-frequent-window-dropped", "src/diffmerge/myers.py",
+           "    w = SIMSCAN_WINDOW\n", "    w = len(tokens)\n",
+           ("tests/test_myers.py::test_frequent_line_window_reads_100_lines_each_way",
+            "tests/test_git_parity.py::test_myers_census_agrees_with_git_on_every_pair"), KILLED),
+    Mutant("myers-frequent-limit-uncapped", "src/diffmerge/myers.py",
+           "min(bogosqrt(len(tokens)), MAX_EQLIMIT)", "bogosqrt(len(tokens))",
+           ("tests/test_git_parity.py::test_myers_witness_agrees_with_git",), KILLED),
     # histogram
     Mutant("histogram-gate-held-at-the-cap", "src/diffmerge/histogram.py",
            "            if len(positions) <= lowest:\n",

@@ -8,12 +8,11 @@ recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the Myers pipeline that maps flags back line by line, the
 line-by-line flag scans and common-run scans (pairwise, and three-way for
-the zdiff3 trim), the frequent-line rule that rescans a block around each
-of its lines and its later walk over every line, the indent heuristic that
-rescans the blank lines around each split into a record and scores the
-record's fields, and the line split and intern loop that handle one line at
-a time in Python.  Tests require the package to give the same answers; none of
-this code ships in ``src/``.
+the zdiff3 trim), the frequent-line rule as git scans each line's window,
+the indent heuristic that rescans the blank lines around each split into a
+record and scores the record's fields, and the line split and intern loop
+that handle one line at a time in Python.  Tests require the package to give
+the same answers; none of this code ships in ``src/``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
 from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion
-from diffmerge.myers import _BIG, PreprocessClassification, _SearchEnv, approx_sqrt, myers_flags
+from diffmerge.myers import _BIG, PreprocessClassification, _SearchEnv, myers_flags
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
 from diffmerge.slider import _groups, line_indent, slidable_range
@@ -716,7 +715,7 @@ def trim_zdiff3_reference(region: MergeRegion, o: InternedSequence, left: Intern
 
 
 def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
-    """``myers.preprocess`` as first written: each frequent line rescans its block."""
+    """``myers.preprocess`` as first written, with git's frequent-line scan line by line."""
     a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
     prefix = common_prefix_reference(a, 0, b, 0, min(n, m))
@@ -734,48 +733,69 @@ def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minima
             new_pre[j] = True
 
     if not minimal:
-        flag_frequent_reference(a, count_a, old_pre, prefix, n - suffix)
-        flag_frequent_reference(b, count_b, new_pre, prefix, m - suffix)
+        flag_frequent_reference(a, count_b, old_pre, prefix, n - suffix)
+        flag_frequent_reference(b, count_a, new_pre, prefix, m - suffix)
 
     return PreprocessClassification(prefix, suffix, old_pre, new_pre)
 
 
+def xdl_bogosqrt_reference(n: int) -> int:
+    """git's ``xdl_bogosqrt`` (xdiff/xutils.c): doubles once per base-4 digit of n."""
+    i = 1
+    while n > 0:
+        i <<= 1
+        n >>= 2
+    return i
+
+
 def flag_frequent_reference(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
-    limit = approx_sqrt(len(tokens))
-    frequent = [lo <= i < hi and not pre[i] and counts[tokens[i]] > limit for i in range(len(tokens))]
-    extra = []
+    """``myers._flag_frequent`` as git's ``xdl_cleanup_records`` scans, line by
+    line: each line of tokens[lo:hi] is 0 (the other file's ``counts`` lack
+    it), 2 (they hold it at least ``xdl_bogosqrt(len(tokens))`` times, capped
+    at 1024) or 1, and each line of class 2 walks its own window."""
+    mlim = min(xdl_bogosqrt_reference(len(tokens)), 1024)
+    dis = {}
     for i in range(lo, hi):
-        if frequent[i] and block_qualifies_reference(pre, frequent, i, lo, hi):
-            extra.append(i)
+        nm = counts[tokens[i]]
+        dis[i] = 0 if nm == 0 else 2 if nm >= mlim else 1
+    extra = [i for i in range(lo, hi) if dis[i] == 2 and clean_mmatch_reference(dis, i, lo, hi - 1)]
     for i in extra:
         pre[i] = True
 
 
-def flag_frequent_walk_reference(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
-    """``myers._flag_frequent`` as a walk over every line of tokens[lo:hi]:
-    each maximal block of unmatched-or-frequent lines is decided when it ends."""
-    limit = approx_sqrt(len(tokens))
-    frequent = {t for t, c in counts.items() if c > limit}
-    if not frequent:
-        return
-    first = last = 0  # first and last unmatched line of the current block
-    fr = un = 0
-    for i in range(lo, hi + 1):
-        if i < hi and pre[i]:
-            if not un:
-                first = i
-            last = i
-            un += 1
-        elif i < hi and tokens[i] in frequent:
-            fr += 1
+def clean_mmatch_reference(dis: dict[int, int], i: int, s: int, e: int) -> bool:
+    """git's ``xdl_clean_mmatch``: walk back and forward from line i, within
+    lines s to e and at most 100 (``XDL_SIMSCAN_WINDOW``) each way, over lines
+    of class 0 or 2; discard i when both runs hold a line of class 0 and
+    ``XDL_KPDIS_RUN`` (4) times the class-2 count, i counted once per run, is
+    below the runs' length."""
+    s, e = max(s, i - 100), min(e, i + 100)
+    rdis0, rpdis0 = 0, 1
+    r = 1
+    while i - r >= s and dis[i - r] != 1:
+        if dis[i - r] == 0:
+            rdis0 += 1
         else:
-            if 3 * fr < un:
-                pre[first:last] = [True] * (last - first)
-            fr = un = 0
+            rpdis0 += 1
+        r += 1
+    if rdis0 == 0:
+        return False
+    rdis1, rpdis1 = 0, 1
+    r = 1
+    while i + r <= e and dis[i + r] != 1:
+        if dis[i + r] == 0:
+            rdis1 += 1
+        else:
+            rpdis1 += 1
+        r += 1
+    if rdis1 == 0:
+        return False
+    rpdis = rpdis0 + rpdis1
+    return rpdis * 4 < rpdis + rdis0 + rdis1
 
 
 def diff_myers_reference(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
-    """``myers.diff_myers`` with the rescanning preprocess above and the
+    """``myers.diff_myers`` with the line-by-line preprocess above and the
     search's flags mapped back by one pass over every line between the
     common ends.  It searches through ``myers_flags``, so a test that patches
     ``split_reference`` in also runs the search on dict frontiers."""
@@ -795,39 +815,6 @@ def diff_myers_reference(old: InternedSequence, new: InternedSequence, minimal: 
     it = iter(sub.new_flags)
     nf[lo:hi_new] = [f or next(it) for f in nf[lo:hi_new]]
     return ChangedLines(of, nf)
-
-
-def block_qualifies_reference(unmatched: list[bool], frequent: list[bool], i: int, lo: int, hi: int) -> bool:
-    # Scan outwards while lines are unmatched or frequent; require at least
-    # one unmatched line on each side, and strictly fewer than a quarter of
-    # the block being merely frequent.
-    un_above, fr_above = 0, 1  # the line itself counts as frequent
-    k = i - 1
-    while k >= lo:
-        if unmatched[k]:
-            un_above += 1
-        elif frequent[k]:
-            fr_above += 1
-        else:
-            break
-        k -= 1
-    if un_above == 0:
-        return False
-    un_below, fr_below = 0, 0
-    k = i + 1
-    while k < hi:
-        if unmatched[k]:
-            un_below += 1
-        elif frequent[k]:
-            fr_below += 1
-        else:
-            break
-        k += 1
-    if un_below == 0:
-        return False
-    fr_total = fr_above + fr_below
-    un_total = un_above + un_below
-    return fr_total * 4 < fr_total + un_total
 
 
 # git's indent-heuristic weights (``xdiff/xdiffi.c``), written out here so

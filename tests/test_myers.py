@@ -14,7 +14,7 @@ from diffmerge.myers import (
     _SearchEnv,
     _flag_frequent,
     _recs_cmp,
-    approx_sqrt,
+    bogosqrt,
     diff_myers,
     myers_flags,
     preprocess,
@@ -23,14 +23,18 @@ from diffmerge.myers import (
 
 import reference
 from conftest import edited_source, lines_executed, random_file, source_lines
+from make_git_fixtures import witness_inputs
 
 
-def test_approx_sqrt_values():
-    assert approx_sqrt(0) == 1
-    assert approx_sqrt(1) == 1
-    assert approx_sqrt(100) == 16
-    assert approx_sqrt(256) == 16
-    assert approx_sqrt(257) == 32
+def test_bogosqrt_values():
+    assert bogosqrt(0) == 1
+    assert bogosqrt(1) == 2
+    assert bogosqrt(100) == 16
+    # 256 has one base-4 digit more than 255, so bogosqrt doubles there, to
+    # twice the square root
+    assert bogosqrt(256) == 32
+    for n in range(5000):
+        assert bogosqrt(n) == reference.xdl_bogosqrt_reference(n), n
 
 
 def test_step_budget_never_below_min_steps():
@@ -38,24 +42,14 @@ def test_step_budget_never_below_min_steps():
     assert step_budget(100_000) == 512
 
 
-def _xdl_bogosqrt(n):
-    # git's xdiff/xutils.c: doubles once per base-4 digit of n
-    i = 1
-    while n > 0:
-        i <<= 1
-        n >>= 2
-    return i
-
-
 @pytest.mark.parametrize("j", [8, 9, 10])
 def test_step_budget_doubles_where_git_does(j):
-    # xdl_do_diff's budget, xdl_bogosqrt(n + 3), doubles at n = 4**j - 3,
-    # three lines before approx_sqrt(n) does
+    # xdl_do_diff's budget, xdl_bogosqrt(n + 3), doubles at n = 4**j - 3
     edge = 4**j - 3
     assert step_budget(edge - 1) == 2**j
     assert [step_budget(n) for n in range(edge, 4**j + 2)] == [2 ** (j + 1)] * 5
     for n in range(edge - 50, edge + 50):
-        assert step_budget(n) == max(_xdl_bogosqrt(n + 3), HEUR_MIN_COST), n
+        assert step_budget(n) == max(reference.xdl_bogosqrt_reference(n + 3), HEUR_MIN_COST), n
 
 
 def test_preprocess_identical_files_strip_everything(intern_pair):
@@ -209,7 +203,7 @@ def test_engine_dispatch_names(intern_pair):
 
 def _small_cutoffs(snake, heur_min):
     def flags(old, new):
-        mxcost = max(approx_sqrt(len(old) + len(new)), heur_min)
+        mxcost = max(bogosqrt(len(old) + len(new)), heur_min)
         # looked up on the module, where the wrap test records the frontiers
         return _recs_cmp(myers._SearchEnv(old, new, False, snake, heur_min, mxcost))
 
@@ -487,14 +481,27 @@ def test_flag_frequent_matches_walk_reference():
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
         cls = preprocess(o, n, minimal=True)  # unmatched lines only
         for seq, other, pre in ((o, n, cls.old_prechanged), (n, o, cls.new_prechanged)):
-            counts = Counter(seq.tokens)
+            counts = Counter(other.tokens)
             lo, hi = cls.prefix_len, len(seq) - cls.suffix_len
             got, want = list(pre), list(pre)
             _flag_frequent(seq.tokens, counts, got, lo, hi)
-            reference.flag_frequent_walk_reference(seq.tokens, counts, want, lo, hi)
+            reference.flag_frequent_reference(seq.tokens, counts, want, lo, hi)
             assert got == want
             fired += got != pre
     assert fired > 50
+
+
+def test_frequent_line_window_reads_100_lines_each_way(intern_pair):
+    """The old side of the "window-decides" witness has one block of 161
+    unmatched and 301 frequent lines, too many frequent ones for the block as
+    a whole; the } at line 61 sees only unmatched lines within 100 lines of
+    it, and is flagged, as git does (its counts are in git_fixtures.json)."""
+    old, new = intern_pair(*witness_inputs("window-decides"))
+    got = preprocess(old, new, minimal=False)
+    unmatched = preprocess(old, new, minimal=True)
+    assert [i for i, (f, u) in enumerate(zip(got.old_prechanged, unmatched.old_prechanged)) if f != u] == [61]
+    assert got.new_prechanged == unmatched.new_prechanged
+    assert got == reference.preprocess_reference(old, new, minimal=False)
 
 
 @pytest.mark.parametrize("minimal", (False, True), ids=("myers", "minimal"))
