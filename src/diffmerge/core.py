@@ -4,7 +4,8 @@ unified rendering.
 A diff problem (two or three files) shares one :class:`InternTable` so that
 equal line content gets equal integer tokens across all files involved; the
 table keeps each distinct line's text once, and a file reads it by token.
-Interning streams a file's records, so a repeated line is freed once read.
+Interning streams a file's records, so a repeated line is freed once read; a
+table's later files, whose lines it mostly holds, take each token by one lookup.
 Lines are byte strings split on LF only; CR and the other line breaks of
 ``bytes.splitlines`` are ordinary content.  A final line without a trailing
 newline is still one line, and its token differs from the same content with
@@ -51,20 +52,32 @@ class InternedSequence:
         return len(self.tokens)
 
 
+class _Ids(dict):
+    """Line -> token; looking up a new line adds it with the next token."""
+
+    def __missing__(self, rec: bytes) -> int:
+        self[rec] = token = len(self)
+        return token
+
+
 class InternTable:
     """Token assignment shared by the files of one diff or merge problem, which
     keeps each distinct line once: as a key of its dict and as ``lines[token]``."""
 
     def __init__(self) -> None:
-        self._ids: dict[bytes, int] = {}
+        self._ids = _Ids()
         self.lines: list[bytes] = []
 
     def intern(self, data: bytes) -> InternedSequence:
         ids = self._ids
-        add = ids.setdefault
         lines = self.lines
-        # len(ids) is read before rec is added, so tokens count first occurrences
-        tokens = [add(rec, len(ids)) for rec in io.BytesIO(data)]
+        if ids:  # a later file: the table holds almost all its lines
+            tokens = list(map(ids.__getitem__, io.BytesIO(data)))
+        else:
+            # mostly new lines, which setdefault adds faster than __missing__;
+            # len(ids) is read before rec is added, so tokens count first occurrences
+            add = ids.setdefault
+            tokens = [add(rec, len(ids)) for rec in io.BytesIO(data)]
         if len(ids) > len(lines):
             # the dict keeps insertion order: its new keys are the new lines, in token order
             lines += islice(ids, len(lines), None)

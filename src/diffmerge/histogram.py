@@ -24,9 +24,10 @@ the current limit is exact.  A candidate's record count is taken only when it
 can change the choice, one line at a time from counts cached for the call,
 stopping at the first line that occurs once there.  A candidate that matches
 neither new line beside its seed is that one line, with the seed's count, so
-it is skipped once the lowest count is no higher.  The flags, regions (tuple
-records) and record counts equal those of the per-subproblem rescan kept as
-the test reference ``histogram_reference``.
+it is skipped once the lowest count is no higher.  One line against one is
+settled by a compare, as the split search would: a region of itself or none.
+The flags, regions (tuple records) and record counts equal those of the
+per-subproblem rescan kept as the test reference ``histogram_reference``.
 """
 
 from __future__ import annotations
@@ -191,6 +192,11 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
             continue
         if lo2 == hi2:
             of[lo1:hi1] = [True] * (hi1 - lo1)
+            continue
+        if hi1 - lo1 == 1 == hi2 - lo2:
+            # find_split's answer for one line each: the line itself, or no region
+            if a[lo1] != b[lo2]:
+                of[lo1] = nf[lo2] = True
             continue
         try:
             split = find_split(a, b, lo1, hi1, lo2, hi2, occ, runs)

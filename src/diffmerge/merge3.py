@@ -4,9 +4,10 @@ The pipeline diffs the ancestor against each side, walks the two hunk lists
 through a six-case loop to build merge regions, shrinks conflicts as far as
 the style allows (zealous: merge splits them along a diff of their sides,
 zdiff3 trims common ends, diff3 keeps them whole as git's xdl_do_merge does)
-and renders them with conflict markers.  Neither the input bytes nor the
-intern table's dict are held once the three files are interned.  Regions are
-tuple records, and a refined region is a ``_replace`` of the one it came from.
+and renders them with conflict markers; zealous refinement touches only
+conflicts.  Neither the input bytes nor the intern table's dict are held once
+the three files are interned.  Regions are tuple records, and a refined region
+is a ``_replace`` of the one it came from.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ def merge_regions_pipeline(
     if options.zealous and options.style == "merge":
         refined: list[MergeRegion] = []
         for region in regions:
+            if region.kind != CONFLICT:  # refining, demoting and rejoining change only conflicts
+                refined.append(region)
+                continue
             for piece in refine_zealous(region, left, right, options.algorithm):
                 piece = _demote_equal_sides(piece, left, right)
                 prev = refined[-1] if refined else None
@@ -281,7 +285,7 @@ def merge_regions_pipeline(
                     refined[-1] = prev._replace(end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
                 else:
                     refined.append(piece)
-        regions = [_demote_equal_sides(r, left, right) for r in refined]
+        regions = [_demote_equal_sides(r, left, right) if r.kind == CONFLICT else r for r in refined]
     elif options.style == "zdiff3" and options.zealous:
         regions = [
             _trim_zdiff3(r, o, left, right) if r.kind == CONFLICT else r

@@ -33,7 +33,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent / "src"))
+if __name__ == "__main__":  # as a script, record this checkout's diffmerge
+    sys.path.insert(0, str(HERE.parent / "src"))
 
 from diffmerge.core import InternTable  # noqa: E402
 from diffmerge.engine import ALGORITHMS, diff_lines  # noqa: E402

@@ -59,6 +59,9 @@ MUTANTS = (
     Mutant("core-intern-tokens-off-by-one", "src/diffmerge/core.py",
            "tokens = [add(rec, len(ids)) for rec", "tokens = [add(rec, len(ids) + 1) for rec",
            ("tests/test_core.py::test_split_and_intern_match_reference",), KILLED),
+    Mutant("core-intern-missing-token-off-by-one", "src/diffmerge/core.py",
+           "self[rec] = token = len(self)\n", "self[rec] = token = len(self) + 1\n",
+           ("tests/test_core.py::test_split_and_intern_match_reference",), KILLED),
     Mutant("core-prefix-halving-stops-at-two", "src/diffmerge/core.py",
            "    while step > 1:\n        step >>= 1\n        if k + step <= limit and a[i + k:",
            "    while step > 2:\n        step >>= 1\n        if k + step <= limit and a[i + k:",
@@ -128,6 +131,9 @@ MUTANTS = (
            ("tests/test_histogram.py", "tests/test_acceptance.py::test_criterion_4_histogram_pathology_and_asymmetry"),
            "equivalent: a one-line candidate as rare as the best is no longer than it and its record count is "
            "not lower, so it never wins"),
+    Mutant("histogram-one-line-leaf-flags-equal-lines", "src/diffmerge/histogram.py",
+           "            if a[lo1] != b[lo2]:\n", "            if a[lo1] == b[lo2]:\n",
+           ("tests/test_histogram.py::test_history_shaped_blobs_match_reference",), KILLED),
     Mutant("histogram-seed-outside-the-box", "src/diffmerge/histogram.py",
            "positions = (positions,) if lo1 <= positions < hi1 else None", "positions = (positions,)",
            ("tests/test_histogram.py",), KILLED),
@@ -162,6 +168,9 @@ MUTANTS = (
     Mutant("merge3-equal-sides-not-demoted", "src/diffmerge/merge3.py",
            "        return region._replace(kind=SAME)\n", "        return region\n",
            ("tests/test_merge3.py",), KILLED),
+    Mutant("merge3-zealous-skips-conflicts-too", "src/diffmerge/merge3.py",
+           "if region.kind != CONFLICT:  #", "if region.kind != SAME:  #",
+           ("tests/test_merge3.py::test_zealous_pipeline_matches_reference",), KILLED),
     Mutant("merge3-hunks-bypass-the-module-seam", "src/diffmerge/merge3.py",
            "    return flags_to_script(diff_lines(old, new, algorithm), old, new)\n",
            "    from . import engine\n    return flags_to_script(engine.diff_lines(old, new, algorithm), old, new)\n",

@@ -8,10 +8,11 @@ recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
 split, the Myers pipeline that maps flags back line by line, the
 line-by-line flag scans and common-run scans (pairwise, and three-way for
-the zdiff3 trim), the frequent-line rule as git scans each line's window,
-the indent heuristic that rescans the blank lines around each split into a
-record and scores the record's fields, and the line split and intern loop
-that handle one line at a time in Python.  Tests require the package to give
+the zdiff3 trim), the zealous loop that refines every merge region, the
+frequent-line rule as git scans each line's window, the indent heuristic
+that rescans the blank lines around each split into a record and scores the
+record's fields, and the line split and intern loop that handle one line at
+a time in Python.  Tests require the package to give
 the same answers; none of this code ships in ``src/``.
 """
 
@@ -26,7 +27,7 @@ from operator import not_
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
-from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion
+from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, _demote_equal_sides, refine_zealous
 from diffmerge.myers import _BIG, PreprocessClassification, _SearchEnv, myers_flags
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
@@ -712,6 +713,25 @@ def trim_zdiff3_reference(region: MergeRegion, o: InternedSequence, left: Intern
         el -= 1
         er -= 1
     return MergeRegion(sa, ea, sl, el, sr, er, CONFLICT)
+
+
+def zealous_reference(
+    regions: list[MergeRegion], left: InternedSequence, right: InternedSequence, algorithm: str
+) -> list[MergeRegion]:
+    """Zealous refinement of a merge's regions as first written: every region,
+    whatever its kind, goes through ``refine_zealous``; every piece through the
+    equal-sides demote and the rejoin of conflicts fewer than 3 lines apart;
+    every region after rejoining through the demote again."""
+    refined: list[MergeRegion] = []
+    for region in regions:
+        for piece in refine_zealous(region, left, right, algorithm):
+            piece = _demote_equal_sides(piece, left, right)
+            prev = refined[-1] if refined else None
+            if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l < 3:
+                refined[-1] = prev._replace(end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
+            else:
+                refined.append(piece)
+    return [_demote_equal_sides(r, left, right) for r in refined]
 
 
 def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:

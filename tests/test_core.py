@@ -103,7 +103,15 @@ _SPLIT_FIXED = (b"", b"\n", b"a", b"a\rb\r\nc\x0bd\x0ce\x1cf\x1dg\x1eh\x85i\x00j
 
 def test_split_and_intern_match_reference():
     rng = random.Random(20)
-    triples = [_SPLIT_FIXED[:3], _SPLIT_FIXED[1:], _SPLIT_FIXED[::-1]]
+    triples = [
+        _SPLIT_FIXED[:3], _SPLIT_FIXED[1:], _SPLIT_FIXED[::-1],
+        # later files made only of lines the table has not seen
+        (b"a\nb\n", b"c\nd\ne", b"f\n\n"),
+        # a new line repeated within a later file, beside known ones
+        (b"a\nb\n", b"x\na\nx\nx\nb\ny", b"y\nx\nz\nz\n"),
+        # an empty first file: the second is the first to add lines
+        (b"", b"a\nb\na\n", b"b\nc\na\nc\n"),
+    ]
     for _ in range(600):
         triples.append(tuple(
             rng.choice(_SPLIT_FIXED) if rng.random() < 0.1

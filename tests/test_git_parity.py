@@ -16,7 +16,11 @@ myers diff on the three myers witnesses, each decided by one rule of git's
 frequent-line discard.
 """
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +102,19 @@ def test_gits_minimal_is_not_minimal():
     assert diffmerge_numstat(old, new, "minimal") == [3, 7]
     table = InternTable()
     assert oracle.min_edit_distance(table.intern(old).tokens, table.intern(new).tokens) == 10
+
+
+def test_importing_the_fixture_writer_leaves_sys_path_and_diffmerge_alone(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = list(sys.path)
+    script = Path(FIXTURES).with_name("make_git_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_git_fixtures_again", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sys.path == before
+    assert module.InternTable is InternTable
+    # run as a script with no PYTHONPATH, from outside the checkout, it
+    # imports the diffmerge beside it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0 and b"--rematch" in run.stdout, run.stderr

@@ -421,17 +421,50 @@ def test_paper_families_match_reference():
         _assert_same_splits(random.Random(k), a, b, 10)
 
 
-def test_one_find_split_call_per_reference_subproblem(monkeypatch):
+_STATEMENTS = (b"\n", b"    }\n", b"    return 0;\n", b"    x = y;\n", b"    if (err) {\n")
+
+
+def _history_pair(rng):
+    """Two versions of a 48-line blob as a commit history edits it: each even
+    line a numbered assignment of its slot and version, each odd line one of
+    a few fixed statements; the newer version bumps 1 to 6 slots, so the
+    diff is mostly one-line replacements, some of them adjacent."""
+    fixed = [rng.choice(_STATEMENTS) for _ in range(24)]
+    versions = [rng.randrange(100) for _ in range(24)]
+
+    def blob(versions):
+        return [line for k in range(24) for line in (b"    v_%d = step(%d, %d);\n" % (k, k, versions[k]), fixed[k])]
+
+    newer = list(versions)
+    for k in rng.sample(range(24), rng.randint(1, 6)):
+        newer[k] += 100
+    return blob(versions), blob(newer)
+
+
+def test_history_shaped_blobs_match_reference():
+    rng = random.Random("histogram-history")
+    for _ in range(300):
+        old, new = _history_pair(rng)
+        _assert_same_flags(b"".join(old), b"".join(new))
+        _assert_same_flags(b"".join(new), b"".join(old))
+    # one line each, the whole diff: equal, unequal, and unequal by its newline
+    for old, new in ((b"a\n", b"a\n"), (b"a\n", b"b\n"), (b"a\n", b"a")):
+        _assert_same_flags(old, new)
+
+
+def test_one_find_split_call_per_reference_subproblem_not_one_by_one(monkeypatch):
     # a tracer wraps histogram.find_split at the module attribute; the diff
-    # must reach it once per subproblem, as the reference does
+    # must reach it once per subproblem of the reference, except a box of
+    # one line on each side, which it settles by one compare
     from diffmerge import histogram
 
-    calls = {"new": 0, "reference": 0}
+    calls = {"new": 0, "reference": 0, "reference one by one": 0}
 
     def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+        def wrapper(a, b, lo1, hi1, lo2, hi2, *rest):
+            one_by_one = key == "reference" and hi1 - lo1 == hi2 - lo2 == 1
+            calls[key + " one by one" if one_by_one else key] += 1
+            return fn(a, b, lo1, hi1, lo2, hi2, *rest)
         return wrapper
 
     monkeypatch.setattr(histogram, "find_split", counting("new", histogram.find_split))
@@ -439,13 +472,13 @@ def test_one_find_split_call_per_reference_subproblem(monkeypatch):
         reference, "histogram_split_reference", counting("reference", reference.histogram_split_reference)
     )
     rng = random.Random(44)
-    for _ in range(40):
-        old, new = _corpus(rng, rng.choice(KINDS))
+    pairs = [_corpus(rng, rng.choice(KINDS)) for _ in range(40)] + [_history_pair(rng) for _ in range(20)]
+    for old, new in pairs:
         table = InternTable()
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
         histogram.diff_histogram(o, n)
         reference.histogram_reference(o, n)
-    assert calls["reference"] > 40
+    assert calls["reference"] > 40 and calls["reference one by one"] > 20
     assert calls["new"] == calls["reference"]
 
 

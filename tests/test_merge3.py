@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diffmerge.core import Change, InternedSequence, InternTable
+from diffmerge.core import Change, InternedSequence, InternTable, flags_to_script
 from diffmerge.engine import diff_lines
 from diffmerge.merge3 import (
     CONFLICT,
@@ -481,6 +481,43 @@ def test_trim_zdiff3_matches_reference():
     for region, o, left, right in cases:
         got = _trim_zdiff3(region, o, left, right)
         assert got == reference.trim_zdiff3_reference(region, o, left, right), (region, o.tokens, left.tokens, right.tokens)
+
+
+def _runs_triple(rng):
+    """A base of short runs of equal lines and two sides that each drop some
+    of its lines and may insert one: conflicts whose sides share lines."""
+    base = [line for _ in range(rng.randrange(8)) for line in [rng.choice((b"a\n", b"b\n", b"c\n"))] * rng.randint(1, 3)]
+
+    def side():
+        lines = [line for line in base if rng.random() < 0.7]
+        if rng.random() < 0.5:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice((b"a\n", b"d\n")))
+        return b"".join(lines)
+
+    return b"".join(base), side(), side()
+
+
+def test_zealous_pipeline_matches_reference():
+    # the loop that refines only conflicts must give the regions of the loop
+    # that refines every region; the first triple demotes a whole conflict
+    # with equal sides, the second a rejoined one
+    rng = random.Random("zealous-reference")
+    triples = [(b"b\nc\nc\nb\nc\nc\nc\n", b"b\nc\nb\nc\n", b"b\nc\nb\nb\n"), RESIDUAL_WITNESS]
+    triples += [_fuzz_triple(rng) if i % 2 else _runs_triple(rng) for i in range(600)]
+    seen = {"conflict": 0, "equal sides": 0, "rejoined": 0, "other": 0}
+    for triple in triples:
+        o, left, right = interned(*triple)
+        for algorithm in ("histogram", "myers"):
+            hunks = [flags_to_script(diff_lines(o, side, algorithm), o, side) for side in (left, right)]
+            regions = compute_merge_regions(*hunks, left, right, len(o))
+            want = reference.zealous_reference(regions, left, right, algorithm)
+            assert merge_regions_pipeline(o, left, right, MergeOptions(algorithm=algorithm)) == want, triple
+            pieces = sum(len(refine_zealous(r, left, right, algorithm)) for r in regions)
+            seen["conflict"] += any(r.kind == CONFLICT for r in regions)
+            seen["equal sides"] += any(r.kind == SAME for r in want)
+            seen["rejoined"] += pieces > len(want)
+            seen["other"] += any(r.kind != CONFLICT for r in regions)
+    assert seen["equal sides"] >= 8 and min(seen["conflict"], seen["rejoined"], seen["other"]) > 100, seen
 
 
 def test_merge_region_is_an_immutable_record():
