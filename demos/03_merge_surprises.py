@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Unintuitive merge behaviours, reproduced on tiny inputs.
 
-Three effects, each driven by the diffs rather than the merge loop itself:
+Four effects, each driven by the diffs rather than the merge loop itself:
 distant changes that still conflict, the same change applied twice without a
-conflict, and a merge whose non-conflicting text depends on the argument
-order.
+conflict, a merge whose non-conflicting text depends on the argument order,
+and a clean merge whose bytes depend on the diff algorithm.
 """
 
 from diffmerge import MergeOptions, merge3
@@ -48,3 +48,13 @@ print("merge(R, O, L) keeps", between(two.rendered).splitlines()[0].decode(),
       "between the conflicts")
 print("The zealous refinement diffs the two sides with the histogram "
       "algorithm, which is itself asymmetric.")
+
+print("\n=== the diff algorithm decides a clean merge's bytes ===")
+base = b"c\nc\na\na\na\n"
+left = b"c\nc\na\na\n"                # one a deleted
+right = b"c\n\na\n\nc\na\na\n"         # blank, a, blank put in after the first c; one a deleted
+for algorithm in ("myers", "minimal", "patience", "histogram"):
+    out = merge3(base, left, right, MergeOptions(algorithm=algorithm))
+    print(f"{algorithm:9} clean: {out.clean}  lines: {out.rendered.decode().splitlines()}")
+print("git merge -s recursive -Xdiff-algorithm=<alg> gives these same bytes; a plain")
+print("git merge (the ort strategy) ignores -Xdiff-algorithm and always gives histogram's.")

@@ -5,7 +5,9 @@ may pivot early on a long diagonal run (snake) or on the furthest frontier
 point once a step budget is exhausted.  The ``minimal`` option disables both
 cutoffs and also skips the frequent-line preprocessing step, which git's
 ``--minimal`` runs, so its output length always equals the true minimal edit
-distance.  The cutoffs are git's fixed constants (``XDL_SNAKE_CNT`` and
+distance.  ``myers_flags`` is the one pipeline, git's ``xdl_do_diff`` on two
+token lists; ``diff_myers`` and the histogram and patience fallbacks run it.
+The cutoffs are git's fixed constants (``XDL_SNAKE_CNT`` and
 ``XDL_HEUR_MIN_COST`` in ``xdiff/xdiffi.c``); the snake cutoff fires only
 under a step budget above HEUR_MIN_COST, which searches of 65,533 lines or
 more together get.  A diagonal's first line is compared inline, and a snake
@@ -57,7 +59,7 @@ class PreprocessClassification:
     new_prechanged: list[bool]
 
 
-def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
+def preprocess(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassification:
     """Strip common ends and pre-flag lines the search need not consider.
 
     Lines occurring in only one file can never match and are always flagged.
@@ -65,7 +67,6 @@ def preprocess(old: InternedSequence, new: InternedSequence, *, minimal: bool) -
     ``_flag_frequent``); minimal mode skips them, unlike git's ``--minimal``,
     so that its diffs stay minimal.
     """
-    a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
     prefix = common_prefix(a, 0, b, 0, min(n, m))
     suffix = common_suffix(a, n, b, m, min(n, m) - prefix)
@@ -348,29 +349,31 @@ def _recs_cmp(env: _SearchEnv) -> ChangedLines:
     return ChangedLines(rchg1, rchg2)
 
 
-def myers_flags(old_tokens: list[int], new_tokens: list[int], minimal: bool = False) -> ChangedLines:
-    """Run the bidirectional search on bare token lists (no preprocessing)."""
-    budget = step_budget(len(old_tokens) + len(new_tokens))
-    return _recs_cmp(_SearchEnv(old_tokens, new_tokens, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
+def myers_flags(a: list[int], b: list[int], minimal: bool = False) -> ChangedLines:
+    """git's ``xdl_do_diff`` on two token lists: ``preprocess``, search the
+    kept lines, map the flags back.  Histogram's and patience's fallbacks run
+    it on a sub-range, as git's ``xdl_fall_back_diff`` does."""
+    cls = preprocess(a, b, minimal=minimal)
+    lo = cls.prefix_len
+    hi_a, hi_b = len(a) - cls.suffix_len, len(b) - cls.suffix_len
+    of = cls.old_prechanged
+    nf = cls.new_prechanged
+    # the search sees only the kept lines: those between the common ends
+    # that are not pre-flagged
+    kept_a = list(map(not_, of[lo:hi_a]))
+    kept_b = list(map(not_, nf[lo:hi_b]))
+    ha1 = list(compress(islice(a, lo, hi_a), kept_a))
+    ha2 = list(compress(islice(b, lo, hi_b), kept_b))
+    budget = step_budget(len(ha1) + len(ha2))
+    sub = _recs_cmp(_SearchEnv(ha1, ha2, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
+    # a pre-flagged line stays flagged; a kept line takes the search's flag
+    for i in compress(compress(range(lo, hi_a), kept_a), sub.old_flags):
+        of[i] = True
+    for j in compress(compress(range(lo, hi_b), kept_b), sub.new_flags):
+        nf[j] = True
+    return ChangedLines(of, nf)
 
 
 def diff_myers(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
-    """Full myers/minimal pipeline: preprocess, search kept lines, map back."""
-    cls = preprocess(old, new, minimal=minimal)
-    lo = cls.prefix_len
-    hi_old, hi_new = len(old) - cls.suffix_len, len(new) - cls.suffix_len
-    of = cls.old_prechanged
-    nf = cls.new_prechanged
-
-    # the search sees only the kept lines: those between the common ends
-    # that are not pre-flagged
-    kept_old = list(map(not_, of[lo:hi_old]))
-    kept_new = list(map(not_, nf[lo:hi_new]))
-    sub = myers_flags(list(compress(islice(old.tokens, lo, hi_old), kept_old)),
-                      list(compress(islice(new.tokens, lo, hi_new), kept_new)), minimal)
-    # a pre-flagged line stays flagged; a kept line takes the search's flag
-    for i in compress(compress(range(lo, hi_old), kept_old), sub.old_flags):
-        of[i] = True
-    for j in compress(compress(range(lo, hi_new), kept_new), sub.new_flags):
-        nf[j] = True
-    return ChangedLines(of, nf)
+    """The myers or minimal diff of two sequences."""
+    return myers_flags(old.tokens, new.tokens, minimal)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import ChangedLines, InternedSequence
+from .core import ChangedLines, InternedSequence, common_prefix, common_suffix
 from .myers import myers_flags
 
 
@@ -80,16 +80,17 @@ def diff_patience(old: InternedSequence, new: InternedSequence) -> ChangedLines:
             nf[lo_b:hi_b] = sub.new_flags
             continue
 
-        # Recurse on the gaps between matched unique lines, the last one ending
-        # at (hi_a, hi_b), but not on gaps where old and new are equal.  Those
-        # share their unique lines at equal offsets, so the LIS would take them
-        # all and every gap between them would be equal again, down to gaps
-        # without unique lines that the fallback's prefix trim consumes whole:
-        # nothing in an equal gap is ever flagged.
+        # git's walk_common_sequence: each match grows back over equal lines,
+        # and the line after the previous match grows forward, before the gap
+        # between them is queued; the range's end grows nothing back
         lcs.append((hi_a, hi_b))
         prev_a, prev_b = lo_a, lo_b
         for pos_a, pos_b in lcs:
-            if pos_a - prev_a != pos_b - prev_b or a[prev_a:pos_a] != b[prev_b:pos_b]:
-                work.append((prev_a, pos_a, prev_b, pos_b))
+            if pos_a != prev_a or pos_b != prev_b:  # a match right after the previous one leaves no gap
+                limit = min(pos_a - prev_a, pos_b - prev_b)
+                back = common_suffix(a, pos_a, b, pos_b, limit) if pos_a < hi_a else 0
+                ahead = common_prefix(a, prev_a, b, prev_b, limit - back)
+                if prev_a + ahead < pos_a - back or prev_b + ahead < pos_b - back:
+                    work.append((prev_a + ahead, pos_a - back, prev_b + ahead, pos_b - back))
             prev_a, prev_b = pos_a + 1, pos_b + 1
     return ChangedLines(of, nf)

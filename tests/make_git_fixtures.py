@@ -1,12 +1,16 @@
-"""Write tests/git_fixtures.json: what git's own diff and merge-file give on
-seeded small inputs, for tests/test_git_parity.py, which never calls git.
+"""Write tests/git_fixtures.json: what git's own diff, merge-file and merge
+give on seeded small inputs, for tests/test_git_parity.py, which never calls
+git.
 
-The histogram and myers censuses hold only git's changed-line counts per
-side (``--numstat``, which no hunk placement changes) and a digest of their
-inputs, which are regenerated from their seeds; diffmerge must agree on every
-pair.  The myers witnesses are three inputs, one of over 2^20 lines, on which
-one rule of git's frequent-line discard decides the counts, recorded under
-``--diff-algorithm=myers`` and ``--minimal``.
+The histogram, myers and patience censuses hold only git's changed-line
+counts per side (``--numstat``, which no hunk placement changes) and a digest
+of their inputs, which are regenerated from their seeds; diffmerge must agree
+on every pair.  The myers witnesses are three inputs, one of over 2^20 lines,
+on which one rule of git's frequent-line discard decides the counts, recorded
+under ``--diff-algorithm=myers`` and ``--minimal``.  The finding-3 witness is
+one triple that git's ``recursive`` strategy merges cleanly into bytes that
+depend on ``-Xdiff-algorithm``, recorded under each algorithm and under a
+plain ``ort`` merge, which ignores the option.
 
     python tests/make_git_fixtures.py             # run git, record everything
     python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
@@ -48,27 +52,41 @@ ALPHABET = [b"\n", b"{\n", b"}\n", b"f() {\n", b"  x;\n", b"  y;\n", b"  if (a) 
 MERGE_SEED, MERGE_CASES = 25, 300
 DIFF_SEED, DIFF_CASES = 26, 200
 
-# histogram census: small-alphabet pairs with block moves, and pairs whose two
-# frequent lines occur 55-75 times, either side of histogram's 64-occurrence cap.
+# histogram census: small-alphabet pairs with block moves, pairs whose two
+# frequent lines occur 55-75 times, either side of histogram's 64-occurrence
+# cap, and pairs of 1200-3000 lines whose only common line is a } that makes
+# up 5 % of each, so that histogram falls back to Myers on the whole range.
 # myers census: small files rich in frequent lines, some of exactly 256 or 1024
 # lines, and files of 200-1500 lines with blocks of 202-400 lines inserted,
-# longer than the 201 lines the frequent-line rule reads around a line
+# longer than the 201 lines the frequent-line rule reads around a line.
+# patience census: the two corpora of each of the others
 CENSUS_ALPHABET = [b"\n", b"}\n", b"{\n", b"a\n", b"b\n", b"x;\n", b"return;\n", b"  y();\n", b"else\n"]
 FREQUENT = [b"}\n", b"\n", b"break;\n"]
-CENSUS = {  # corpus: algorithm, seed, pairs
-    "small-alphabet": ("histogram", 31, 1500),
-    "near-the-cap": ("histogram", 65, 300),
-    "frequent-lines": ("myers", 30, 600),
-    "long-blocks": ("myers", 202, 300),
+CENSUS = {  # corpus: algorithms, seed, pairs
+    "small-alphabet": (("histogram", "patience"), 31, 1500),
+    "near-the-cap": (("histogram", "patience"), 65, 300),
+    "frequent-lines": (("myers", "patience"), 30, 600),
+    "long-blocks": (("myers", "patience"), 202, 300),
+    "histogram-fallback": (("histogram",), 5, 40),
 }
 CENSUS_COMMANDS = {
     "histogram": "git diff --no-index --numstat --histogram old new",
     "myers": "git diff --no-index --numstat --diff-algorithm=myers old new",
+    "patience": "git diff --no-index --numstat --patience old new",
 }
+CENSUSES = [(algorithm, corpus) for algorithm in CENSUS_COMMANDS for corpus, (algorithms, _, _) in CENSUS.items()
+            if algorithm in algorithms]
 WITNESS_COMMANDS = {"myers": CENSUS_COMMANDS["myers"], "minimal": "git diff --no-index --numstat --minimal old new"}
 WITNESSES = ("minimal-is-not-minimal", "window-decides", "limit-capped-at-1024")
 
 MERGE_COMMAND = "git merge-file -p {flag}-L ours -L base -L theirs ours base theirs"
+# finding 3: c c a a a merged with c c a a (ours) and c / blank / a / blank / c a a (theirs)
+FINDING3 = (b"c\nc\na\na\na\n", b"c\nc\na\na\n", b"c\n\na\n\nc\na\na\n")
+FINDING3_SETUP = ("git init; f = base, committed; git checkout -b theirs; f = theirs, committed; "
+                  "git checkout -; f = ours, committed (each commit with --allow-empty)")
+FINDING3_COMMANDS = {**{algorithm: f"git merge -s recursive -Xdiff-algorithm={algorithm} theirs"
+                        for algorithm in ALGORITHMS},
+                     "ort": "git merge theirs"}
 MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
 DIFF_COMMAND = "git diff --no-index --no-color --no-ext-diff -U0 --diff-algorithm={algorithm} --{heuristic} old new"
 HEURISTICS = ("indent-heuristic", "no-indent-heuristic")
@@ -159,6 +177,9 @@ def census_inputs(corpus: str) -> list[tuple[bytes, bytes]]:
             for _ in range(rng.randint(1, 5)):
                 at = rng.randrange(len(new) + 1)
                 new[at:at + rng.randint(0, 6)] = _frequent_block(rng, rng.randint(1, 12), 0.3)
+        elif corpus == "histogram-fallback":
+            old, new = ([b"}\n" if rng.random() < 0.05 else b"%s %d\n" % (side, i) for i in range(rng.randint(1200, 3000))]
+                        for side in (b"old", b"new"))
         else:
             length = rng.randint(200, 1500)
             old = [rng.choice(FREQUENT) if rng.random() < 0.3 else b"line %d\n" % rng.randrange(length) for _ in range(length)]
@@ -225,12 +246,34 @@ def changed_lines(unified: bytes) -> list[list[int]]:
     return [old, new]
 
 
-def _git(args: list[str], cwd: str, ok: tuple[int, ...]) -> bytes:
+def _run_git(args: list[str], cwd: str, ok: tuple[int, ...]) -> subprocess.CompletedProcess:
     env = dict(os.environ, GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull, HOME=cwd, LC_ALL="C")
     done = subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True, check=False)
     if done.returncode not in ok:
         raise SystemExit(f"git {' '.join(args)} exited {done.returncode}: {done.stderr.decode(errors='replace')}")
-    return done.stdout
+    return done
+
+
+def _git(args: list[str], cwd: str, ok: tuple[int, ...]) -> bytes:
+    return _run_git(args, cwd, ok).stdout
+
+
+def _git_merge(command: str, repo: Path) -> dict:
+    """git's merged f and exit status (0 clean, 1 conflicted) for the finding-3
+    triple, in a new repository set up as FINDING3_SETUP says."""
+    base, ours, theirs = FINDING3
+    repo.mkdir()
+    cwd = str(repo)
+    identity = ["-c", "user.name=diffmerge", "-c", "user.email=diffmerge@example.invalid"]
+    _git(["init", "-q"], cwd, (0,))
+    for data, steps in ((base, []), (theirs, [["checkout", "-q", "-b", "theirs"]]), (ours, [["checkout", "-q", "-"]])):
+        for step in steps:
+            _git(step, cwd, (0,))
+        Path(repo, "f").write_bytes(data)
+        _git(["add", "f"], cwd, (0,))
+        _git([*identity, "commit", "-q", "--allow-empty", "-m", "f"], cwd, (0,))
+    done = _run_git([*identity, *command.split()[1:]], cwd, (0, 1))
+    return {"f": _b64(Path(repo, "f").read_bytes()), "exit": done.returncode}
 
 
 def record_git() -> dict:
@@ -256,7 +299,7 @@ def record_git() -> dict:
                 git[setting] = changed_lines(_git(command.split()[1:], cwd, (0, 1)))
             diffs.append({"key": key, "old": _b64(old), "new": _b64(new), "git": git})
         census: dict = {}
-        for corpus, (algorithm, _, _) in CENSUS.items():
+        for algorithm, corpus in CENSUSES:
             pairs = census_inputs(corpus)
             census.setdefault(f"{algorithm}_census_inputs", {})[corpus] = census_digest(pairs)
             cases = census.setdefault(f"{algorithm}_census", [])
@@ -272,17 +315,22 @@ def record_git() -> dict:
             Path(cwd, "new").write_bytes(new)
             git = {mode: _numstat(_git(command.split()[1:], cwd, (0, 1))) for mode, command in WITNESS_COMMANDS.items()}
             witnesses.append({"key": key, "inputs": census_digest([(old, new)]), "git": git})
+        finding3 = {"inputs": dict(zip(("base", "ours", "theirs"), map(_b64, FINDING3))),
+                    "git": {name: _git_merge(command, Path(cwd, name)) for name, command in FINDING3_COMMANDS.items()}}
     return {
         "git_version": version,
         "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND,
                      **{f"{algorithm}_census": command for algorithm, command in CENSUS_COMMANDS.items()},
-                     **{f"{mode}_witness": command for mode, command in WITNESS_COMMANDS.items()}},
+                     **{f"{mode}_witness": command for mode, command in WITNESS_COMMANDS.items()},
+                     **{f"finding3 {name}": command for name, command in FINDING3_COMMANDS.items()},
+                     "finding3 setup": FINDING3_SETUP},
         "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
         "merge_styles": MERGE_FLAGS,
         "merge": merges,
         "diff": diffs,
         **census,
         "myers_witnesses": witnesses,
+        "finding3": finding3,
     }
 
 
@@ -299,6 +347,14 @@ def diffmerge_changed_lines(case: dict, setting: str) -> list[list[int]]:
     if heuristic == "indent-heuristic":
         flags = slide_changed_lines(flags, old, new)
     return [[i for i, f in enumerate(side) if f] for side in (flags.old_flags, flags.new_flags)]
+
+
+def finding3_merge(name: str):
+    """diffmerge's merge of the finding-3 triple as one of FINDING3_COMMANDS
+    runs it; ``ort`` merges with histogram."""
+    base, ours, theirs = FINDING3
+    options = MergeOptions(algorithm="histogram" if name == "ort" else name, labels=("HEAD", "base", "theirs"))
+    return merge3(base, ours, theirs, options)
 
 
 SETTINGS = [f"merge-file {style}" for style in STYLES] + [f"diff {setting}" for setting in DIFF_SETTINGS]
@@ -336,7 +392,7 @@ def main() -> None:
     for name, keys in fixtures["matching"].items():
         total = len(fixtures["merge" if name.startswith("merge") else "diff"])
         print(f"{name}: {len(keys)} / {total}")
-    for corpus, (algorithm, _, _) in CENSUS.items():
+    for algorithm, corpus in CENSUSES:
         pairs = census_inputs(corpus)
         cases = [case for case in fixtures[f"{algorithm}_census"] if case["corpus"] == corpus]
         agree = sum(diffmerge_numstat(*pair, algorithm) == case["git"] for pair, case in zip(pairs, cases))
@@ -344,6 +400,10 @@ def main() -> None:
     for case in fixtures["myers_witnesses"]:
         got = diffmerge_numstat(*witness_inputs(case["key"]), "myers")
         print(f"myers witness {case['key']}: git {case['git']}, diffmerge {got}")
+    for name, git in fixtures["finding3"]["git"].items():
+        got = finding3_merge(name)
+        print(f"finding 3 {name}: git exits {git['exit']}, diffmerge {'clean' if got.clean else 'conflicts'}, "
+              f"bytes {'equal' if got.rendered == unb64(git['f']) else 'differ'}")
 
 
 if __name__ == "__main__":

@@ -108,6 +108,11 @@ MUTANTS = (
     Mutant("myers-frequent-limit-uncapped", "src/diffmerge/myers.py",
            "min(bogosqrt(len(tokens)), MAX_EQLIMIT)", "bogosqrt(len(tokens))",
            ("tests/test_git_parity.py::test_myers_witness_agrees_with_git",), KILLED),
+    Mutant("myers-fallback-skips-the-discard", "src/diffmerge/myers.py",
+           "    cls = preprocess(a, b, minimal=minimal)\n",
+           "    return _recs_cmp(_SearchEnv(a, b, minimal, SNAKE_CNT, HEUR_MIN_COST, step_budget(len(a) + len(b))))\n",
+           ("tests/test_git_parity.py::test_histogram_census_agrees_with_git_on_every_pair",
+            "tests/test_git_parity.py::test_patience_census_agrees_with_git_on_every_pair"), KILLED),
     # histogram
     Mutant("histogram-gate-held-at-the-cap", "src/diffmerge/histogram.py",
            "            if len(positions) <= lowest:\n",
@@ -144,11 +149,15 @@ MUTANTS = (
     Mutant("patience-lis-forgets-the-previous-pile", "src/diffmerge/patience.py",
            "previous.append(top[pile - 1] if pile else -1)", "previous.append(-1)",
            ("tests/test_patience.py", "tests/test_acceptance.py::test_criterion_3_patience_lis"), KILLED),
-    Mutant("patience-recurses-into-equal-gaps", "src/diffmerge/patience.py",
-           "if pos_a - prev_a != pos_b - prev_b or a[prev_a:pos_a] != b[prev_b:pos_b]:", "if True:",
-           ("tests/test_patience.py",),
-           "equivalent: an equal gap's unique lines match at equal offsets, down to gaps the fallback's prefix "
-           "trim consumes whole, so nothing in it is flagged"),
+    Mutant("patience-walk-grows-nothing-back", "src/diffmerge/patience.py",
+           "back = common_suffix(a, pos_a, b, pos_b, limit) if pos_a < hi_a else 0", "back = 0",
+           ("tests/test_git_parity.py::test_patience_census_agrees_with_git_on_every_pair",
+            "tests/test_patience.py::test_diff_patience_matches_reference"), KILLED),
+    Mutant("patience-walk-grows-the-end-back", "src/diffmerge/patience.py",
+           "back = common_suffix(a, pos_a, b, pos_b, limit) if pos_a < hi_a else 0",
+           "back = common_suffix(a, pos_a, b, pos_b, limit)",
+           ("tests/test_git_parity.py::test_patience_census_agrees_with_git_on_every_pair",
+            "tests/test_patience.py::test_diff_patience_matches_reference"), KILLED),
     # slider
     Mutant("slider-post-blank-weight-one-short", "src/diffmerge/slider.py",
            "POST_BLANK_WEIGHT * (post_blank + 1)", "POST_BLANK_WEIGHT * post_blank",

@@ -5,8 +5,9 @@ by enumeration, frozenset ancestry) or the first, simpler form of code that
 was later rewritten for speed: the per-subproblem histogram rescan, the
 rebase that tests each chain commit for ancestry with a walk of its own, the
 recursive merge that folds merge bases into virtual commits, the
-dict-keyed patience sort, the slicing patience diff, the dict-lookup Myers
-split, the Myers pipeline that maps flags back line by line, the
+dict-keyed patience sort, the patience diff as git walks it line by line,
+the dict-lookup Myers split, the Myers pipeline that maps flags back line by
+line, the
 line-by-line flag scans and common-run scans (pairwise, and three-way for
 the zdiff3 trim), the zealous loop that refines every merge region, the
 frequent-line rule as git scans each line's window, the indent heuristic
@@ -28,7 +29,7 @@ from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
 from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, _demote_equal_sides, refine_zealous
-from diffmerge.myers import _BIG, PreprocessClassification, _SearchEnv, myers_flags
+from diffmerge.myers import _BIG, HEUR_MIN_COST, SNAKE_CNT, PreprocessClassification, _recs_cmp, _SearchEnv, step_budget
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
 from diffmerge.slider import _groups, line_indent, slidable_range
@@ -327,7 +328,7 @@ def histogram_reference(old: InternedSequence, new: InternedSequence) -> Changed
         try:
             split = histogram_split_reference(a, b, lo1, hi1, lo2, hi2)
         except FallbackSignal:
-            sub = myers_flags(a[lo1:hi1], b[lo2:hi2], minimal=False)
+            sub = diff_myers_reference(a[lo1:hi1], b[lo2:hi2])
             for i, flag in enumerate(sub.old_flags):
                 if flag:
                     of[lo1 + i] = True
@@ -433,9 +434,15 @@ def find_matching_unique_lines_reference(a: list[int], b: list[int]) -> list[tup
 
 
 def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> ChangedLines:
-    """Patience diff as first written: every subproblem, equal ones included,
-    slices both files and counts its lines afresh; the reference
-    ``patience.diff_patience`` is tested against."""
+    """Patience diff as git's ``xdiff/xpatience.c`` runs it, one line at a
+    time: every subproblem slices both files and counts its lines afresh; one
+    with no common unique line falls back to ``diff_myers_reference`` on its
+    range (``xdl_fall_back_diff``), and otherwise ``walk_common_sequence``
+    grows each match of the LCS back over equal lines and the previous match
+    forward, and recurses into what is left between them.  The end of the
+    range grows nothing back, and a match right after the previous one is
+    walked like any other.  The reference ``patience.diff_patience`` is
+    tested against."""
     a, b = old.tokens, new.tokens
     of = [False] * len(old)
     nf = [False] * len(new)
@@ -454,7 +461,7 @@ def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> Cha
         matches = find_matching_unique_lines_reference(a[lo_a:hi_a], b[lo_b:hi_b])
         lcs = patience_lis(matches)
         if not lcs:
-            sub = myers_flags(a[lo_a:hi_a], b[lo_b:hi_b], minimal=False)
+            sub = diff_myers_reference(a[lo_a:hi_a], b[lo_b:hi_b])
             for i, flag in enumerate(sub.old_flags):
                 if flag:
                     of[lo_a + i] = True
@@ -463,13 +470,22 @@ def diff_patience_reference(old: InternedSequence, new: InternedSequence) -> Cha
                     nf[lo_b + j] = True
             continue
 
-        # recurse on the segments between matched unique lines
-        prev_a, prev_b = lo_a, lo_b
-        for pos_a, pos_b in lcs:
-            abs_a, abs_b = lo_a + pos_a, lo_b + pos_b
-            work.append((prev_a, abs_a, prev_b, abs_b))
-            prev_a, prev_b = abs_a + 1, abs_b + 1
-        work.append((prev_a, hi_a, prev_b, hi_b))
+        line_a, line_b = lo_a, lo_b
+        for k in range(len(lcs) + 1):
+            if k < len(lcs):
+                next_a, next_b = lo_a + lcs[k][0], lo_b + lcs[k][1]
+                while next_a > line_a and next_b > line_b and a[next_a - 1] == b[next_b - 1]:
+                    next_a -= 1
+                    next_b -= 1
+            else:
+                next_a, next_b = hi_a, hi_b
+            while line_a < next_a and line_b < next_b and a[line_a] == b[line_b]:
+                line_a += 1
+                line_b += 1
+            if next_a > line_a or next_b > line_b:
+                work.append((line_a, next_a, line_b, next_b))
+            if k < len(lcs):
+                line_a, line_b = lo_a + lcs[k][0] + 1, lo_b + lcs[k][1] + 1
     return ChangedLines(of, nf)
 
 
@@ -734,9 +750,8 @@ def zealous_reference(
     return [_demote_equal_sides(r, left, right) for r in refined]
 
 
-def preprocess_reference(old: InternedSequence, new: InternedSequence, *, minimal: bool) -> PreprocessClassification:
+def preprocess_reference(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassification:
     """``myers.preprocess`` as first written, with git's frequent-line scan line by line."""
-    a, b = old.tokens, new.tokens
     n, m = len(a), len(b)
     prefix = common_prefix_reference(a, 0, b, 0, min(n, m))
     suffix = common_suffix_reference(a, n, b, m, min(n, m) - prefix)
@@ -814,26 +829,26 @@ def clean_mmatch_reference(dis: dict[int, int], i: int, s: int, e: int) -> bool:
     return rpdis * 4 < rpdis + rdis0 + rdis1
 
 
-def diff_myers_reference(old: InternedSequence, new: InternedSequence, minimal: bool = False) -> ChangedLines:
-    """``myers.diff_myers`` with the line-by-line preprocess above and the
+def diff_myers_reference(a: list[int], b: list[int], minimal: bool = False) -> ChangedLines:
+    """``myers.myers_flags`` with the line-by-line preprocess above and the
     search's flags mapped back by one pass over every line between the
-    common ends.  It searches through ``myers_flags``, so a test that patches
-    ``split_reference`` in also runs the search on dict frontiers."""
-    cls = preprocess_reference(old, new, minimal=minimal)
+    common ends.  It runs the bare search, ``myers._recs_cmp``, itself, so a
+    test that patches ``split_reference`` in also runs it on dict frontiers;
+    histogram's and patience's references fall back to it."""
+    cls = preprocess_reference(a, b, minimal=minimal)
     lo = cls.prefix_len
-    hi_old, hi_new = len(old) - cls.suffix_len, len(new) - cls.suffix_len
+    hi_a, hi_b = len(a) - cls.suffix_len, len(b) - cls.suffix_len
     of = cls.old_prechanged
     nf = cls.new_prechanged
-    sub = myers_flags(
-        list(compress(old.tokens[lo:hi_old], map(not_, of[lo:hi_old]))),
-        list(compress(new.tokens[lo:hi_new], map(not_, nf[lo:hi_new]))),
-        minimal,
-    )
+    ha1 = list(compress(a[lo:hi_a], map(not_, of[lo:hi_a])))
+    ha2 = list(compress(b[lo:hi_b], map(not_, nf[lo:hi_b])))
+    budget = step_budget(len(ha1) + len(ha2))
+    sub = _recs_cmp(_SearchEnv(ha1, ha2, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
     # a pre-flagged line stays flagged; each kept line takes the search's next flag
     it = iter(sub.old_flags)
-    of[lo:hi_old] = [f or next(it) for f in of[lo:hi_old]]
+    of[lo:hi_a] = [f or next(it) for f in of[lo:hi_a]]
     it = iter(sub.new_flags)
-    nf[lo:hi_new] = [f or next(it) for f in nf[lo:hi_new]]
+    nf[lo:hi_b] = [f or next(it) for f in nf[lo:hi_b]]
     return ChangedLines(of, nf)
 
 

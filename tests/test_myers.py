@@ -54,7 +54,7 @@ def test_step_budget_doubles_where_git_does(j):
 
 def test_preprocess_identical_files_strip_everything(intern_pair):
     old, new = intern_pair(b"a\nb\n", b"a\nb\n")
-    cls = preprocess(old, new, minimal=True)
+    cls = preprocess(old.tokens, new.tokens, minimal=True)
     assert cls.prefix_len == 2
     assert cls.suffix_len == 0
     assert not any(cls.old_prechanged) and not any(cls.new_prechanged)
@@ -62,7 +62,7 @@ def test_preprocess_identical_files_strip_everything(intern_pair):
 
 def test_preprocess_strips_ends_and_flags_unmatched(intern_pair):
     old, new = intern_pair(b"x\na\nz\n", b"x\nb\nz\n")
-    cls = preprocess(old, new, minimal=True)
+    cls = preprocess(old.tokens, new.tokens, minimal=True)
     assert cls.prefix_len == 1
     assert cls.suffix_len == 1
     assert cls.old_prechanged == [False, True, False]
@@ -184,7 +184,7 @@ def test_a_split_that_makes_no_progress_raises(monkeypatch, pivot):
     monkeypatch.setattr(myers, "_split", bad_once)
     want = {"low corner": "(0, 0)", "high corner": "(4, 4)", "outside": "(5, 4)"}[pivot]
     with pytest.raises(DiffError) as raised:
-        myers_flags([1, 2, 3, 4], [5, 2, 3, 6])
+        _bare_search(False)([1, 2, 3, 4], [5, 2, 3, 6])
     assert str(raised.value) == f"split of box (0, 4, 0, 4) returned pivot {want}"
     assert calls == [(0, 4, 0, 4)]
 
@@ -195,10 +195,19 @@ def test_engine_dispatch_names(intern_pair):
 
 
 # Differential tests against the dict-lookup split kept in reference.py: the
-# reference is patched in as myers._split and myers_flags runs once with each.
-# The two small search settings, built as a _SearchEnv with a short snake and
-# a small step floor, make the snake and the budget cutoff fire on inputs of
-# a few dozen lines.  Each case keeps the seed string it has always had.
+# reference is patched in as myers._split and the bare search, _recs_cmp with
+# no preprocess, runs once with each.  The two small search settings, built
+# as a _SearchEnv with a short snake and a small step floor, make the snake
+# and the budget cutoff fire on inputs of a few dozen lines.  Each case keeps
+# the seed string it has always had.
+
+
+def _bare_search(minimal):
+    def flags(old, new):
+        budget = step_budget(len(old) + len(new))
+        return _recs_cmp(myers._SearchEnv(old, new, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
+
+    return flags
 
 
 def _small_cutoffs(snake, heur_min):
@@ -213,11 +222,11 @@ def _small_cutoffs(snake, heur_min):
 SPLIT_CASES = {
     "myers": (
         "split-HeuristicConfig(enable_heuristics=True, snake_length=20, min_steps=256)",
-        lambda old, new: myers_flags(old, new, minimal=False),
+        _bare_search(False),
     ),
     "minimal": (
         "split-HeuristicConfig(enable_heuristics=False, snake_length=20, min_steps=256)",
-        lambda old, new: myers_flags(old, new, minimal=True),
+        _bare_search(True),
     ),
     "snake3-steps4": (
         "split-HeuristicConfig(enable_heuristics=True, snake_length=3, min_steps=4)",
@@ -461,7 +470,7 @@ def test_preprocess_matches_reference(minimal):
     for _ in range(400):
         old, new = _frequent_pair(rng)
         table = InternTable()
-        o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
+        o, n = table.intern(b"".join(old)).tokens, table.intern(b"".join(new)).tokens
         got = preprocess(o, n, minimal=minimal)
         assert got == reference.preprocess_reference(o, n, minimal=minimal)
         fired += got != preprocess(o, n, minimal=True)
@@ -479,7 +488,7 @@ def test_flag_frequent_matches_walk_reference():
     for old, new in cases:
         table = InternTable()
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
-        cls = preprocess(o, n, minimal=True)  # unmatched lines only
+        cls = preprocess(o.tokens, n.tokens, minimal=True)  # unmatched lines only
         for seq, other, pre in ((o, n, cls.old_prechanged), (n, o, cls.new_prechanged)):
             counts = Counter(other.tokens)
             lo, hi = cls.prefix_len, len(seq) - cls.suffix_len
@@ -497,6 +506,7 @@ def test_frequent_line_window_reads_100_lines_each_way(intern_pair):
     a whole; the } at line 61 sees only unmatched lines within 100 lines of
     it, and is flagged, as git does (its counts are in git_fixtures.json)."""
     old, new = intern_pair(*witness_inputs("window-decides"))
+    old, new = old.tokens, new.tokens
     got = preprocess(old, new, minimal=False)
     unmatched = preprocess(old, new, minimal=True)
     assert [i for i, (f, u) in enumerate(zip(got.old_prechanged, unmatched.old_prechanged)) if f != u] == [61]
@@ -517,7 +527,7 @@ def test_diff_myers_matches_reference(monkeypatch, minimal):
         o, n = table.intern(b"".join(old)), table.intern(b"".join(new))
         got = diff_myers(o, n, minimal)
         monkeypatch.setattr(myers, "_split", reference.split_reference)
-        want = reference.diff_myers_reference(o, n, minimal)
+        want = reference.diff_myers_reference(o.tokens, n.tokens, minimal)
         monkeypatch.undo()
         assert (got.old_flags, got.new_flags) == (want.old_flags, want.new_flags)
         assert reference.check_flags_valid(o.tokens, n.tokens, got.old_flags, got.new_flags)
@@ -527,10 +537,10 @@ def _frequent_run(n):
     """A run of n repeated lines between two unmatched lines, and a block of
     unmatched lines with every fifth line frequent, which the rule flags."""
     table = InternTable()
-    run = table.intern(b"old\n" + b"f\n" * n + b"old end\n"), table.intern(b"new\n" + b"f\n" * (n // 2) + b"new end\n")
+    run = b"old\n" + b"f\n" * n + b"old end\n", b"new\n" + b"f\n" * (n // 2) + b"new end\n"
     mixed = b"".join(b"f\n" if i % 5 == 2 else b"old %d\n" % i for i in range(n))
-    block = table.intern(b"top\n" + mixed + b"bottom\n"), table.intern(b"top\n" + b"f\n" * (n // 2) + b"bottom\n")
-    return run, block
+    block = b"top\n" + mixed + b"bottom\n", b"top\n" + b"f\n" * (n // 2) + b"bottom\n"
+    return [[table.intern(data).tokens for data in pair] for pair in (run, block)]
 
 
 def test_preprocess_work_is_linear_in_a_frequent_run():

@@ -116,7 +116,8 @@ def test_patience_lis_matches_reference_chain():
     assert patience_lis(matches) == reference.patience_lis_reference(matches)
 
 
-# Differential tests against the slicing patience diff kept in reference.py.
+# Differential tests against the patience diff kept in reference.py: git's
+# walk and fallback, one line at a time.
 
 
 def _edited(rng, lines, alphabet):
