@@ -1,55 +1,44 @@
 #!/usr/bin/env python3
-"""How the indent heuristic places an ambiguous insertion.
+"""How git's compaction places an ambiguous insertion.
 
-Inserting a function between two others can be expressed by several equally
-short diffs that differ only in where the added block starts.  The slider
-scores each candidate boundary with the published penalty weights and picks
-the one that reads best.
+Adding a block above one that starts with the same line can be expressed by
+two equally short diffs that differ only in where the added lines start.
+git's compaction slides every group of added or deleted lines as far down
+as it goes.  With the indent heuristic on (git's default), it then scores
+each position's two splits with git's weights and keeps the best one; with
+``--no-indent-heuristic`` the group stays at the bottom.
 """
 
 from diffmerge import InternTable, diff_lines, flags_to_script, render_unified, slide_changed_lines
-from diffmerge.slider import slidable_range, split_scores
+from diffmerge.slider import Indents, split_score
 
 OLD = b"""\
-def alpha():
-    return 1
-
-
-def omega():
-    return 9
+if ready:
+    start()
 """
 
 NEW = b"""\
-def alpha():
-    return 1
-
-
-def middle():
-    return 5
-
-
-def omega():
-    return 9
+if ready:
+    prepare()
+if ready:
+    start()
 """
 
 table = InternTable()
 old, new = table.intern(OLD), table.intern(NEW)
-flags = diff_lines(old, new, "minimal")
+flags = diff_lines(old, new, "myers")
 
-group_start = min(i for i, f in enumerate(flags.new_flags) if f)
-group = (group_start, group_start + 4)
-lo, hi = slidable_range(flags.new_flags, new, group)
-print(f"the 4-line insertion can sit at shifts {lo}..{hi} relative to line {group_start}")
+print("the 2-line insertion can start at line 0 or line 1 of new; per position,")
+print("the summed penalty and effective indent of its two splits (lower is better,")
+print("and a lower indent outweighs up to 60 points of penalty):")
+indents = Indents(new.lines)
+for start in (0, 1):
+    (top_indent, top), (bottom_indent, bottom) = (split_score(new.tokens, indents, split) for split in (start, start + 2))
+    first_line = new.lines[new.tokens[start]].decode().rstrip()
+    print(f"  start {start}: penalty {top + bottom:>3}, indent {top_indent + bottom_indent}; group starts at {first_line!r}")
 
-print("\npenalties per candidate position (top split + bottom split):")
-tops = split_scores(new, group[0] + lo, group[0] + hi)
-bottoms = split_scores(new, group[1] + lo, group[1] + hi)
-for shift, (top, _), (bottom, _) in zip(range(lo, hi + 1), tops, bottoms):
-    total = top + bottom
-    first_line = new.lines[new.tokens[group[0] + shift]].decode().rstrip() or "(blank)"
-    print(f"  shift {shift:+d}: penalty {total:>4}  group starts at {first_line!r}")
-
-slid = slide_changed_lines(flags, old, new)
-script = flags_to_script(slid, old, new)
-print("\nchosen rendering:")
-print(render_unified(old, new, script, 0).decode())
+for heuristic in (True, False):
+    slid = slide_changed_lines(flags, old, new, heuristic)
+    script = flags_to_script(slid, old, new)
+    print(f"\nindent heuristic {'on' if heuristic else 'off'} (git diff -U0 --{'' if heuristic else 'no-'}indent-heuristic):")
+    print(render_unified(old, new, script, 0).decode(), end="")

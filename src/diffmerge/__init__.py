@@ -44,7 +44,7 @@ from .merge3 import (
 )
 from .myers import diff_myers
 from .patience import diff_patience
-from .slider import slidable_range, slide_changed_lines
+from .slider import slide_changed_lines
 
 __version__ = "0.1.0"
 
@@ -62,5 +62,5 @@ __all__ = [
     "CONFLICT", "LEFT", "RIGHT", "SAME", "InvariantViolation", "MergeOptions", "MergeOutcome", "MergeRegion",
     "merge3",
     # slider
-    "slidable_range", "slide_changed_lines",
+    "slide_changed_lines",
 ]

@@ -45,9 +45,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     new = table.intern(_read(args.new))
     del table
     flags = diff_lines(old, new, args.algorithm)
-    old.occurrence_index = None  # only this one diff reads it; freed before sliding and rendering
-    if args.indent_heuristic:
-        flags = slide_changed_lines(flags, old, new)
+    old.occurrence_index = None  # only this one diff reads it; freed before compaction and rendering
+    flags = slide_changed_lines(flags, old, new, args.indent_heuristic)
     script = flags_to_script(flags, old, new)
 
     if script:

@@ -10,7 +10,11 @@ on which one rule of git's frequent-line discard decides the counts, recorded
 under ``--diff-algorithm=myers`` and ``--minimal``.  The finding-3 witness is
 one triple that git's ``recursive`` strategy merges cleanly into bytes that
 depend on ``-Xdiff-algorithm``, recorded under each algorithm and under a
-plain ``ort`` merge, which ignores the option.
+plain ``ort`` merge, which ignores the option.  The merge census holds, for
+seeded small triples regenerated from their seed (and a digest of them), the
+bytes and exit status of those same five merges; ``recursive`` is the only
+strategy whose content merge follows ``-Xdiff-algorithm``, so only it can pin
+diffmerge's merges under each algorithm.
 
     python tests/make_git_fixtures.py             # run git, record everything
     python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
@@ -87,6 +91,13 @@ FINDING3_SETUP = ("git init; f = base, committed; git checkout -b theirs; f = th
 FINDING3_COMMANDS = {**{algorithm: f"git merge -s recursive -Xdiff-algorithm={algorithm} theirs"
                         for algorithm in ALGORITHMS},
                      "ort": "git merge theirs"}
+# merge census: bases of 3-14 lines over eight short source-like lines, each
+# side 1-3 block moves, insertions or deletions of 1-3 lines; then a triple
+# that git merges cleanly and whose histogram base diffs set the two
+# insertions apart until they are compacted
+MERGE_CENSUS_SEED, MERGE_CENSUS_CASES = 2, 200
+MERGE_CENSUS_LINES = [b"a\n", b"b\n", b"{\n", b"}\n", b"\n", b"  x;\n", b"  return;\n", b"f() {\n"]
+MERGE_CENSUS_WITNESS = (b"b\nc\nc\nc\n", b"b\nb\nc\nc\nc\nc\nc\n", b"b\nc\na\nc\nc\nc\n")
 MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
 DIFF_COMMAND = "git diff --no-index --no-color --no-ext-diff -U0 --diff-algorithm={algorithm} --{heuristic} old new"
 HEURISTICS = ("indent-heuristic", "no-indent-heuristic")
@@ -131,6 +142,33 @@ def diff_inputs() -> list[tuple[str, bytes, bytes]]:
         old = _lines(rng, 3, 9)
         cases.append((f"p{i:03d}", b"".join(old), b"".join(_edited(rng, old))))
     return cases
+
+
+def _merge_census_side(rng: random.Random, base: list[bytes]) -> list[bytes]:
+    """1-3 edits of a base: a block of 1-3 lines moved, inserted or deleted."""
+    out = list(base)
+    for _ in range(rng.randint(1, 3)):
+        kind, at, length = rng.choice(("move", "insert", "delete")), rng.randrange(len(out) + 1), rng.randint(1, 3)
+        if kind == "insert" or not out:
+            out[at:at] = rng.choices(MERGE_CENSUS_LINES, k=length)
+        else:
+            block = out[at:at + length]
+            del out[at:at + length]
+            if kind == "move":
+                to = rng.randrange(len(out) + 1)
+                out[to:to] = block
+    return out
+
+
+def merge_census_inputs() -> list[tuple[str, bytes, bytes, bytes]]:
+    """The (key, base, ours, theirs) triples of the merge census, regenerated from its seed."""
+    rng = random.Random(MERGE_CENSUS_SEED)
+    cases = []
+    for i in range(MERGE_CENSUS_CASES):
+        base = rng.choices(MERGE_CENSUS_LINES, k=rng.randint(3, 14))
+        ours, theirs = _merge_census_side(rng, base), _merge_census_side(rng, base)
+        cases.append((f"m{i:03d}", b"".join(base), b"".join(ours), b"".join(theirs)))
+    return cases + [("histogram-witness", *MERGE_CENSUS_WITNESS)]
 
 
 def _census_edited(rng: random.Random, lines: list[bytes], alphabet: list[bytes]) -> list[bytes]:
@@ -258,10 +296,10 @@ def _git(args: list[str], cwd: str, ok: tuple[int, ...]) -> bytes:
     return _run_git(args, cwd, ok).stdout
 
 
-def _git_merge(command: str, repo: Path) -> dict:
-    """git's merged f and exit status (0 clean, 1 conflicted) for the finding-3
-    triple, in a new repository set up as FINDING3_SETUP says."""
-    base, ours, theirs = FINDING3
+def _git_merge(command: str, repo: Path, triple: tuple[bytes, bytes, bytes] = FINDING3) -> dict:
+    """git's merged f and exit status (0 clean, 1 conflicted) for a triple (by
+    default the finding-3 one), in a new repository set up as FINDING3_SETUP says."""
+    base, ours, theirs = triple
     repo.mkdir()
     cwd = str(repo)
     identity = ["-c", "user.name=diffmerge", "-c", "user.email=diffmerge@example.invalid"]
@@ -317,13 +355,16 @@ def record_git() -> dict:
             witnesses.append({"key": key, "inputs": census_digest([(old, new)]), "git": git})
         finding3 = {"inputs": dict(zip(("base", "ours", "theirs"), map(_b64, FINDING3))),
                     "git": {name: _git_merge(command, Path(cwd, name)) for name, command in FINDING3_COMMANDS.items()}}
+        merge_census = record_merge_census(cwd)
     return {
         "git_version": version,
         "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND,
                      **{f"{algorithm}_census": command for algorithm, command in CENSUS_COMMANDS.items()},
                      **{f"{mode}_witness": command for mode, command in WITNESS_COMMANDS.items()},
                      **{f"finding3 {name}": command for name, command in FINDING3_COMMANDS.items()},
-                     "finding3 setup": FINDING3_SETUP},
+                     "finding3 setup": FINDING3_SETUP,
+                     **{f"merge_census {name}": command for name, command in FINDING3_COMMANDS.items()},
+                     "merge_census setup": FINDING3_SETUP + ", one repository per triple and command"},
         "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
         "merge_styles": MERGE_FLAGS,
         "merge": merges,
@@ -331,7 +372,26 @@ def record_git() -> dict:
         **census,
         "myers_witnesses": witnesses,
         "finding3": finding3,
+        **merge_census,
     }
+
+
+def record_merge_census(cwd: str) -> dict:
+    """git's merges of the merge census triples, and a digest of the triples."""
+    cases = merge_census_inputs()
+    records = []
+    for key, *triple in cases:
+        git = {name: _git_merge(command, Path(cwd, f"{key}-{name}"), tuple(triple))
+               for name, command in FINDING3_COMMANDS.items()}
+        records.append({"key": key, "git": git})
+    return {"merge_census_inputs": merge_census_digest(cases), "merge_census": records}
+
+
+def merge_census_digest(cases: list[tuple[str, bytes, bytes, bytes]]) -> str:
+    digest = hashlib.sha256()
+    for key, *triple in cases:
+        digest.update(key.encode() + b"".join(b"\n%d\n" % len(f) + f for f in triple))
+    return digest.hexdigest()
 
 
 def diffmerge_merge(case: dict, style: str) -> bytes:
@@ -343,21 +403,20 @@ def diffmerge_changed_lines(case: dict, setting: str) -> list[list[int]]:
     algorithm, heuristic = setting.split("/")
     table = InternTable()
     old, new = table.intern(unb64(case["old"])), table.intern(unb64(case["new"]))
-    flags = diff_lines(old, new, algorithm)
-    if heuristic == "indent-heuristic":
-        flags = slide_changed_lines(flags, old, new)
+    flags = slide_changed_lines(diff_lines(old, new, algorithm), old, new, heuristic == "indent-heuristic")
     return [[i for i, f in enumerate(side) if f] for side in (flags.old_flags, flags.new_flags)]
 
 
-def finding3_merge(name: str):
-    """diffmerge's merge of the finding-3 triple as one of FINDING3_COMMANDS
-    runs it; ``ort`` merges with histogram."""
-    base, ours, theirs = FINDING3
+def finding3_merge(name: str, triple: tuple[bytes, bytes, bytes] = FINDING3):
+    """diffmerge's merge of a triple (by default the finding-3 one) as one of
+    FINDING3_COMMANDS runs it; ``ort`` merges with histogram."""
+    base, ours, theirs = triple
     options = MergeOptions(algorithm="histogram" if name == "ort" else name, labels=("HEAD", "base", "theirs"))
     return merge3(base, ours, theirs, options)
 
 
-SETTINGS = [f"merge-file {style}" for style in STYLES] + [f"diff {setting}" for setting in DIFF_SETTINGS]
+SETTINGS = ([f"merge-file {style}" for style in STYLES] + [f"diff {setting}" for setting in DIFF_SETTINGS]
+            + [f"merge {name}" for name in FINDING3_COMMANDS])
 
 
 def matches(fixtures: dict, setting: str) -> list[str]:
@@ -365,6 +424,13 @@ def matches(fixtures: dict, setting: str) -> list[str]:
     command, option = setting.split(" ")
     if command == "merge-file":
         return [case["key"] for case in fixtures["merge"] if diffmerge_merge(case, option) == unb64(case["git"][option])]
+    if command == "merge":
+        keys = []
+        for (key, *triple), case in zip(merge_census_inputs(), fixtures["merge_census"]):
+            git, got = case["git"][option], finding3_merge(option, tuple(triple))
+            if got.rendered == unb64(git["f"]) and got.clean == (git["exit"] == 0):
+                keys.append(key)
+        return keys
     return [case["key"] for case in fixtures["diff"] if diffmerge_changed_lines(case, option) == case["git"][option]]
 
 
@@ -390,7 +456,7 @@ def main() -> None:
     fixtures["matching"] = {setting: matches(fixtures, setting) for setting in SETTINGS}
     FIXTURES.write_text(_dump(fixtures))
     for name, keys in fixtures["matching"].items():
-        total = len(fixtures["merge" if name.startswith("merge") else "diff"])
+        total = len(fixtures[{"merge-file": "merge", "merge": "merge_census", "diff": "diff"}[name.split(" ")[0]]])
         print(f"{name}: {len(keys)} / {total}")
     for algorithm, corpus in CENSUSES:
         pairs = census_inputs(corpus)

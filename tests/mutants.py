@@ -159,17 +159,29 @@ MUTANTS = (
            ("tests/test_git_parity.py::test_patience_census_agrees_with_git_on_every_pair",
             "tests/test_patience.py::test_diff_patience_matches_reference"), KILLED),
     # slider
-    Mutant("slider-post-blank-weight-one-short", "src/diffmerge/slider.py",
-           "POST_BLANK_WEIGHT * (post_blank + 1)", "POST_BLANK_WEIGHT * post_blank",
-           ("tests/test_slider.py",), KILLED),
-    Mutant("slider-tie-takes-the-last-shift", "src/diffmerge/slider.py",
-           "        if a_score < b_score:\n", "        if a_score <= b_score:\n",
-           ("tests/test_slider.py",), KILLED),
-    Mutant("slider-dedent-weight-for-outdent-with-blank", "src/diffmerge/slider.py",
-           "penalty += RELATIVE_OUTDENT_WITH_BLANK_PENALTY if pre_blank else RELATIVE_OUTDENT_PENALTY",
-           "penalty += RELATIVE_DEDENT_WITH_BLANK_PENALTY if pre_blank else RELATIVE_OUTDENT_PENALTY",
-           ("tests/test_slider.py",),
-           "equivalent: git's two weights are both 17"),
+    Mutant("slider-tie-keeps-the-first-shift", "src/diffmerge/slider.py",
+           "+ penalty - best_penalty <= 0:", "+ penalty - best_penalty < 0:",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",
+            "tests/test_slider.py::test_slide_and_measure_match_reference"), KILLED),
+    Mutant("slider-blank-runs-uncapped", "src/diffmerge/slider.py",
+           "        if blank == MAX_BLANKS:\n            return blank, 0\n", "",
+           ("tests/test_slider.py::test_slide_and_measure_match_reference",), KILLED),
+    Mutant("slider-window-not-capped-at-100-shifts", "src/diffmerge/slider.py",
+           ", end - INDENT_HEURISTIC_MAX_SLIDING)", ")",
+           ("tests/test_slider.py::test_slide_and_measure_match_reference",), KILLED),
+    Mutant("slider-window-not-capped-at-the-group-size", "src/diffmerge/slider.py",
+           "max(earliest_end, end - size - 1, ", "max(earliest_end, ",
+           ("tests/test_slider.py::test_slide_and_measure_match_reference",), KILLED),
+    Mutant("slider-no-alignment-with-the-other-file", "src/diffmerge/slider.py",
+           "        if end_matching_other != -1:\n            best = end_matching_other\n        elif indent_heuristic:",
+           "        if indent_heuristic:",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",
+            "tests/test_slider.py::test_slide_and_measure_match_reference"), KILLED),
+    Mutant("slider-groups-never-fuse", "src/diffmerge/slider.py",
+           "                while rchg[start - 1]:\n                    start -= 1\n", "",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",
+            "tests/test_slider.py::test_slide_and_measure_match_reference"), KILLED,
+           also=(("                while rchg[end]:\n                    end += 1\n", ""),)),
     # merge3
     Mutant("merge3-rejoins-gaps-of-three", "src/diffmerge/merge3.py",
            "_REMERGE_GAP = 3 ", "_REMERGE_GAP = 4 ",

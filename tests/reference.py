@@ -10,9 +10,9 @@ the dict-lookup Myers split, the Myers pipeline that maps flags back line by
 line, the
 line-by-line flag scans and common-run scans (pairwise, and three-way for
 the zdiff3 trim), the zealous loop that refines every merge region, the
-frequent-line rule as git scans each line's window, the indent heuristic
-that rescans the blank lines around each split into a record and scores the
-record's fields, and the line split and intern loop that handle one line at
+frequent-line rule as git scans each line's window, git's change compaction
+as git writes it, a line at a time in both files with each split measured
+on its own, and the line split and intern loop that handle one line at
 a time in Python.  Tests require the package to give
 the same answers; none of this code ships in ``src/``.
 """
@@ -32,7 +32,6 @@ from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, _demote_equal_
 from diffmerge.myers import _BIG, HEUR_MIN_COST, SNAKE_CNT, PreprocessClassification, _recs_cmp, _SearchEnv, step_budget
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
-from diffmerge.slider import _groups, line_indent, slidable_range
 
 _MEMO_LIMIT = 600
 _LIS_LIMIT = 15
@@ -673,21 +672,6 @@ def flags_to_script_reference(flags: ChangedLines, old: InternedSequence, new: I
     return tuple(changes)
 
 
-def groups_reference(flags: list[bool]) -> list[tuple[int, int]]:
-    """``slider._groups`` as first written, one flag at a time."""
-    groups = []
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            start = i
-            while i < len(flags) and flags[i]:
-                i += 1
-            groups.append((start, i))
-        else:
-            i += 1
-    return groups
-
-
 def common_prefix_reference(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
     """``core.common_prefix`` as the line-by-line scan that ``myers.preprocess``
     and ``myers._recs_cmp`` each kept before the galloping primitive."""
@@ -852,162 +836,307 @@ def diff_myers_reference(a: list[int], b: list[int], minimal: bool = False) -> C
     return ChangedLines(of, nf)
 
 
-# git's indent-heuristic weights (``xdiff/xdiffi.c``), written out here so
-# the reference scorer does not read the package's constants
-START_OF_FILE = 1
-END_OF_FILE = 21
-TOTAL_BLANKS = -30
-POST_BLANK = 6
-RELATIVE_INDENT = -4
-RELATIVE_INDENT_WITH_BLANK = 10
-RELATIVE_OUTDENT = 24
-RELATIVE_OUTDENT_WITH_BLANK = 17
-RELATIVE_DEDENT = 23
-RELATIVE_DEDENT_WITH_BLANK = 17
-TOTAL_INDENT_BIAS = 60
+# git's change compaction (``xdl_change_compact`` and its indent heuristic,
+# ``xdiff/xdiffi.c``) as git writes it: groups move a line at a time in both
+# files, and each split is measured on its own.  The constants are written
+# out here so that the reference does not read the package's.
+MAX_INDENT = 200
+MAX_BLANKS = 20
+INDENT_HEURISTIC_MAX_SLIDING = 100
+START_OF_FILE_PENALTY = 1
+END_OF_FILE_PENALTY = 21
+TOTAL_BLANK_WEIGHT = -30
+POST_BLANK_WEIGHT = 6
+RELATIVE_INDENT_PENALTY = -4
+RELATIVE_INDENT_WITH_BLANK_PENALTY = 10
+RELATIVE_OUTDENT_PENALTY = 24
+RELATIVE_OUTDENT_WITH_BLANK_PENALTY = 17
+RELATIVE_DEDENT_PENALTY = 23
+RELATIVE_DEDENT_WITH_BLANK_PENALTY = 17
+INDENT_WEIGHT = 60
 
 
-@dataclass(frozen=True)
+def get_indent_reference(rec: bytes) -> int:
+    """git's ``get_indent``.  git's ``isspace`` (``sane_ctype``) holds space,
+    tab, LF and CR, and no form feed or vertical tab."""
+    ret = 0
+    for c in rec:
+        if c not in b" \t\n\r":
+            return ret
+        elif c == ord(" "):
+            ret += 1
+        elif c == ord("\t"):
+            ret += 8 - ret % 8
+        # other whitespace characters are ignored
+        if ret >= MAX_INDENT:
+            return MAX_INDENT
+    # the line contains only whitespace
+    return -1
+
+
+@dataclass
 class SplitMeasurement:
-    """What the indent heuristic reads around one split, as first recorded."""
+    """git's ``struct split_measurement``."""
 
-    at_end: bool
-    indent: int | None          # None for a blank line or a split at EOF
-    pre_blank: int
-    pre_indent: int | None
-    post_blank: int
-    post_indent: int | None
+    end_of_file: int = 0
+    indent: int = 0
+    pre_blank: int = 0
+    pre_indent: int = 0
+    post_blank: int = 0
+    post_indent: int = 0
 
 
-def measure_split_reference(seq: InternedSequence, split: int) -> SplitMeasurement:
-    """The measurement of one split as first written: walks the blank lines around one split."""
-    n = len(seq)
-    if split >= n:
-        at_end, indent = True, None
+@dataclass
+class SplitScore:
+    """git's ``struct split_score``."""
+
+    effective_indent: int = 0
+    penalty: int = 0
+
+
+def measure_split_reference(recs: list[bytes], split: int) -> SplitMeasurement:
+    """git's ``measure_split``."""
+    m = SplitMeasurement()
+    if split >= len(recs):
+        m.end_of_file = 1
+        m.indent = -1
     else:
-        at_end, indent = False, line_indent(seq.lines[seq.tokens[split]])
+        m.end_of_file = 0
+        m.indent = get_indent_reference(recs[split])
 
-    pre_blank = 0
-    pre_indent = None
+    m.pre_blank = 0
+    m.pre_indent = -1
     for i in range(split - 1, -1, -1):
-        pre_indent = line_indent(seq.lines[seq.tokens[i]])
-        if pre_indent is not None:
+        m.pre_indent = get_indent_reference(recs[i])
+        if m.pre_indent != -1:
             break
-        pre_blank += 1
-
-    post_blank = 0
-    post_indent = None
-    for i in range(split + 1, n):
-        post_indent = line_indent(seq.lines[seq.tokens[i]])
-        if post_indent is not None:
+        m.pre_blank += 1
+        if m.pre_blank == MAX_BLANKS:
+            m.pre_indent = 0
             break
-        post_blank += 1
 
-    return SplitMeasurement(at_end, indent, pre_blank, pre_indent, post_blank, post_indent)
+    m.post_blank = 0
+    m.post_indent = -1
+    for i in range(split + 1, len(recs)):
+        m.post_indent = get_indent_reference(recs[i])
+        if m.post_indent != -1:
+            break
+        m.post_blank += 1
+        if m.post_blank == MAX_BLANKS:
+            m.post_indent = 0
+            break
+    return m
 
 
-def split_penalty(m: SplitMeasurement) -> int:
-    """Penalty of one measured split, as first written; lower is better."""
-    if m.at_end:
-        indent = None
-        total_blank = m.pre_blank
-        post_blank = 0
-    elif m.indent is None:
-        indent = m.post_indent
-        total_blank = m.pre_blank + m.post_blank + 1
-        post_blank = m.post_blank + 1
-    else:
-        indent = m.indent
-        total_blank = m.pre_blank
-        post_blank = 0
+def score_add_split_reference(m: SplitMeasurement, s: SplitScore) -> None:
+    """git's ``score_add_split``: adds one split's penalty and effective
+    indent to ``s``."""
+    if m.pre_indent == -1 and m.pre_blank == 0:
+        s.penalty += START_OF_FILE_PENALTY
+    if m.end_of_file:
+        s.penalty += END_OF_FILE_PENALTY
 
-    penalty = 0
-    if m.pre_indent is None and m.pre_blank == 0:
-        penalty += START_OF_FILE
-    if m.at_end:
-        penalty += END_OF_FILE
-    penalty += TOTAL_BLANKS * total_blank
-    penalty += POST_BLANK * post_blank
+    # the blank lines following the split, the line right after it included
+    post_blank = 1 + m.post_blank if m.indent == -1 else 0
+    total_blank = m.pre_blank + post_blank
 
+    s.penalty += TOTAL_BLANK_WEIGHT * total_blank
+    s.penalty += POST_BLANK_WEIGHT * post_blank
+
+    indent = m.indent if m.indent != -1 else m.post_indent
     any_blanks = total_blank != 0
-    if indent is None or m.pre_indent is None:
+
+    # the effective indent is -1 at the end of the file
+    s.effective_indent += indent
+
+    if indent == -1:
+        pass
+    elif m.pre_indent == -1:
         pass
     elif indent > m.pre_indent:
-        penalty += RELATIVE_INDENT_WITH_BLANK if any_blanks else RELATIVE_INDENT
-    elif indent < m.pre_indent:
-        if m.post_indent is not None and m.post_indent > indent:
-            penalty += RELATIVE_OUTDENT_WITH_BLANK if any_blanks else RELATIVE_OUTDENT
+        s.penalty += RELATIVE_INDENT_WITH_BLANK_PENALTY if any_blanks else RELATIVE_INDENT_PENALTY
+    elif indent == m.pre_indent:
+        pass
+    else:
+        if m.post_indent != -1 and m.post_indent > indent:
+            s.penalty += RELATIVE_OUTDENT_WITH_BLANK_PENALTY if any_blanks else RELATIVE_OUTDENT_PENALTY
         else:
-            penalty += RELATIVE_DEDENT_WITH_BLANK if any_blanks else RELATIVE_DEDENT
-    return penalty
+            s.penalty += RELATIVE_DEDENT_WITH_BLANK_PENALTY if any_blanks else RELATIVE_DEDENT_PENALTY
 
 
-def split_indent(m: SplitMeasurement) -> int:
-    """Effective indent entering the 60-bias comparison; undefined counts zero."""
-    if m.at_end:
+def score_cmp_reference(s1: SplitScore, s2: SplitScore) -> int:
+    """git's ``score_cmp``: below 0 when ``s1`` is the better score."""
+    cmp_indents = (s1.effective_indent > s2.effective_indent) - (s1.effective_indent < s2.effective_indent)
+    return INDENT_WEIGHT * cmp_indents + (s1.penalty - s2.penalty)
+
+
+class _Rchg(list):
+    """git's ``rchg``: a file's changed flags, read and written at -1 and
+    nrec too, where git keeps an unchanged line."""
+
+    def __getitem__(self, i):
+        return list.__getitem__(self, i + 1)
+
+    def __setitem__(self, i, value):
+        list.__setitem__(self, i + 1, value)
+
+
+class XdFile:
+    """What compaction reads of git's ``xdfile_t``: the records and ``rchg``."""
+
+    def __init__(self, seq: InternedSequence, flags: list[bool]):
+        self.recs = [seq.lines[t] for t in seq.tokens]
+        self.nrec = len(self.recs)
+        self.rchg = _Rchg([False, *flags, False])
+
+    def flags(self) -> list[bool]:
+        return [self.rchg[i] for i in range(self.nrec)]
+
+
+@dataclass
+class XdlGroup:
+    """git's ``struct xdlgroup``: lines start..end - 1, changed, with an
+    unchanged line (or the file's edge) on either side."""
+
+    start: int = 0
+    end: int = 0
+
+
+def group_init(xdf: XdFile, g: XdlGroup) -> None:
+    g.start = g.end = 0
+    while xdf.rchg[g.end]:
+        g.end += 1
+
+
+def group_next(xdf: XdFile, g: XdlGroup) -> int:
+    if g.end == xdf.nrec:
+        return -1
+    g.start = g.end + 1
+    g.end = g.start
+    while xdf.rchg[g.end]:
+        g.end += 1
+    return 0
+
+
+def group_previous(xdf: XdFile, g: XdlGroup) -> int:
+    if g.start == 0:
+        return -1
+    g.end = g.start - 1
+    g.start = g.end
+    while xdf.rchg[g.start - 1]:
+        g.start -= 1
+    return 0
+
+
+def group_slide_down(xdf: XdFile, g: XdlGroup) -> int:
+    if g.end < xdf.nrec and xdf.recs[g.start] == xdf.recs[g.end]:
+        xdf.rchg[g.start] = False
+        g.start += 1
+        xdf.rchg[g.end] = True
+        g.end += 1
+        while xdf.rchg[g.end]:
+            g.end += 1
         return 0
-    indent = m.indent if m.indent is not None else m.post_indent
-    return indent if indent is not None else 0
+    return -1
 
 
-def split_scores_reference(seq: InternedSequence, lo: int, hi: int) -> list[tuple[int, int]]:
-    """(split_penalty, split_indent) of each split lo..hi, each measured alone."""
-    scores = []
-    for split in range(lo, hi + 1):
-        m = measure_split_reference(seq, split)
-        scores.append((split_penalty(m), split_indent(m)))
-    return scores
+def group_slide_up(xdf: XdFile, g: XdlGroup) -> int:
+    if g.start > 0 and xdf.recs[g.start - 1] == xdf.recs[g.end - 1]:
+        g.start -= 1
+        xdf.rchg[g.start] = True
+        g.end -= 1
+        xdf.rchg[g.end] = False
+        while xdf.rchg[g.start - 1]:
+            g.start -= 1
+        return 0
+    return -1
 
 
-def best_shift_reference(seq: InternedSequence, group: tuple[int, int], lo: int, hi: int) -> int:
-    """The shift in lo..hi whose two splits score best, ties to the lowest."""
-    start, end = group
-    best_shift = None
-    best_penalty = 0
-    best_indent = 0
-    for shift in range(lo, hi + 1):
-        top = measure_split_reference(seq, start + shift)
-        bottom = measure_split_reference(seq, end + shift)
-        penalty = split_penalty(top) + split_penalty(bottom)
-        indent = split_indent(top) + split_indent(bottom)
-        if best_shift is None:
-            best_shift, best_penalty, best_indent = shift, penalty, indent
-            continue
-        a_score, b_score = penalty, best_penalty
-        if indent > best_indent:
-            a_score += TOTAL_INDENT_BIAS
-        elif best_indent > indent:
-            b_score += TOTAL_INDENT_BIAS
-        if a_score < b_score:
-            best_shift, best_penalty, best_indent = shift, penalty, indent
-    assert best_shift is not None
-    return best_shift
+def _bug(failed: int, message: str) -> None:
+    if failed:
+        raise AssertionError(message)
 
 
-def slide_group_reference(flags: list[bool], seq: InternedSequence, group: tuple[int, int]) -> tuple[int, int]:
-    """``slider.slide_group`` as first written, measuring each shift's splits alone."""
-    start, end = group
-    lo, hi = slidable_range(flags, seq, group)
-    if lo == hi == 0:
-        return group
+def change_compact_reference(xdf: XdFile, xdfo: XdFile, indent_heuristic: bool) -> None:
+    """git's ``xdl_change_compact``: compacts ``xdf`` against ``xdfo``."""
+    g, go = XdlGroup(), XdlGroup()
+    group_init(xdf, g)
+    group_init(xdfo, go)
 
-    best_shift = best_shift_reference(seq, group, lo, hi)
-    if best_shift:
-        for i in range(start, end):
-            flags[i] = False
-        for i in range(start + best_shift, end + best_shift):
-            flags[i] = True
-    return start + best_shift, end + best_shift
+    while True:
+        # a group empty in the file being compacted is skipped
+        if g.end != g.start:
+            # shift the change up and then down as far as possible, merging
+            # any other change it bumps into
+            while True:
+                groupsize = g.end - g.start
+                # the last end at which the group aligns with a group of
+                # changed lines in the other file; -1 for none found yet
+                end_matching_other = -1
+
+                while not group_slide_up(xdf, g):
+                    _bug(group_previous(xdfo, go), "group sync broken sliding up")
+
+                earliest_end = g.end
+                if go.end > go.start:
+                    end_matching_other = g.end
+
+                while True:
+                    if group_slide_down(xdf, g):
+                        break
+                    _bug(group_next(xdfo, go), "group sync broken sliding down")
+                    if go.end > go.start:
+                        end_matching_other = g.end
+
+                if groupsize == g.end - g.start:
+                    break
+
+            # the group is as far down as it goes
+            if g.end == earliest_end:
+                pass  # no shifting was possible
+            elif end_matching_other != -1:
+                # move the group back up to line up with the last group of
+                # changes of the other file that it can align with
+                while go.end == go.start:
+                    _bug(group_slide_up(xdf, g), "match disappeared")
+                    _bug(group_previous(xdfo, go), "group sync broken sliding to match")
+            elif indent_heuristic:
+                # score the two splits of each position the group can be
+                # shifted to, and take the lowest sum
+                best_shift = -1
+                best_score = SplitScore()
+                shift = earliest_end
+                if g.end - groupsize - 1 > shift:
+                    shift = g.end - groupsize - 1
+                if g.end - INDENT_HEURISTIC_MAX_SLIDING > shift:
+                    shift = g.end - INDENT_HEURISTIC_MAX_SLIDING
+                while shift <= g.end:
+                    score = SplitScore()
+                    score_add_split_reference(measure_split_reference(xdf.recs, shift), score)
+                    score_add_split_reference(measure_split_reference(xdf.recs, shift - groupsize), score)
+                    if best_shift == -1 or score_cmp_reference(score, best_score) <= 0:
+                        best_score = score
+                        best_shift = shift
+                    shift += 1
+
+                while g.end > best_shift:
+                    _bug(group_slide_up(xdf, g), "best shift unreached")
+                    _bug(group_previous(xdfo, go), "group sync broken sliding to blank line")
+
+        # move past the group just processed
+        if group_next(xdf, g):
+            break
+        _bug(group_next(xdfo, go), "group sync broken moving to next group")
 
 
-def slide_changed_lines_reference(flags: ChangedLines, old: InternedSequence, new: InternedSequence) -> ChangedLines:
-    of = list(flags.old_flags)
-    nf = list(flags.new_flags)
-    for group in _groups(of):
-        slide_group_reference(of, old, group)
-    for group in _groups(nf):
-        slide_group_reference(nf, new, group)
-    return ChangedLines(of, nf)
+def slide_changed_lines_reference(flags: ChangedLines, old: InternedSequence, new: InternedSequence,
+                                  indent_heuristic: bool = True) -> ChangedLines:
+    """``slider.slide_changed_lines`` as git's ``xdl_diff`` runs compaction:
+    old against new, then new against old."""
+    xdf1, xdf2 = XdFile(old, flags.old_flags), XdFile(new, flags.new_flags)
+    change_compact_reference(xdf1, xdf2, indent_heuristic)
+    change_compact_reference(xdf2, xdf1, indent_heuristic)
+    return ChangedLines(xdf1.flags(), xdf2.flags())
 
 
 def split_lines_reference(data: bytes) -> list[bytes]:

@@ -324,10 +324,9 @@ def test_criterion_12_indent_heuristic():
             script = flags_to_script(slid, old, new)
             assert apply_script(old, script, new) == b
 
-        # classic slidable insertion: the added function slides to the
-        # position chosen by evaluating the published penalty weights
-        from diffmerge.slider import slidable_range
-
+        # classic slidable insertion: the added function, which can start at
+        # three lines, is placed where git's compaction, run literally in
+        # reference.py, places it: starting at its def line
         old_b = b"def alpha():\n    return 1\n\n\ndef omega():\n    return 9\n"
         new_b = (
             b"def alpha():\n    return 1\n\n\n"
@@ -337,13 +336,7 @@ def test_criterion_12_indent_heuristic():
         table = InternTable()
         old, new = table.intern(old_b), table.intern(new_b)
         flags = diff_lines(old, new, "minimal")
-        start = min(i for i, f in enumerate(flags.new_flags) if f)
-        group = (start, start + 4)
-        lo, hi = slidable_range(flags.new_flags, new, group)
-        assert hi - lo >= 2
-        best_shift = reference.best_shift_reference(new, group, lo, hi)
-
         slid = slide_changed_lines(flags, old, new)
+        assert slid == reference.slide_changed_lines_reference(flags, old, new)
         chosen = min(i for i, f in enumerate(slid.new_flags) if f)
-        assert chosen == group[0] + best_shift
         assert new.lines[new.tokens[chosen]] == b"def middle():\n"

@@ -16,7 +16,9 @@ pair.  So must its myers diff on the three myers witnesses, each decided by
 one rule of git's frequent-line discard.  The finding-3 witness holds the
 bytes and exit status of ``git merge -s recursive -Xdiff-algorithm=<alg>``
 for each algorithm and of a plain ``ort`` merge; diffmerge's merge3 must
-give the same bytes and cleanliness.
+give the same bytes and cleanliness.  The merge census holds the same five
+merges of seeded triples; exactly the recorded triples must merge to git's
+bytes and cleanliness under each.
 """
 
 import importlib.util
@@ -34,6 +36,7 @@ from make_git_fixtures import (
     FINDING3,
     FINDING3_COMMANDS,
     FIXTURES,
+    MERGE_CENSUS_CASES,
     SETTINGS,
     WITNESS_COMMANDS,
     WITNESSES,
@@ -42,6 +45,8 @@ from make_git_fixtures import (
     diffmerge_numstat,
     finding3_merge,
     matches,
+    merge_census_digest,
+    merge_census_inputs,
     unb64,
     witness_inputs,
 )
@@ -59,9 +64,25 @@ def test_fixture_records_git_and_its_commands():
     assert _FIXTURES["git_version"].startswith("git version ")
     assert set(_FIXTURES["commands"]) == {
         "merge", "diff", "histogram_census", "myers_census", "patience_census", "myers_witness", "minimal_witness",
-        "finding3 setup", *(f"finding3 {name}" for name in FINDING3_COMMANDS)}
+        "finding3 setup", *(f"finding3 {name}" for name in FINDING3_COMMANDS),
+        "merge_census setup", *(f"merge_census {name}" for name in FINDING3_COMMANDS)}
     assert len(_FIXTURES["merge"]) == 300 and len(_FIXTURES["diff"]) == 200
+    assert len(_FIXTURES["merge_census"]) == MERGE_CENSUS_CASES + 1
     assert list(_FIXTURES["matching"]) == SETTINGS
+
+
+def test_merge_census_inputs_are_those_recorded_and_ort_merges_as_histogram():
+    """The census triples regenerate from their seed, and on every one git's
+    ``ort`` gives the bytes and exit status of ``recursive`` under histogram,
+    which is why ``ort`` cannot pin the other algorithms: it ignores
+    ``-Xdiff-algorithm``.  The last triple is one git merges cleanly under
+    every strategy."""
+    cases = merge_census_inputs()
+    assert merge_census_digest(cases) == _FIXTURES["merge_census_inputs"], "the inputs changed: re-record"
+    assert [key for key, *_ in cases] == [case["key"] for case in _FIXTURES["merge_census"]]
+    for case in _FIXTURES["merge_census"]:
+        assert case["git"]["ort"] == case["git"]["histogram"], case["key"]
+    assert {git["exit"] for git in _FIXTURES["merge_census"][-1]["git"].values()} == {0}
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
