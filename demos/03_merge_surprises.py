@@ -20,15 +20,16 @@ print(f"base has {2 * k} lines; the edits touch opposite ends; "
 print("The ab-prepend is diffed as an ab-APPEND, landing on top of the "
       "right side's trailing change.\n")
 
-print("=== duplicated change: both sides added 'A B', the merge keeps both ===")
-base = b"X\nA\nY\n"
-left = b"j\nX\nA\nB\nA\nY\n"
-right = b"X\nA\nB\nA\nY\nj\n"
-out = merge3(base, left, right, MergeOptions(algorithm="minimal"))
-print(out.rendered.decode(), end="")
-print("clean merge:", out.clean)
-print("One diff chose +A+B before the old A, the other +B+A after it; the "
-      "old A separates the two hunks, so nothing conflicts.\n")
+print("=== duplicated change: both sides added a B beside an A, the merge keeps both ===")
+base = b"A\nA\n"
+left = b"j\nA\nB\nA\nA\n"
+right = b"A\nB\nA\nA\nj\n"
+for algorithm in ("myers", "minimal", "patience", "histogram"):
+    out = merge3(base, left, right, MergeOptions(algorithm=algorithm))
+    print(f"{algorithm:9} clean: {out.clean}  lines: {out.rendered.decode().splitlines()}")
+print("Ours' diff adds A B before the first old A, theirs' adds the B after it; "
+      "the old A separates the two hunks, so nothing conflicts.  git merge-file, "
+      "and git merge -s recursive under each algorithm, give these same bytes.\n")
 
 print("=== non-commutative merge: swapping the sides changes the result ===")
 base = b"X\n"

@@ -1,13 +1,19 @@
 """Three-way merge: region computation, zealous refinement, and rendering.
 
-The pipeline diffs the ancestor against each side, walks the two hunk lists
-through a six-case loop to build merge regions, shrinks conflicts as far as
-the style allows (zealous: merge splits them along a diff of their sides,
-zdiff3 trims common ends, diff3 keeps them whole as git's xdl_do_merge does)
-and renders them with conflict markers; zealous refinement touches only
-conflicts.  Neither the input bytes nor the intern table's dict are held once
-the three files are interned.  Regions are tuple records, and a refined region
-is a ``_replace`` of the one it came from.
+The pipeline is git's ``xdl_merge`` (``xdiff/xmerge.c``).  It diffs the
+ancestor against each side and compacts both diffs as git's
+``xdl_change_compact`` does with the indent heuristic off, walks the two hunk
+lists through a six-case loop to build merge regions, post-processes the
+conflicts as the style asks, and renders them with conflict markers.  The
+merge style runs git's two zealous steps: ``xdl_refine_conflicts`` splits
+each conflict along the compacted diff of its sides and demotes it only when
+that diff is empty, and ``xdl_simplify_non_conflicts`` joins conflicts at
+most three lines apart.  zdiff3 runs ``xdl_refine_zdiff3_conflicts``, which
+trims the lines ours and theirs share from both ends of a conflict and
+leaves its base range whole; diff3 keeps conflicts whole.  Neither the input
+bytes nor the intern table's dict are held once the three files are
+interned.  Regions are tuple records, and a refined region is a
+``_replace`` of the one it came from.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import NamedTuple
 
 from .core import Change, InternedSequence, InternTable, common_prefix, common_suffix, flags_to_script
 from .engine import ALGORITHMS, diff_lines
+from .slider import slide_changed_lines
 
 LEFT = "left-change"
 RIGHT = "right-change"
@@ -25,7 +32,7 @@ CONFLICT = "conflict"
 
 STYLES = ("merge", "diff3", "zdiff3")
 
-_REMERGE_GAP = 3  # conflicts separated by fewer common lines are rejoined
+_REMERGE_GAP = 3  # conflicts at most this many common lines apart are joined
 
 
 class MergeError(Exception):
@@ -159,8 +166,9 @@ def _check_ordering(regions: list[MergeRegion]) -> None:
 
 
 def _hunks(old: InternedSequence, new: InternedSequence, algorithm: str) -> tuple[Change, ...]:
-    """The one place a merge turns a diff into hunks, through this module's own names."""
-    return flags_to_script(diff_lines(old, new, algorithm), old, new)
+    """The one place a merge turns a diff into hunks, through this module's own
+    names: git's compaction, with the indent heuristic off, then the script."""
+    return flags_to_script(slide_changed_lines(diff_lines(old, new, algorithm), old, new, False), old, new)
 
 
 def refine_zealous(
@@ -171,13 +179,17 @@ def refine_zealous(
 ) -> list[MergeRegion]:
     """Split one conflict along the unchanged runs of a two-way side diff.
 
-    Identical sides demote the whole region to a same-change before any side
-    diff is run.  Sub-conflicts inherit the ancestor range on the first piece
-    only; the ranges of later pieces are empty, which is why this refinement
-    cannot feed the diff3 renderer.
+    Identical sides, whose side diff would be empty, demote the whole region
+    to a same-change before any side diff is run; a region with an empty side
+    is kept whole.  Sub-conflicts inherit the ancestor range on the first
+    piece only; the ranges of later pieces are empty, which is why this
+    refinement cannot feed the diff3 renderer.
     """
-    region = _demote_equal_sides(region, left, right)
-    if region.kind != CONFLICT or region.end_l == region.start_l or region.end_r == region.start_r:
+    if region.kind != CONFLICT:
+        return [region]
+    if left.tokens[region.start_l:region.end_l] == right.tokens[region.start_r:region.end_r]:
+        return [region._replace(kind=SAME)]
+    if region.end_l == region.start_l or region.end_r == region.start_r:
         return [region]
 
     sub_l = InternedSequence(left.tokens[region.start_l:region.end_l], left.lines)
@@ -190,26 +202,14 @@ def refine_zealous(
     return pieces
 
 
-def _demote_equal_sides(region: MergeRegion, left: InternedSequence, right: InternedSequence) -> MergeRegion:
-    """A conflict whose two sides hold the same lines becomes a same-change."""
-    if (
-        region.kind == CONFLICT
-        and left.tokens[region.start_l:region.end_l] == right.tokens[region.start_r:region.end_r]
-    ):
-        return region._replace(kind=SAME)
-    return region
-
-
-def _trim_zdiff3(region: MergeRegion, o: InternedSequence, left: InternedSequence, right: InternedSequence) -> MergeRegion:
-    """Drop line runs common to all three files from both ends of a conflict.
-
-    A run common to all three is the shorter of the base-left and left-right runs."""
-    sa, ea, sl, el, sr, er, _kind = region
-    a, l, r = o.tokens, left.tokens, right.tokens
-    k = common_prefix(l, sl, r, sr, common_prefix(a, sa, l, sl, min(ea - sa, el - sl, er - sr)))
-    sa, sl, sr = sa + k, sl + k, sr + k
-    k = common_suffix(l, el, r, er, common_suffix(a, ea, l, el, min(ea - sa, el - sl, er - sr)))
-    return MergeRegion(sa, ea - k, sl, el - k, sr, er - k, CONFLICT)
+def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSequence) -> MergeRegion:
+    """git's ``xdl_refine_zdiff3_conflicts``: drop the lines ours and theirs
+    share from both ends of a conflict; the base range stays whole."""
+    sl, el, sr, er = region.start_l, region.end_l, region.start_r, region.end_r
+    k = common_prefix(left.tokens, sl, right.tokens, sr, min(el - sl, er - sr))
+    sl, sr = sl + k, sr + k
+    k = common_suffix(left.tokens, el, right.tokens, er, min(el - sl, er - sr))
+    return region._replace(start_l=sl, end_l=el - k, start_r=sr, end_r=er - k)
 
 
 class _Writer:
@@ -279,18 +279,14 @@ def merge_regions_pipeline(
                 refined.append(region)
                 continue
             for piece in refine_zealous(region, left, right, options.algorithm):
-                piece = _demote_equal_sides(piece, left, right)
                 prev = refined[-1] if refined else None
-                if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l < _REMERGE_GAP:
+                if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l <= _REMERGE_GAP:
                     refined[-1] = prev._replace(end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
                 else:
                     refined.append(piece)
-        regions = [_demote_equal_sides(r, left, right) if r.kind == CONFLICT else r for r in refined]
+        regions = refined
     elif options.style == "zdiff3" and options.zealous:
-        regions = [
-            _trim_zdiff3(r, o, left, right) if r.kind == CONFLICT else r
-            for r in regions
-        ]
+        regions = [_trim_zdiff3(r, left, right) if r.kind == CONFLICT else r for r in regions]
     return regions
 
 

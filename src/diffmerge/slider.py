@@ -127,8 +127,9 @@ def _best_end(tokens: list[int], indents: Indents, earliest_end: int, end: int, 
     return best_end
 
 
-def _compact(flags: list[bool], other: list[bool], seq: InternedSequence, indent_heuristic: bool) -> list[bool]:
-    """The flags of one file after git's compaction against the other's.
+def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_heuristic: bool) -> None:
+    """Compact one file's flags against the other's, in place, as git does;
+    both lists are padded as ``slide_changed_lines`` pads them.
 
     The k-th unchanged lines of the two files pair up, so the group after k
     unchanged lines of one file faces the other file's group after k of its
@@ -139,18 +140,13 @@ def _compact(flags: list[bool], other: list[bool], seq: InternedSequence, indent
     """
     tokens = seq.tokens
     n = len(tokens)
-    # rchg[n] and rchg[-1], the last item, are git's unchanged lines around
-    # the file; the True between them ends every search for a group; the
-    # other file's list is padded alike
-    rchg = flags + [False, True, False]
-    orchg = other + [False, True, False]
     indents = Indents(seq.lines)
     lag = end = 0
     paired = -1
     while True:
         start = rchg.index(True, end)
         if start >= n:
-            return rchg[:n]
+            return
         lag += start - end
         end = rchg.index(False, start)
         if not (start and tokens[start - 1] == tokens[end - 1] or end < n and tokens[start] == tokens[end]):
@@ -210,5 +206,12 @@ def _compact(flags: list[bool], other: list[bool], seq: InternedSequence, indent
 def slide_changed_lines(flags: ChangedLines, old: InternedSequence, new: InternedSequence,
                         indent_heuristic: bool = True) -> ChangedLines:
     """git's compaction of a diff: old against new, then new against old."""
-    old_flags = _compact(flags.old_flags, flags.new_flags, old, indent_heuristic)
-    return ChangedLines(old_flags, _compact(flags.new_flags, old_flags, new, indent_heuristic))
+    # each list is copied and padded once: item n and the last item are
+    # git's unchanged lines around the file, and the True between them ends
+    # every search for a group
+    old_flags = flags.old_flags + [False, True, False]
+    new_flags = flags.new_flags + [False, True, False]
+    _compact(old_flags, new_flags, old, indent_heuristic)
+    _compact(new_flags, old_flags, new, indent_heuristic)
+    del old_flags[-3:], new_flags[-3:]
+    return ChangedLines(old_flags, new_flags)

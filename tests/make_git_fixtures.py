@@ -14,7 +14,9 @@ plain ``ort`` merge, which ignores the option.  The merge census holds, for
 seeded small triples regenerated from their seed (and a digest of them), the
 bytes and exit status of those same five merges; ``recursive`` is the only
 strategy whose content merge follows ``-Xdiff-algorithm``, so only it can pin
-diffmerge's merges under each algorithm.
+diffmerge's merges under each algorithm.  The edge section holds the same
+for seeded triples of CR/LF lines and conflict-marker text, some of whose
+files lack a final newline.
 
     python tests/make_git_fixtures.py             # run git, record everything
     python tests/make_git_fixtures.py --rematch   # keep git's outputs, re-record
@@ -98,6 +100,12 @@ FINDING3_COMMANDS = {**{algorithm: f"git merge -s recursive -Xdiff-algorithm={al
 MERGE_CENSUS_SEED, MERGE_CENSUS_CASES = 2, 200
 MERGE_CENSUS_LINES = [b"a\n", b"b\n", b"{\n", b"}\n", b"\n", b"  x;\n", b"  return;\n", b"f() {\n"]
 MERGE_CENSUS_WITNESS = (b"b\nc\nc\nc\n", b"b\nb\nc\nc\nc\nc\nc\n", b"b\nc\na\nc\nc\nc\n")
+# edge triples: bases of 2-10 lines over LF and CR/LF lines and the text of
+# conflict markers, each side edited as the merge census edits, and each
+# file missing its final newline one time in four
+EDGE_SEED, EDGE_CASES = 4, 100
+EDGE_LINES = [b"a\n", b"b\n", b"a\r\n", b"b\r\n", b"\r\n", b"\n",
+              b"<<<<<<< HEAD\n", b"=======\n", b">>>>>>> theirs\n", b"||||||| base\n"]
 MERGE_FLAGS = {style: "" if style == "merge" else f"--{style} " for style in STYLES}
 DIFF_COMMAND = "git diff --no-index --no-color --no-ext-diff -U0 --diff-algorithm={algorithm} --{heuristic} old new"
 HEURISTICS = ("indent-heuristic", "no-indent-heuristic")
@@ -144,13 +152,13 @@ def diff_inputs() -> list[tuple[str, bytes, bytes]]:
     return cases
 
 
-def _merge_census_side(rng: random.Random, base: list[bytes]) -> list[bytes]:
+def _merge_census_side(rng: random.Random, base: list[bytes], lines: list[bytes] = MERGE_CENSUS_LINES) -> list[bytes]:
     """1-3 edits of a base: a block of 1-3 lines moved, inserted or deleted."""
     out = list(base)
     for _ in range(rng.randint(1, 3)):
         kind, at, length = rng.choice(("move", "insert", "delete")), rng.randrange(len(out) + 1), rng.randint(1, 3)
         if kind == "insert" or not out:
-            out[at:at] = rng.choices(MERGE_CENSUS_LINES, k=length)
+            out[at:at] = rng.choices(lines, k=length)
         else:
             block = out[at:at + length]
             del out[at:at + length]
@@ -169,6 +177,18 @@ def merge_census_inputs() -> list[tuple[str, bytes, bytes, bytes]]:
         ours, theirs = _merge_census_side(rng, base), _merge_census_side(rng, base)
         cases.append((f"m{i:03d}", b"".join(base), b"".join(ours), b"".join(theirs)))
     return cases + [("histogram-witness", *MERGE_CENSUS_WITNESS)]
+
+
+def merge_edge_inputs() -> list[tuple[str, bytes, bytes, bytes]]:
+    """The (key, base, ours, theirs) triples of the edge section, regenerated from its seed."""
+    rng = random.Random(EDGE_SEED)
+    cases = []
+    for i in range(EDGE_CASES):
+        base = rng.choices(EDGE_LINES, k=rng.randint(2, 10))
+        files = [b"".join(f) for f in (base, _merge_census_side(rng, base, EDGE_LINES),
+                                       _merge_census_side(rng, base, EDGE_LINES))]
+        cases.append((f"e{i:03d}", *(f[:-1] if f and rng.random() < 0.25 else f for f in files)))
+    return cases
 
 
 def _census_edited(rng: random.Random, lines: list[bytes], alphabet: list[bytes]) -> list[bytes]:
@@ -355,7 +375,8 @@ def record_git() -> dict:
             witnesses.append({"key": key, "inputs": census_digest([(old, new)]), "git": git})
         finding3 = {"inputs": dict(zip(("base", "ours", "theirs"), map(_b64, FINDING3))),
                     "git": {name: _git_merge(command, Path(cwd, name)) for name, command in FINDING3_COMMANDS.items()}}
-        merge_census = record_merge_census(cwd)
+        merge_census = record_merges(cwd, "merge_census", merge_census_inputs())
+        merge_edge = record_merges(cwd, "merge_edge", merge_edge_inputs())
     return {
         "git_version": version,
         "commands": {"merge": MERGE_COMMAND, "diff": DIFF_COMMAND,
@@ -364,7 +385,9 @@ def record_git() -> dict:
                      **{f"finding3 {name}": command for name, command in FINDING3_COMMANDS.items()},
                      "finding3 setup": FINDING3_SETUP,
                      **{f"merge_census {name}": command for name, command in FINDING3_COMMANDS.items()},
-                     "merge_census setup": FINDING3_SETUP + ", one repository per triple and command"},
+                     "merge_census setup": FINDING3_SETUP + ", one repository per triple and command",
+                     **{f"merge_edge {name}": command for name, command in FINDING3_COMMANDS.items()},
+                     "merge_edge setup": FINDING3_SETUP + ", one repository per triple and command"},
         "environment": "GIT_CONFIG_NOSYSTEM=1 GIT_CONFIG_GLOBAL=/dev/null HOME=<scratch directory> LC_ALL=C",
         "merge_styles": MERGE_FLAGS,
         "merge": merges,
@@ -373,18 +396,18 @@ def record_git() -> dict:
         "myers_witnesses": witnesses,
         "finding3": finding3,
         **merge_census,
+        **merge_edge,
     }
 
 
-def record_merge_census(cwd: str) -> dict:
-    """git's merges of the merge census triples, and a digest of the triples."""
-    cases = merge_census_inputs()
+def record_merges(cwd: str, section: str, cases: list[tuple[str, bytes, bytes, bytes]]) -> dict:
+    """git's merges of a section's triples under each of FINDING3_COMMANDS, and a digest of the triples."""
     records = []
     for key, *triple in cases:
         git = {name: _git_merge(command, Path(cwd, f"{key}-{name}"), tuple(triple))
                for name, command in FINDING3_COMMANDS.items()}
         records.append({"key": key, "git": git})
-    return {"merge_census_inputs": merge_census_digest(cases), "merge_census": records}
+    return {f"{section}_inputs": merge_census_digest(cases), section: records}
 
 
 def merge_census_digest(cases: list[tuple[str, bytes, bytes, bytes]]) -> str:
@@ -416,7 +439,8 @@ def finding3_merge(name: str, triple: tuple[bytes, bytes, bytes] = FINDING3):
 
 
 SETTINGS = ([f"merge-file {style}" for style in STYLES] + [f"diff {setting}" for setting in DIFF_SETTINGS]
-            + [f"merge {name}" for name in FINDING3_COMMANDS])
+            + [f"merge {name}" for name in FINDING3_COMMANDS] + [f"edge {name}" for name in FINDING3_COMMANDS])
+MERGE_SECTIONS = {"merge": ("merge_census", merge_census_inputs), "edge": ("merge_edge", merge_edge_inputs)}
 
 
 def matches(fixtures: dict, setting: str) -> list[str]:
@@ -424,9 +448,10 @@ def matches(fixtures: dict, setting: str) -> list[str]:
     command, option = setting.split(" ")
     if command == "merge-file":
         return [case["key"] for case in fixtures["merge"] if diffmerge_merge(case, option) == unb64(case["git"][option])]
-    if command == "merge":
+    if command in MERGE_SECTIONS:
+        section, inputs = MERGE_SECTIONS[command]
         keys = []
-        for (key, *triple), case in zip(merge_census_inputs(), fixtures["merge_census"]):
+        for (key, *triple), case in zip(inputs(), fixtures[section]):
             git, got = case["git"][option], finding3_merge(option, tuple(triple))
             if got.rendered == unb64(git["f"]) and got.clean == (git["exit"] == 0):
                 keys.append(key)
@@ -455,8 +480,9 @@ def main() -> None:
     fixtures = json.loads(FIXTURES.read_text()) if args.rematch else record_git()
     fixtures["matching"] = {setting: matches(fixtures, setting) for setting in SETTINGS}
     FIXTURES.write_text(_dump(fixtures))
+    sections = {"merge-file": "merge", "diff": "diff", **{command: s for command, (s, _) in MERGE_SECTIONS.items()}}
     for name, keys in fixtures["matching"].items():
-        total = len(fixtures[{"merge-file": "merge", "merge": "merge_census", "diff": "diff"}[name.split(" ")[0]]])
+        total = len(fixtures[sections[name.split(" ")[0]]])
         print(f"{name}: {len(keys)} / {total}")
     for algorithm, corpus in CENSUSES:
         pairs = census_inputs(corpus)

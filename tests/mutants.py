@@ -183,19 +183,39 @@ MUTANTS = (
             "tests/test_slider.py::test_slide_and_measure_match_reference"), KILLED,
            also=(("                while rchg[end]:\n                    end += 1\n", ""),)),
     # merge3
-    Mutant("merge3-rejoins-gaps-of-three", "src/diffmerge/merge3.py",
-           "_REMERGE_GAP = 3 ", "_REMERGE_GAP = 4 ",
-           ("tests/test_merge3.py",), KILLED),
+    Mutant("merge3-keeps-gaps-of-three-apart", "src/diffmerge/merge3.py",
+           "piece.start_l - prev.end_l <= _REMERGE_GAP", "piece.start_l - prev.end_l < _REMERGE_GAP",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",
+            "tests/test_merge3.py::test_refine_splits_and_remerges_close_conflicts"), KILLED),
     Mutant("merge3-equal-sides-not-demoted", "src/diffmerge/merge3.py",
-           "        return region._replace(kind=SAME)\n", "        return region\n",
-           ("tests/test_merge3.py",), KILLED),
+           "        return [region._replace(kind=SAME)]\n", "        return [region]\n",
+           ("tests/test_merge3.py::test_refine_demotes_identical_sides",
+            "tests/test_merge3.py::test_zealous_pipeline_matches_reference"), KILLED),
     Mutant("merge3-zealous-skips-conflicts-too", "src/diffmerge/merge3.py",
            "if region.kind != CONFLICT:  #", "if region.kind != SAME:  #",
            ("tests/test_merge3.py::test_zealous_pipeline_matches_reference",), KILLED),
     Mutant("merge3-hunks-bypass-the-module-seam", "src/diffmerge/merge3.py",
-           "    return flags_to_script(diff_lines(old, new, algorithm), old, new)\n",
-           "    from . import engine\n    return flags_to_script(engine.diff_lines(old, new, algorithm), old, new)\n",
+           "    return flags_to_script(slide_changed_lines(diff_lines(old, new, algorithm), old, new, False), old, new)\n",
+           "    from . import engine\n"
+           "    return flags_to_script(slide_changed_lines(engine.diff_lines(old, new, algorithm), old, new, False), old, new)\n",
            ("tests/test_seams.py",), KILLED),
+    Mutant("merge3-hunks-not-compacted", "src/diffmerge/merge3.py",
+           "flags_to_script(slide_changed_lines(diff_lines(old, new, algorithm), old, new, False), old, new)",
+           "flags_to_script(diff_lines(old, new, algorithm), old, new)",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",), KILLED),
+    Mutant("merge3-zdiff3-trims-three-files", "src/diffmerge/merge3.py",
+           "    k = common_prefix(left.tokens, sl, right.tokens, sr, min(el - sl, er - sr))\n",
+           "    sa, ea = region.start_a, region.end_a\n"
+           "    k = common_prefix(left.tokens, sl, right.tokens, sr,\n"
+           "                      common_prefix(o.tokens, sa, left.tokens, sl, min(ea - sa, el - sl, er - sr)))\n"
+           "    sa += k\n",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded[merge-file zdiff3]",), KILLED,
+           also=(("    k = common_suffix(left.tokens, el, right.tokens, er, min(el - sl, er - sr))\n",
+                  "    k = common_suffix(left.tokens, el, right.tokens, er,\n"
+                  "                      common_suffix(o.tokens, ea, left.tokens, el, min(ea - sa, el - sl, er - sr)))\n"),
+                 ("def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSequence)",
+                  "def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSequence, o=None)"),
+                 ("_trim_zdiff3(r, left, right) if", "_trim_zdiff3(r, left, right, o) if"))),
     # graph
     Mutant("graph-merge-call-not-counted", "src/diffmerge/graph.py",
            "    ctx.stats.merge_calls += 1\n", "    pass\n",

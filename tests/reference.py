@@ -8,8 +8,8 @@ recursive merge that folds merge bases into virtual commits, the
 dict-keyed patience sort, the patience diff as git walks it line by line,
 the dict-lookup Myers split, the Myers pipeline that maps flags back line by
 line, the
-line-by-line flag scans and common-run scans (pairwise, and three-way for
-the zdiff3 trim), the zealous loop that refines every merge region, the
+line-by-line flag scans and common-run scans (pairwise, and per line for
+git's zdiff3 trim), git's zealous loop that refines every merge region, the
 frequent-line rule as git scans each line's window, git's change compaction
 as git writes it, a line at a time in both files with each split measured
 on its own, and the line split and intern loop that handle one line at
@@ -28,7 +28,7 @@ from operator import not_
 from diffmerge import graph as graph_mod
 from diffmerge.core import Change, ChangedLines, InternedSequence, InvalidFlags
 from diffmerge.histogram import MAX_OCCURRENCES, FallbackSignal, Region
-from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, _demote_equal_sides, refine_zealous
+from diffmerge.merge3 import CONFLICT, SAME, MergeOptions, MergeRegion, _hunks
 from diffmerge.myers import _BIG, HEUR_MIN_COST, SNAKE_CNT, PreprocessClassification, _recs_cmp, _SearchEnv, step_budget
 from diffmerge.oracle import SizeGuard
 from diffmerge.patience import patience_lis
@@ -689,49 +689,50 @@ def common_suffix_reference(a: list[int], i: int, b: list[int], j: int, limit: i
     return k
 
 
-def trim_zdiff3_reference(region: MergeRegion, o: InternedSequence, left: InternedSequence, right: InternedSequence) -> MergeRegion:
-    """``merge3._trim_zdiff3`` as first written: a three-way compare per line, from each end."""
-    sa, ea = region.start_a, region.end_a
+def trim_zdiff3_reference(region: MergeRegion, left: InternedSequence, right: InternedSequence) -> MergeRegion:
+    """git's ``xdl_refine_zdiff3_conflicts`` as git writes it: while both sides
+    have lines and ours' first equals theirs' first, drop it from both; then
+    the same from the ends.  The base range is left whole."""
     sl, el = region.start_l, region.end_l
     sr, er = region.start_r, region.end_r
-    while (
-        sa < ea
-        and sl < el
-        and sr < er
-        and o.tokens[sa] == left.tokens[sl] == right.tokens[sr]
-    ):
-        sa += 1
+    while sl < el and sr < er and left.tokens[sl] == right.tokens[sr]:
         sl += 1
         sr += 1
-    while (
-        sa < ea
-        and sl < el
-        and sr < er
-        and o.tokens[ea - 1] == left.tokens[el - 1] == right.tokens[er - 1]
-    ):
-        ea -= 1
+    while sl < el and sr < er and left.tokens[el - 1] == right.tokens[er - 1]:
         el -= 1
         er -= 1
-    return MergeRegion(sa, ea, sl, el, sr, er, CONFLICT)
+    return MergeRegion(region.start_a, region.end_a, sl, el, sr, er, CONFLICT)
 
 
 def zealous_reference(
     regions: list[MergeRegion], left: InternedSequence, right: InternedSequence, algorithm: str
 ) -> list[MergeRegion]:
-    """Zealous refinement of a merge's regions as first written: every region,
-    whatever its kind, goes through ``refine_zealous``; every piece through the
-    equal-sides demote and the rejoin of conflicts fewer than 3 lines apart;
-    every region after rejoining through the demote again."""
+    """git's ``xdl_refine_conflicts`` then ``xdl_simplify_non_conflicts`` as
+    git writes them, over every region: a conflict whose sides both hold
+    lines is split along the compacted diff of its sides, and becomes a
+    same-change when that diff is empty; then each conflict at most 3 lines
+    of ours after the one before it is joined to it."""
     refined: list[MergeRegion] = []
     for region in regions:
-        for piece in refine_zealous(region, left, right, algorithm):
-            piece = _demote_equal_sides(piece, left, right)
-            prev = refined[-1] if refined else None
-            if prev and prev.kind == piece.kind == CONFLICT and piece.start_l - prev.end_l < 3:
-                refined[-1] = prev._replace(end_a=max(prev.end_a, piece.end_a), end_l=piece.end_l, end_r=piece.end_r)
-            else:
-                refined.append(piece)
-    return [_demote_equal_sides(r, left, right) for r in refined]
+        sa, ea, sl, el, sr, er, kind = region
+        if kind != CONFLICT or sl == el or sr == er:
+            refined.append(region)
+            continue
+        hunks = _hunks(InternedSequence(left.tokens[sl:el], left.lines),
+                       InternedSequence(right.tokens[sr:er], right.lines), algorithm)
+        if not hunks:
+            refined.append(region._replace(kind=SAME))
+        for i, (start_old, end_old, start_new, end_new) in enumerate(hunks):
+            refined.append(MergeRegion(ea if i else sa, ea, sl + start_old, sl + end_old, sr + start_new, sr + end_new,
+                                       CONFLICT))
+    joined: list[MergeRegion] = []
+    for region in refined:
+        prev = joined[-1] if joined else None
+        if prev and prev.kind == region.kind == CONFLICT and region.start_l - prev.end_l <= 3:
+            joined[-1] = prev._replace(end_a=max(prev.end_a, region.end_a), end_l=region.end_l, end_r=region.end_r)
+        else:
+            joined.append(region)
+    return joined
 
 
 def preprocess_reference(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassification:

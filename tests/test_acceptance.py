@@ -16,7 +16,7 @@ from diffmerge.core import InternTable, apply_script, flags_to_script
 from diffmerge.engine import ALGORITHMS, diff_lines
 from diffmerge.graph import build_exponential_graph, merge_commits, rebase, CommitGraph
 from diffmerge.histogram import diff_histogram
-from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, LEFT, RIGHT, merge3
+from diffmerge.merge3 import CONFLICT, MergeOptions, MergeRegion, LEFT, RIGHT, _hunks, merge3
 from diffmerge.myers import diff_myers
 from diffmerge.patience import diff_patience, patience_lis
 from diffmerge.slider import slide_changed_lines
@@ -147,36 +147,40 @@ def test_criterion_6_locality_counterexample():
 
 
 def test_criterion_7_duplicated_change():
-    with criterion(7, "mismatched minimal diffs duplicate the change cleanly"):
-        o = b"X\nA\nY\n"
-        left = b"j\nX\nA\nB\nA\nY\n"
-        right_same = b"X\nA\nB\nA\nY\nj\n"
-        right_diff = b"X\nA\nC\nA\nY\nj\n"
-        opts = MergeOptions(algorithm="minimal")
+    with criterion(7, "mismatched diffs duplicate the change cleanly"):
+        # git merge-file ours base theirs, and git merge -s recursive
+        # -Xdiff-algorithm=<algorithm> for each algorithm, exit 0 with the
+        # bytes asserted below
+        o = b"A\nA\n"
+        left = b"j\nA\nB\nA\nA\n"
+        right_same = b"A\nB\nA\nA\nj\n"
+        right_diff = b"A\nC\nA\nA\nj\n"
 
-        # first assert the two diffs take the required mismatched shapes
-        def middle_hunk(new_data, marker):
+        def added_hunk(new_data, marker, algorithm):
+            """The one hunk of the merge's diff of o to new_data that adds
+            marker, and the lines it adds."""
             table = InternTable()
             old, new = table.intern(o), table.intern(new_data)
-            script = flags_to_script(diff_lines(old, new, "minimal"), old, new)
-            hunks = [
-                c for c in script
-                if marker in b"".join(new.lines[t] for t in new.tokens[c.start_new:c.end_new])
-            ]
-            assert len(hunks) == 1
-            return hunks[0], new
+            hunks = [(c, [new.lines[t] for t in new.tokens[c.start_new:c.end_new]])
+                     for c in _hunks(old, new, algorithm)]
+            (hunk,) = [(c, added) for c, added in hunks if marker in added]
+            return hunk
 
-        cl, lseq = middle_hunk(left, b"B\n")
-        assert [lseq.lines[t] for t in lseq.tokens[cl.start_new:cl.end_new]] == [b"A\n", b"B\n"]  # +AB before old A
-        cr, rseq = middle_hunk(right_same, b"B\n")
-        assert [rseq.lines[t] for t in rseq.tokens[cr.start_new:cr.end_new]] == [b"B\n", b"A\n"]  # +BA after old A
-        assert cl.end_old < cr.start_old
+        for algorithm in ALGORITHMS:
+            opts = MergeOptions(algorithm=algorithm)
+            # first assert the two diffs take the required mismatched shapes:
+            # ours adds "A B" before the first A, theirs adds the B after it
+            cl, added_l = added_hunk(left, b"B\n", algorithm)
+            assert added_l[-2:] == [b"A\n", b"B\n"], algorithm
+            for right, marker in ((right_same, b"B\n"), (right_diff, b"C\n")):
+                cr, added_r = added_hunk(right, marker, algorithm)
+                assert added_r[0] == marker and cl.end_old < cr.start_old, algorithm
 
-        out = merge3(o, left, right_same, opts)
-        assert out.clean and b"X\nA\nB\nA\nB\nA\nY\n" in out.rendered
+            out = merge3(o, left, right_same, opts)
+            assert out.clean and out.rendered == b"j\nA\nB\nA\nB\nA\nA\nj\n", algorithm
 
-        out = merge3(o, left, right_diff, opts)
-        assert out.clean and b"X\nA\nB\nA\nC\nA\nY\n" in out.rendered
+            out = merge3(o, left, right_diff, opts)
+            assert out.clean and out.rendered == b"j\nA\nB\nA\nC\nA\nA\nj\n", algorithm
 
 
 def test_criterion_8_non_commutative_merge():

@@ -24,6 +24,7 @@ from diffmerge.merge3 import MergeOptions
 
 import reference
 from conftest import lines_executed, merge_base_tree
+from make_git_fixtures import FINDING3
 
 # name -> keyword arguments of random_dag
 SHAPES = {
@@ -323,27 +324,34 @@ def _fold_memo_dag():
     """A criss-cross DAG whose heads H1 and H2 have four merge bases.
 
     Folding [X, Y, Z, W] folds [P, Q], then [P, R], then [P, Q] again: a
-    hit, and two lists with one prefix.  [P, Q] merges f = c / c c / a c c
-    (base, P, Q), which gives a c c c under myers and a c c under
-    histogram, so the virtual base depends on the options; the trees of X,
-    Y, Z, W and the heads carry that difference, and the difference
-    between [P, R] and [P, Q] on g, to the merged tree."""
+    hit, and two lists with one prefix.  [P, Q] merges f as finding 3's
+    witness (base O, ours P, theirs Q), which git's ``recursive`` strategy
+    merges cleanly into c / blank / a / blank / c a under myers and into
+    c / blank / a / blank / c a a under histogram, so the virtual base
+    depends on the options; the trees of X, Y, Z, W and the heads carry
+    that difference, and the difference between [P, R] and [P, Q] on g, to
+    the merged tree."""
+    base, ours, theirs = FINDING3
     g = CommitGraph()
     for cid, parents, f, gfile in [
-        ("O", (), "c", "0"),
-        ("Q", ("O",), "a c c", "0"),
-        ("R", ("O",), "c", "r"),
-        ("P", ("O",), "c c", "0"),
-        ("W", ("P", "Q"), "a c c", "0"),
-        ("Z", ("P", "R"), "c c", "r"),
-        ("Y", ("P", "Q"), "a c c", "0"),
-        ("X", ("P", "Q", "R"), "a c c c", "0"),
-        ("H1", ("X", "Y", "Z", "W"), "a c c", "0"),
-        ("H2", ("X", "Y", "Z", "W"), "a c c c", "h"),
+        ("O", (), base, b"0\n"),
+        ("Q", ("O",), theirs, b"0\n"),
+        ("R", ("O",), base, b"r\n"),
+        ("P", ("O",), ours, b"0\n"),
+        ("W", ("P", "Q"), theirs, b"0\n"),
+        ("Z", ("P", "R"), ours, b"r\n"),
+        ("Y", ("P", "Q"), theirs, b"0\n"),
+        ("X", ("P", "Q", "R"), _FINDING3_MYERS, b"0\n"),
+        ("H1", ("X", "Y", "Z", "W"), _FINDING3_HISTOGRAM, b"0\n"),
+        ("H2", ("X", "Y", "Z", "W"), _FINDING3_MYERS, b"h\n"),
     ]:
-        g.add_commit(cid, parents, {path: "".join(f"{line}\n" for line in text.split()).encode()
-                                    for path, text in (("f", f), ("g", gfile))})
+        g.add_commit(cid, parents, {"f": f, "g": gfile})
     return g
+
+
+# git's merges of finding 3's witness (tests/git_fixtures.json, "finding3")
+_FINDING3_MYERS = b"c\n\na\n\nc\na\n"
+_FINDING3_HISTOGRAM = b"c\n\na\n\nc\na\na\n"
 
 
 def test_fold_memo_lives_in_one_merge_and_is_keyed_by_the_whole_base_list(monkeypatch):
@@ -368,7 +376,7 @@ def test_fold_memo_lives_in_one_merge_and_is_keyed_by_the_whole_base_list(monkey
         assert merge_base_tree(g, "H1", "H2", options=options) == reference.merge_base_recursive_reference(
             g, "H1", "H2", options=options), algorithm
         outcomes[algorithm] = got.commit.tree
-    assert outcomes == {"myers": {"f": b"a\nc\nc\nc\n", "g": b"h\n"}, "histogram": {"f": b"a\nc\nc\n", "g": b"h\n"}}
+    assert outcomes == {"myers": {"f": _FINDING3_MYERS, "g": b"h\n"}, "histogram": {"f": _FINDING3_HISTOGRAM, "g": b"h\n"}}
 
 
 def _family_outcome(shape, n):

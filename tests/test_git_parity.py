@@ -18,12 +18,14 @@ bytes and exit status of ``git merge -s recursive -Xdiff-algorithm=<alg>``
 for each algorithm and of a plain ``ort`` merge; diffmerge's merge3 must
 give the same bytes and cleanliness.  The merge census holds the same five
 merges of seeded triples; exactly the recorded triples must merge to git's
-bytes and cleanliness under each.
+bytes and cleanliness under each.  So must the edge triples, of CR/LF lines,
+conflict-marker text and files without a final newline.
 """
 
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,7 @@ from make_git_fixtures import (
     CENSUS,
     CENSUSES,
     FINDING3,
+    EDGE_CASES,
     FINDING3_COMMANDS,
     FIXTURES,
     MERGE_CENSUS_CASES,
@@ -47,6 +50,7 @@ from make_git_fixtures import (
     matches,
     merge_census_digest,
     merge_census_inputs,
+    merge_edge_inputs,
     unb64,
     witness_inputs,
 )
@@ -65,9 +69,11 @@ def test_fixture_records_git_and_its_commands():
     assert set(_FIXTURES["commands"]) == {
         "merge", "diff", "histogram_census", "myers_census", "patience_census", "myers_witness", "minimal_witness",
         "finding3 setup", *(f"finding3 {name}" for name in FINDING3_COMMANDS),
-        "merge_census setup", *(f"merge_census {name}" for name in FINDING3_COMMANDS)}
+        "merge_census setup", *(f"merge_census {name}" for name in FINDING3_COMMANDS),
+        "merge_edge setup", *(f"merge_edge {name}" for name in FINDING3_COMMANDS)}
     assert len(_FIXTURES["merge"]) == 300 and len(_FIXTURES["diff"]) == 200
     assert len(_FIXTURES["merge_census"]) == MERGE_CENSUS_CASES + 1
+    assert len(_FIXTURES["merge_edge"]) == EDGE_CASES
     assert list(_FIXTURES["matching"]) == SETTINGS
 
 
@@ -83,6 +89,25 @@ def test_merge_census_inputs_are_those_recorded_and_ort_merges_as_histogram():
     for case in _FIXTURES["merge_census"]:
         assert case["git"]["ort"] == case["git"]["histogram"], case["key"]
     assert {git["exit"] for git in _FIXTURES["merge_census"][-1]["git"].values()} == {0}
+
+
+def test_merge_edge_inputs_are_those_recorded_and_git_ends_each_missed_ones_markers_with_crlf():
+    """The edge triples regenerate from their seed, and many hold CR/LF lines,
+    files without a final newline and conflict-marker text.  Wherever
+    diffmerge's merge is not git's, git wrote a conflict marker that ends in
+    CR/LF: git ends its markers as the conflict's lines end
+    (``xdl_fill_merge_buffer``), and diffmerge always ends them with LF."""
+    cases = merge_edge_inputs()
+    assert merge_census_digest(cases) == _FIXTURES["merge_edge_inputs"], "the inputs changed: re-record"
+    assert [key for key, *_ in cases] == [case["key"] for case in _FIXTURES["merge_edge"]]
+    files = [f for _, *triple in cases for f in triple]
+    assert min(sum(b"\r\n" in f for f in files), sum(not f.endswith(b"\n") for f in files),
+               sum(b"=======\n" in f for f in files)) > 50
+    for name in FINDING3_COMMANDS:
+        matched = set(_FIXTURES["matching"][f"edge {name}"])
+        for (key, *_), case in zip(cases, _FIXTURES["merge_edge"]):
+            if key not in matched:
+                assert re.search(rb"^(<<<<<<<|=======|>>>>>>>).*\r\n", unb64(case["git"][name]["f"]), re.M), (name, key)
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
