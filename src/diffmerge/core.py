@@ -1,5 +1,5 @@
-"""Line interning, common runs, diff representations, patch application and
-unified rendering.
+"""Line interning, common runs, diff representations (change flags are one
+byte a line, as git's ``rchg``), patch application and unified rendering.
 
 A diff problem (two or three files) shares one :class:`InternTable` so that
 equal line content gets equal integer tokens across all files involved; the
@@ -86,13 +86,18 @@ class InternTable:
 
 @dataclass
 class ChangedLines:
-    """Per-line change flags for the two files of a diff."""
+    """A diff's change flags as git's ``xdfile_t.rchg`` holds them: a bytearray per file, one byte a line, 1 if
+    changed, so ``bytearray.index`` finds the next changed or unchanged line by memchr.  Bools convert once."""
 
-    old_flags: list[bool]
-    new_flags: list[bool]
+    old_flags: bytearray
+    new_flags: bytearray
+
+    def __post_init__(self) -> None:
+        if self.old_flags.__class__ is not bytearray or self.new_flags.__class__ is not bytearray:
+            self.old_flags, self.new_flags = bytearray(map(bool, self.old_flags)), bytearray(map(bool, self.new_flags))
 
     def flag_count(self) -> int:
-        return sum(self.old_flags) + sum(self.new_flags)
+        return self.old_flags.count(1) + self.new_flags.count(1)
 
 
 class _ChangeFields(NamedTuple):
@@ -135,17 +140,16 @@ def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSeq
     if len(of) != n or len(nf) != m:
         raise InvalidFlags("flag arrays do not match file lengths")
     a, b = old.tokens, new.tokens
-    # padded so that every search ends inside the list: the True at the end
-    # stops a search for the next flagged line, the False after it a run that
-    # reaches the end, one past it
-    po = of + [True, False]
-    pn = nf + [True, False]
+    # padded so that every search ends inside the array: a 1 after the last
+    # line ends a search for the next flagged line, a 0 one for a run's end
+    po, pn = of + b"\1", nf + b"\1"
+    ro, rn = of + b"\0", nf + b"\0"
     changes = []
     i = j = 0
     while True:
         # unflagged lines pair up until either file reaches a flagged line or its end
-        k = po.index(True, i) - i
-        k_new = pn.index(True, j) - j
+        k = po.index(1, i) - i
+        k_new = pn.index(1, j) - j
         if k_new < k:
             k = k_new
         if a[i:i + k] != b[j:j + k]:
@@ -158,13 +162,9 @@ def flags_to_script(flags: ChangedLines, old: InternedSequence, new: InternedSeq
         if at_old or at_new:
             start_old, start_new = i, j
             if at_old:
-                i = po.index(False, i)
-                if i > n:
-                    i = n
+                i = ro.index(0, i)
             if at_new:
-                j = pn.index(False, j)
-                if j > m:
-                    j = m
+                j = rn.index(0, j)
             changes.append(Change(start_old, i, start_new, j))
         elif i == n and j == m:
             return tuple(changes)

@@ -178,8 +178,8 @@ def find_split(
 
 def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines:
     a, b = old.tokens, new.tokens
-    of = [False] * len(a)
-    nf = [False] * len(b)
+    of = bytearray(len(a))
+    nf = bytearray(len(b))
     if old.occurrence_index is None:
         old.occurrence_index = scan_a(a)
     occ = old.occurrence_index
@@ -188,15 +188,15 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
     while work:
         lo1, hi1, lo2, hi2 = work.pop()
         if lo1 == hi1:
-            nf[lo2:hi2] = [True] * (hi2 - lo2)
+            nf[lo2:hi2] = b"\1" * (hi2 - lo2)
             continue
         if lo2 == hi2:
-            of[lo1:hi1] = [True] * (hi1 - lo1)
+            of[lo1:hi1] = b"\1" * (hi1 - lo1)
             continue
         if hi1 - lo1 == 1 == hi2 - lo2:
             # find_split's answer for one line each: the line itself, or no region
             if a[lo1] != b[lo2]:
-                of[lo1] = nf[lo2] = True
+                of[lo1] = nf[lo2] = 1
             continue
         try:
             split = find_split(a, b, lo1, hi1, lo2, hi2, occ, runs)
@@ -206,8 +206,8 @@ def diff_histogram(old: InternedSequence, new: InternedSequence) -> ChangedLines
             nf[lo2:hi2] = sub.new_flags
             continue
         if split is None:
-            of[lo1:hi1] = [True] * (hi1 - lo1)
-            nf[lo2:hi2] = [True] * (hi2 - lo2)
+            of[lo1:hi1] = b"\1" * (hi1 - lo1)
+            nf[lo2:hi2] = b"\1" * (hi2 - lo2)
         else:
             work.append((lo1, split.begin1, lo2, split.begin2))
             work.append((split.end1 + 1, hi1, split.end2 + 1, hi2))

@@ -10,10 +10,11 @@ each conflict along the compacted diff of its sides and demotes it only when
 that diff is empty, and ``xdl_simplify_non_conflicts`` joins conflicts at
 most three lines apart.  zdiff3 runs ``xdl_refine_zdiff3_conflicts``, which
 trims the lines ours and theirs share from both ends of a conflict and
-leaves its base range whole; diff3 keeps conflicts whole.  Neither the input
-bytes nor the intern table's dict are held once the three files are
-interned.  Regions are tuple records, and a refined region is a
-``_replace`` of the one it came from.
+leaves its base range whole; diff3 keeps conflicts whole.  Markers end in
+CR/LF where git's ``is_cr_needed`` says so, else LF.  Neither the input bytes
+nor the intern table's dict are held once the three files are interned.
+Regions are tuple records, and a refined region is a ``_replace`` of the one
+it came from.
 """
 
 from __future__ import annotations
@@ -212,6 +213,12 @@ def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSeq
     return region._replace(start_l=sl, end_l=el - k, start_r=sr, end_r=er - k)
 
 
+def _eol_crlf(seq: InternedSequence, i: int) -> int:
+    """git's ``is_eol_crlf``: whether line i (if it lacks a newline, the one before) ends CR/LF; -1 if undecided."""
+    ended = [rec for rec in map(seq.lines.__getitem__, seq.tokens[max(i - 1, 0):i + 1]) if rec.endswith(b"\n")]
+    return ended[-1].endswith(b"\r\n") if ended else -1
+
+
 class _Writer:
     """Byte assembly that never lets a marker share a line with content."""
 
@@ -221,10 +228,10 @@ class _Writer:
     def lines(self, seq: InternedSequence, start: int, end: int) -> None:
         self.parts.extend(map(seq.lines.__getitem__, seq.tokens[start:end]))
 
-    def marker(self, text: bytes) -> None:
+    def marker(self, text: bytes, eol: bytes) -> None:
         if self.parts and not self.parts[-1].endswith(b"\n"):
-            self.parts.append(b"\n")
-        self.parts.append(text)
+            self.parts.append(eol)
+        self.parts.append(text + eol)
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -248,14 +255,17 @@ def render(
         if region.kind == RIGHT:
             out.lines(right, region.start_r, region.end_r)
         else:
-            out.marker(b"<<<<<<<" + (b" " + label_l if label_l else b"") + b"\n")
+            # git's is_cr_needed: ours' and theirs' lines before the conflict, then the base's first line
+            crlf = _eol_crlf(left, max(region.start_l - 1, 0)) and _eol_crlf(right, max(region.start_r - 1, 0))
+            eol = b"\r\n" if crlf and _eol_crlf(o, 0) == 1 else b"\n"
+            out.marker(b"<<<<<<<" + (b" " + label_l if label_l else b""), eol)
             out.lines(left, region.start_l, region.end_l)
             if options.style in ("diff3", "zdiff3"):
-                out.marker(b"|||||||" + (b" " + label_o if label_o else b"") + b"\n")
+                out.marker(b"|||||||" + (b" " + label_o if label_o else b""), eol)
                 out.lines(o, region.start_a, region.end_a)
-            out.marker(b"=======\n")
+            out.marker(b"=======", eol)
             out.lines(right, region.start_r, region.end_r)
-            out.marker(b">>>>>>>" + (b" " + label_r if label_r else b"") + b"\n")
+            out.marker(b">>>>>>>" + (b" " + label_r if label_r else b""), eol)
         cursor = region.end_l
     out.lines(left, cursor, len(left))
     return out.getvalue()

@@ -28,7 +28,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, pairwise
-from operator import not_
 
 from .core import ChangedLines, DiffError, InternedSequence, common_prefix, common_suffix
 
@@ -36,6 +35,7 @@ SNAKE_CNT = 20  # a diagonal run longer than this is a snake
 HEUR_MIN_COST = 256  # steps before the snake cutoff may fire, and the budget's floor
 SIMSCAN_WINDOW = 100  # lines the frequent-line rule reads on each side of a line
 MAX_EQLIMIT = 1024  # the most times a line need occur to be frequent
+_INVERT = bytes.maketrans(b"\0\1", b"\1\0")  # flags to their complement, byte by byte
 
 
 def bogosqrt(n: int) -> int:
@@ -55,8 +55,8 @@ def step_budget(n: int) -> int:
 class PreprocessClassification:
     prefix_len: int
     suffix_len: int
-    old_prechanged: list[bool]
-    new_prechanged: list[bool]
+    old_prechanged: bytearray
+    new_prechanged: bytearray
 
 
 def preprocess(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassification:
@@ -73,10 +73,10 @@ def preprocess(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassi
 
     count_a = Counter(a)
     count_b = Counter(b)
-    old_pre = [False] * n
-    new_pre = [False] * m
-    old_pre[prefix:n - suffix] = map(not_, map(count_b.__contains__, a[prefix:n - suffix]))
-    new_pre[prefix:m - suffix] = map(not_, map(count_a.__contains__, b[prefix:m - suffix]))
+    old_pre = bytearray(n)
+    new_pre = bytearray(m)
+    old_pre[prefix:n - suffix] = bytes(map(count_b.__contains__, a[prefix:n - suffix])).translate(_INVERT)
+    new_pre[prefix:m - suffix] = bytes(map(count_a.__contains__, b[prefix:m - suffix])).translate(_INVERT)
 
     if not minimal:
         _flag_frequent(a, count_b, old_pre, prefix, n - suffix)
@@ -85,7 +85,7 @@ def preprocess(a: list[int], b: list[int], *, minimal: bool) -> PreprocessClassi
     return PreprocessClassification(prefix, suffix, old_pre, new_pre)
 
 
-def _flag_frequent(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
+def _flag_frequent(tokens: list[int], counts: Counter, pre: bytearray, lo: int, hi: int) -> None:
     """Flag the frequent lines of tokens[lo:hi] that git's ``xdl_cleanup_records`` discards.
 
     A line is frequent when ``counts``, the other file's, holds it at least
@@ -118,7 +118,7 @@ def _flag_frequent(tokens: list[int], counts: Counter, pre: list[bool], lo: int,
                 for k in range(p + 1, q):
                     un = bisect_right(block, k + w) - bisect_left(block, k - w)
                     if 3 * (min(k + w + 1, j) - max(k - w, start) - un + 1) < un:
-                        pre[k] = True
+                        pre[k] = 1
         # i opens a block, which takes in the frequent lines just above it
         start = i
         while start > lo and tokens[start - 1] in frequent:
@@ -323,8 +323,8 @@ def _split(env: _SearchEnv, off1: int, lim1: int, off2: int, lim2: int, need_min
 
 def _recs_cmp(env: _SearchEnv) -> ChangedLines:
     ha1, ha2 = env.ha1, env.ha2
-    rchg1 = [False] * len(ha1)
-    rchg2 = [False] * len(ha2)
+    rchg1 = bytearray(len(ha1))
+    rchg2 = bytearray(len(ha2))
     stack = [(0, len(ha1), 0, len(ha2), env.need_min)]
     while stack:
         off1, lim1, off2, lim2, need_min = stack.pop()
@@ -335,9 +335,9 @@ def _recs_cmp(env: _SearchEnv) -> ChangedLines:
         lim1 -= k
         lim2 -= k
         if off1 == lim1:
-            rchg2[off2:lim2] = [True] * (lim2 - off2)
+            rchg2[off2:lim2] = b"\1" * (lim2 - off2)
         elif off2 == lim2:
-            rchg1[off1:lim1] = [True] * (lim1 - off1)
+            rchg1[off1:lim1] = b"\1" * (lim1 - off1)
         else:
             i1, i2, min_lo, min_hi = _split(env, off1, lim1, off2, lim2, need_min)
             # a pivot outside the box, or at a corner of it, would leave a
@@ -360,17 +360,17 @@ def myers_flags(a: list[int], b: list[int], minimal: bool = False) -> ChangedLin
     nf = cls.new_prechanged
     # the search sees only the kept lines: those between the common ends
     # that are not pre-flagged
-    kept_a = list(map(not_, of[lo:hi_a]))
-    kept_b = list(map(not_, nf[lo:hi_b]))
+    kept_a = of[lo:hi_a].translate(_INVERT)
+    kept_b = nf[lo:hi_b].translate(_INVERT)
     ha1 = list(compress(islice(a, lo, hi_a), kept_a))
     ha2 = list(compress(islice(b, lo, hi_b), kept_b))
     budget = step_budget(len(ha1) + len(ha2))
     sub = _recs_cmp(_SearchEnv(ha1, ha2, minimal, SNAKE_CNT, HEUR_MIN_COST, budget))
     # a pre-flagged line stays flagged; a kept line takes the search's flag
     for i in compress(compress(range(lo, hi_a), kept_a), sub.old_flags):
-        of[i] = True
+        of[i] = 1
     for j in compress(compress(range(lo, hi_b), kept_b), sub.new_flags):
-        nf[j] = True
+        nf[j] = 1
     return ChangedLines(of, nf)
 
 

@@ -60,17 +60,17 @@ def patience_lis(matches: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def diff_patience(old: InternedSequence, new: InternedSequence) -> ChangedLines:
     a, b = old.tokens, new.tokens
-    of = [False] * len(old)
-    nf = [False] * len(new)
+    of = bytearray(len(old))
+    nf = bytearray(len(new))
     work = [(0, len(a), 0, len(b))]
     while work:
         lo_a, hi_a, lo_b, hi_b = work.pop()
         # every line of a subproblem is still unflagged, so flags go in by slice
         if lo_a == hi_a:
-            nf[lo_b:hi_b] = [True] * (hi_b - lo_b)
+            nf[lo_b:hi_b] = b"\1" * (hi_b - lo_b)
             continue
         if lo_b == hi_b:
-            of[lo_a:hi_a] = [True] * (hi_a - lo_a)
+            of[lo_a:hi_a] = b"\1" * (hi_a - lo_a)
             continue
 
         lcs = patience_lis(find_matching_unique_lines(a, b, lo_a, hi_a, lo_b, hi_b))

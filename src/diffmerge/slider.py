@@ -1,12 +1,13 @@
 """git's change compaction (``xdl_change_compact`` in ``xdiff/xdiffi.c``).
 
-A group of consecutive changed lines can often be slid up or down without
-changing what the diff says.  Each group is slid as far up and then as far
-down as the lines allow, fusing with every group it meets, and then placed
-where git places it: level with the last changed group of the other file it
-can align with, or else, with the indent heuristic on, at the shift whose
-two splits (the boundaries above and below it) score best under git's
-weights.  Old is compacted against new, then new against old.
+A group of adjacent changed lines can often slide up or down without changing
+what the diff says.  Each group slides as far up and then down as the lines
+allow, fusing with each group it meets, and is placed where git places it:
+level with the last changed group of the other file it can align with, or
+else, with the indent heuristic on, at the shift whose two splits (the
+boundaries above and below it) score best under git's weights.  Old is
+compacted against new, then new against old, on one-byte flags (git's
+``rchg``) that ``bytearray.index`` scans.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _best_end(tokens: list[int], indents: Indents, earliest_end: int, end: int, 
     return best_end
 
 
-def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_heuristic: bool) -> None:
+def _compact(rchg: bytearray, orchg: bytearray, seq: InternedSequence, indent_heuristic: bool) -> None:
     """Compact one file's flags against the other's, in place, as git does;
-    both lists are padded as ``slide_changed_lines`` pads them.
+    both arrays are padded as ``slide_changed_lines`` pads them.
 
     The k-th unchanged lines of the two files pair up, so the group after k
     unchanged lines of one file faces the other file's group after k of its
@@ -144,17 +145,17 @@ def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_
     lag = end = 0
     paired = -1
     while True:
-        start = rchg.index(True, end)
+        start = rchg.index(1, end)
         if start >= n:
             return
         lag += start - end
-        end = rchg.index(False, start)
+        end = rchg.index(0, start)
         if not (start and tokens[start - 1] == tokens[end - 1] or end < n and tokens[start] == tokens[end]):
             continue
         # walk ``paired`` over the other file's next ``lag`` unchanged lines, a run at a time
         while lag:
-            run_start = orchg.index(False, paired + 1)
-            run = min(orchg.index(True, run_start) - run_start, lag)
+            run_start = orchg.index(0, paired + 1)
+            run = min(orchg.index(1, run_start) - run_start, lag)
             paired = run_start + run - 1
             lag -= run
         while True:
@@ -163,8 +164,8 @@ def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_
             while start and tokens[start - 1] == tokens[end - 1]:
                 start -= 1
                 end -= 1
-                rchg[start] = True
-                rchg[end] = False
+                rchg[start] = 1
+                rchg[end] = 0
                 paired -= 1
                 while orchg[paired]:
                     paired -= 1
@@ -175,11 +176,11 @@ def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_
             end_matching_other = end if orchg[paired + 1] else -1
             # then down
             while end < n and tokens[start] == tokens[end]:
-                rchg[start] = False
-                rchg[end] = True
+                rchg[start] = 0
+                rchg[end] = 1
                 start += 1
                 end += 1
-                paired = orchg.index(False, paired + 1)
+                paired = orchg.index(0, paired + 1)
                 while rchg[end]:
                     end += 1
                 if orchg[paired + 1]:
@@ -195,7 +196,7 @@ def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_
         else:
             continue
         # back up to the chosen end; every position since earliest_end held the group whole
-        rchg[best - size:end] = [True] * size + [False] * (end - best)
+        rchg[best - size:end] = b"\1" * size + bytes(end - best)
         for _ in range(end - best):
             paired -= 1
             while orchg[paired]:
@@ -206,11 +207,10 @@ def _compact(rchg: list[bool], orchg: list[bool], seq: InternedSequence, indent_
 def slide_changed_lines(flags: ChangedLines, old: InternedSequence, new: InternedSequence,
                         indent_heuristic: bool = True) -> ChangedLines:
     """git's compaction of a diff: old against new, then new against old."""
-    # each list is copied and padded once: item n and the last item are
-    # git's unchanged lines around the file, and the True between them ends
-    # every search for a group
-    old_flags = flags.old_flags + [False, True, False]
-    new_flags = flags.new_flags + [False, True, False]
+    # copied and padded once: bytes n and n + 2 are git's unchanged lines
+    # around the file, and the 1 between them ends every search for a group
+    old_flags = flags.old_flags + b"\0\1\0"
+    new_flags = flags.new_flags + b"\0\1\0"
     _compact(old_flags, new_flags, old, indent_heuristic)
     _compact(new_flags, old_flags, new, indent_heuristic)
     del old_flags[-3:], new_flags[-3:]

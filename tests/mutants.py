@@ -67,9 +67,12 @@ MUTANTS = (
            "    while step > 2:\n        step >>= 1\n        if k + step <= limit and a[i + k:",
            ("tests/test_core.py::test_common_runs_match_reference",
             "tests/test_core.py::test_common_runs_match_reference_on_random_lists"), KILLED),
-    Mutant("core-script-old-end-unclamped", "src/diffmerge/core.py",
-           "                if i > n:\n                    i = n\n", "",
+    Mutant("core-script-run-end-read-past-the-file", "src/diffmerge/core.py",
+           "                i = ro.index(0, i)\n", "                i = (of + b\"\\1\\0\").index(0, i)\n",
            ("tests/test_core.py",), KILLED),
+    Mutant("core-flags-from-lists-not-converted", "src/diffmerge/core.py",
+           "        if self.old_flags.__class__ is not bytearray or", "        if False and",
+           ("tests/test_core.py::test_flags_are_one_byte_a_line_and_other_forms_convert",), KILLED),
     # engine
     Mutant("engine-error-omits-the-algorithms", "src/diffmerge/engine.py",
            '; expected one of {ALGORITHMS}")', '")',
@@ -108,6 +111,18 @@ MUTANTS = (
     Mutant("myers-frequent-limit-uncapped", "src/diffmerge/myers.py",
            "min(bogosqrt(len(tokens)), MAX_EQLIMIT)", "bogosqrt(len(tokens))",
            ("tests/test_git_parity.py::test_myers_witness_agrees_with_git",), KILLED),
+    Mutant("myers-invert-table-is-identity", "src/diffmerge/myers.py",
+           'bytes.maketrans(b"\\0\\1", b"\\1\\0")', 'bytes.maketrans(b"\\0\\1", b"\\0\\1")',
+           ("tests/test_myers.py::test_preprocess_strips_ends_and_flags_unmatched",
+            "tests/test_myers.py::test_diff_myers_matches_reference"), KILLED),
+    Mutant("myers-invert-table-arguments-swapped", "src/diffmerge/myers.py",
+           'bytes.maketrans(b"\\0\\1", b"\\1\\0")', 'bytes.maketrans(b"\\1\\0", b"\\0\\1")',
+           ("tests/test_myers.py::test_preprocess_matches_reference", "tests/test_myers.py::test_diff_myers_matches_reference"),
+           "equivalent: a table that swaps 0 and 1 maps each to the other whichever way round it is written"),
+    Mutant("myers-kept-mask-not-inverted", "src/diffmerge/myers.py",
+           "    kept_a = of[lo:hi_a].translate(_INVERT)\n", "    kept_a = of[lo:hi_a]\n",
+           ("tests/test_myers.py::test_diff_myers_matches_reference",), KILLED,
+           also=(("    kept_b = nf[lo:hi_b].translate(_INVERT)\n", "    kept_b = nf[lo:hi_b]\n"),)),
     Mutant("myers-fallback-skips-the-discard", "src/diffmerge/myers.py",
            "    cls = preprocess(a, b, minimal=minimal)\n",
            "    return _recs_cmp(_SearchEnv(a, b, minimal, SNAKE_CNT, HEUR_MIN_COST, step_budget(len(a) + len(b))))\n",
@@ -182,6 +197,10 @@ MUTANTS = (
            ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",
             "tests/test_slider.py::test_slide_and_measure_match_reference"), KILLED,
            also=(("                while rchg[end]:\n                    end += 1\n", ""),)),
+    Mutant("slider-pad-stop-byte-dropped", "src/diffmerge/slider.py",
+           'old_flags = flags.old_flags + b"\\0\\1\\0"', 'old_flags = flags.old_flags + b"\\0\\0\\0"',
+           ("tests/test_slider.py::test_slide_and_measure_match_reference",), KILLED,
+           also=(('new_flags = flags.new_flags + b"\\0\\1\\0"', 'new_flags = flags.new_flags + b"\\0\\0\\0"'),)),
     # merge3
     Mutant("merge3-keeps-gaps-of-three-apart", "src/diffmerge/merge3.py",
            "piece.start_l - prev.end_l <= _REMERGE_GAP", "piece.start_l - prev.end_l < _REMERGE_GAP",
@@ -216,6 +235,16 @@ MUTANTS = (
                  ("def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSequence)",
                   "def _trim_zdiff3(region: MergeRegion, left: InternedSequence, right: InternedSequence, o=None)"),
                  ("_trim_zdiff3(r, left, right) if", "_trim_zdiff3(r, left, right, o) if"))),
+    Mutant("merge3-crlf-markers-skip-the-base", "src/diffmerge/merge3.py",
+           'if crlf and _eol_crlf(o, 0) == 1 else', 'if crlf == 1 else',
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",), KILLED),
+    Mutant("merge3-crlf-markers-read-ours-only", "src/diffmerge/merge3.py",
+           "crlf = _eol_crlf(left, max(region.start_l - 1, 0)) and _eol_crlf(right, max(region.start_r - 1, 0))",
+           "crlf = _eol_crlf(left, max(region.start_l - 1, 0))",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",), KILLED),
+    Mutant("merge3-added-newline-always-lf", "src/diffmerge/merge3.py",
+           "            self.parts.append(eol)\n", "            self.parts.append(b\"\\n\")\n",
+           ("tests/test_git_parity.py::test_cases_matching_git_are_those_recorded",), KILLED),
     # graph
     Mutant("graph-merge-call-not-counted", "src/diffmerge/graph.py",
            "    ctx.stats.merge_calls += 1\n", "    pass\n",

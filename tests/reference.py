@@ -743,14 +743,14 @@ def preprocess_reference(a: list[int], b: list[int], *, minimal: bool) -> Prepro
 
     count_a = Counter(a)
     count_b = Counter(b)
-    old_pre = [False] * n
-    new_pre = [False] * m
+    old_pre = bytearray(n)
+    new_pre = bytearray(m)
     for i in range(prefix, n - suffix):
         if count_b[a[i]] == 0:
-            old_pre[i] = True
+            old_pre[i] = 1
     for j in range(prefix, m - suffix):
         if count_a[b[j]] == 0:
-            new_pre[j] = True
+            new_pre[j] = 1
 
     if not minimal:
         flag_frequent_reference(a, count_b, old_pre, prefix, n - suffix)
@@ -768,7 +768,7 @@ def xdl_bogosqrt_reference(n: int) -> int:
     return i
 
 
-def flag_frequent_reference(tokens: list[int], counts: Counter, pre: list[bool], lo: int, hi: int) -> None:
+def flag_frequent_reference(tokens: list[int], counts: Counter, pre: bytearray, lo: int, hi: int) -> None:
     """``myers._flag_frequent`` as git's ``xdl_cleanup_records`` scans, line by
     line: each line of tokens[lo:hi] is 0 (the other file's ``counts`` lack
     it), 2 (they hold it at least ``xdl_bogosqrt(len(tokens))`` times, capped
@@ -780,7 +780,7 @@ def flag_frequent_reference(tokens: list[int], counts: Counter, pre: list[bool],
         dis[i] = 0 if nm == 0 else 2 if nm >= mlim else 1
     extra = [i for i in range(lo, hi) if dis[i] == 2 and clean_mmatch_reference(dis, i, lo, hi - 1)]
     for i in extra:
-        pre[i] = True
+        pre[i] = 1
 
 
 def clean_mmatch_reference(dis: dict[int, int], i: int, s: int, e: int) -> bool:

@@ -204,6 +204,33 @@ def test_flags_to_script_pure_deletion():
     assert script == (Change(0, 1, 0, 0),)
 
 
+def test_flags_are_one_byte_a_line_and_other_forms_convert():
+    """Every algorithm and the slider give git's ``rchg`` format: a bytearray
+    of 0s and 1s, one byte per line of each file.  ChangedLines converts flags
+    given another way, as README's list-built example gives them, to that
+    form, and they make the same hunks as the byte form."""
+    rng = random.Random("byte-flags")
+    table = InternTable()
+    # two letters over 300 lines: every line repeats, so histogram and patience fall back to myers
+    pairs = [(b"a\nb\nc\n", b"a\nx\nc\n"), (random_file(rng, 300, 2), random_file(rng, 300, 2)),
+             (random_file(rng, 40, 5, True), random_file(rng, 40, 5, True)), (b"", b"a\n")]
+    for old_data, new_data in pairs:
+        old, new = table.intern(old_data), table.intern(new_data)
+        for algorithm in ALGORITHMS:
+            flags = diff_lines(old, new, algorithm)
+            for got in (flags, *(slide_changed_lines(flags, old, new, heuristic) for heuristic in (True, False))):
+                assert got.old_flags.__class__ is bytearray and got.new_flags.__class__ is bytearray
+                assert (len(got.old_flags), len(got.new_flags)) == (len(old), len(new))
+                assert set(got.old_flags) | set(got.new_flags) <= {0, 1}
+    listed = ChangedLines([False, True, False], [0, 2, 0])
+    assert listed.old_flags.__class__ is bytearray and listed.new_flags.__class__ is bytearray
+    assert listed == ChangedLines(bytearray(b"\0\1\0"), bytearray(b"\0\1\0"))
+    assert ChangedLines(bytearray(b"\1"), [True]).new_flags == bytearray(b"\1")
+    old, new = table.intern(b"a\nb\nc\n"), table.intern(b"a\nx\nc\n")
+    script = flags_to_script(diff_lines(old, new, "histogram"), old, new)
+    assert flags_to_script(listed, old, new) == script == (Change(1, 2, 1, 2),)
+
+
 def test_flags_to_script_rejects_mismatched_survivors():
     table = InternTable()
     old = table.intern(b"a\nb\n")

@@ -74,7 +74,7 @@ def test_find_split_skips_a_seed_more_frequent_than_the_lowest_count():
     assert find_split(a, b, 0, len(a), 0, len(b), scan_a(a), {}) == want
     table = InternTable()
     o, n = table.intern(b"7\n8\n6\n1\n7\n8\n"), table.intern(b"1\n0\n7\n8\n")
-    assert diff_histogram(o, n).old_flags == [True, True, True, False, False, False]
+    assert diff_histogram(o, n).old_flags == b"\1\1\1\0\0\0"
 
 
 def test_find_split_falls_back_on_a_line_at_the_initial_lowest_count():
@@ -156,8 +156,8 @@ def test_real_region_at_origin_is_not_degenerate(intern_pair):
     # a common first line must survive even though the region starts at (0, 0)
     o, n = intern_pair(b"a\nb\n", b"a\nc\n")
     flags = diff_histogram(o, n)
-    assert flags.old_flags == [False, True]
-    assert flags.new_flags == [False, True]
+    assert flags.old_flags == b"\0\1"
+    assert flags.new_flags == b"\0\1"
 
 
 def test_round_trip_randomized():

@@ -65,8 +65,8 @@ def test_preprocess_strips_ends_and_flags_unmatched(intern_pair):
     cls = preprocess(old.tokens, new.tokens, minimal=True)
     assert cls.prefix_len == 1
     assert cls.suffix_len == 1
-    assert cls.old_prechanged == [False, True, False]
-    assert cls.new_prechanged == [False, True, False]
+    assert cls.old_prechanged == b"\0\1\0"
+    assert cls.new_prechanged == b"\0\1\0"
 
 
 def _frequent_line_family():
@@ -492,7 +492,7 @@ def test_flag_frequent_matches_walk_reference():
         for seq, other, pre in ((o, n, cls.old_prechanged), (n, o, cls.new_prechanged)):
             counts = Counter(other.tokens)
             lo, hi = cls.prefix_len, len(seq) - cls.suffix_len
-            got, want = list(pre), list(pre)
+            got, want = bytearray(pre), bytearray(pre)
             _flag_frequent(seq.tokens, counts, got, lo, hi)
             reference.flag_frequent_reference(seq.tokens, counts, want, lo, hi)
             assert got == want
